@@ -326,12 +326,19 @@ def vanishing_order_fit(samples) -> FitResult:
 
 def structured_report(name: str, anchor: str, inputs, value: float,
                       threshold: float, verdict: bool) -> dict:
-    """JSON-ready certificate record with a digest of the inputs."""
-    digest = hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
+    """JSON-ready certificate record with a digest of the inputs: of each part
+    of a tuple in turn, an array by dtype, shape and bytes, anything else by repr."""
+    digest = hashlib.sha256()
+    for part in inputs if isinstance(inputs, tuple) else (inputs,):
+        if isinstance(part, np.ndarray):
+            digest.update(f"{part.dtype.str}{part.shape}".encode())
+            digest.update(np.ascontiguousarray(part))
+        else:
+            digest.update(repr(part).encode())
     return {
         "check": name,
         "anchor": anchor,
-        "inputs_digest": digest,
+        "inputs_digest": digest.hexdigest()[:16],
         "value": float(value),
         "threshold": float(threshold),
         "verdict": "pass" if verdict else "fail",

@@ -78,10 +78,10 @@ def _exit_code(exc: PenwaveError) -> int:
 
 _SCHEMA = {
     "problem": {"nonlinearity", "epsilon", "r_b"},
-    "grid": {"dr", "cfl", "t_max", "r_max", "n_t", "n_r"},
+    "grid": {"dr", "cfl", "t_max", "r_max"},
     "data": {"center", "width", "f_amp", "g_amp"},
-    "output": {"dir", "snapshot_every", "frame_decimation"},
-    "verify": {"sigma", "seed", "require_null", "order", "boundary_order", "tol"},
+    "output": {"snapshot_every", "frame_decimation"},
+    "verify": {"order", "boundary_order", "tol"},
 }
 
 
@@ -133,10 +133,6 @@ def solver_config_from(cfg: configparser.ConfigParser) -> solver.SolverConfig:
         r_max=_getfloat(cfg, "grid", "r_max", 90.0),
         frame_decimation=int(_getfloat(cfg, "output", "frame_decimation", 1)),
     )
-
-
-def _empty_config() -> configparser.ConfigParser:
-    return configparser.ConfigParser()
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +398,7 @@ def cmd_simulate(args) -> int:
     cfg = read_config(args.config)
     scfg = solver_config_from(cfg)
     manifest = Manifest("simulate")
-    manifest.config = {
-        "nonlinearity": scfg.nonlinearity.name,
-        "epsilon": repr(scfg.epsilon),
-        "r_b": repr(scfg.obs.r_b),
-        "dr": repr(scfg.dr),
-        "cfl": repr(scfg.cfl),
-        "t_max": repr(scfg.t_max),
-        "r_max": repr(scfg.r_max),
-    }
+    manifest.config = solver._config_record(scfg)
     traj = solver.run(scfg)
     every = _getfloat(cfg, "output", "snapshot_every", 5.0)
     for p in solver.write_outputs(traj, args.out, snapshot_every=every):
@@ -497,51 +485,56 @@ def _check_vanishing_order(args, rng):
 
 
 def _load_traj(args):
+    """The trajectory a check certifies, and what the report's digest covers:
+    the stored frames and the run's resolved configuration."""
     if args.traj:
-        return solver.load_trajectory(args.traj)
-    if args.config:
-        return solver.run(solver_config_from(read_config(args.config)))
-    raise ParseError("this check needs --traj DIR or --config PATH")
+        traj = solver.load_trajectory(args.traj)
+    elif args.config:
+        traj = solver.run(solver_config_from(read_config(args.config)))
+    else:
+        raise ParseError("this check needs --traj DIR or --config PATH")
+    return traj, (traj.times, traj.u_frames, traj.ut_frames,
+                  sorted(solver._config_record(traj.config).items()))
 
 
 def _check_decay(args, rng):
-    traj = _load_traj(args)
+    traj, inputs = _load_traj(args)
     cert = analysis.decay_certificate(traj, sigma=args.sigma)
     ok = math.isfinite(cert.C_sup) and cert.plateau_ratio <= 2.0
     return analysis.structured_report(
-        "decay", "weighted-supnorm-certificate", args.traj or args.config,
+        "decay", "weighted-supnorm-certificate", inputs,
         cert.plateau_ratio, 2.0, ok,
     )
 
 
 def _check_morawetz(args, rng):
-    traj = _load_traj(args)
+    traj, inputs = _load_traj(args)
     m = traj.monitors
     fit = analysis.fit_exponential(analysis.Series(m.t, np.maximum(m.E_local, 1e-300)),
                                    window=(5.0, 30.0))
     ok = fit.rate > 0 and fit.r_squared >= 0.95
     return analysis.structured_report(
-        "morawetz", "local-energy-decay", args.traj or args.config,
+        "morawetz", "local-energy-decay", inputs,
         fit.rate, 0.0, ok,
     )
 
 
 def _check_energy(args, rng):
-    traj = _load_traj(args)
+    traj, inputs = _load_traj(args)
     field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
     rep = analysis.energy_inequality_check(field)
     return analysis.structured_report(
-        "energy", "conformal-energy-inequality", args.traj or args.config,
+        "energy", "conformal-energy-inequality", inputs,
         rep.slack, 0.02, rep.passed,
     )
 
 
 def _check_weighted_norms(args, rng):
-    traj = _load_traj(args)
+    traj, inputs = _load_traj(args)
     field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
     rep = analysis.weighted_norm_report(field, p=2, sigma=args.sigma)
     return analysis.structured_report(
-        "weighted-norms", "mixed-norm-boundedness", args.traj or args.config,
+        "weighted-norms", "mixed-norm-boundedness", inputs,
         rep.plateau_ratio, 4.0, rep.bounded,
     )
 
@@ -599,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", help="named builtin form (q0, q01, q12, dt-squared)")
     p.add_argument("--require-null", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_null)
 
     p = sub.add_parser("compat", help="compatibility jet + boundary report")

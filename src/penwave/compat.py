@@ -133,7 +133,7 @@ class NonlinearitySpec:
                 raise DomainError(f"bad monomial powers {powers}")
 
     def __call__(self, u, u_t, u_r, r=None):
-        """Pointwise evaluation (used by the solver)."""
+        """Pointwise evaluation."""
         out = np.zeros(np.broadcast(u, u_t, u_r).shape)
         for coeff, (pu, put, pur) in self.terms:
             c = coeff(r) if callable(coeff) else coeff

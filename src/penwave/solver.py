@@ -6,11 +6,15 @@ removes the first-order transport term, giving w_tt = w_rr + r * (N + forcing)
 with w(r_b) = w(r_max) = 0; the outer condition is exact by finite propagation
 speed provided r_max >= r_b + t_max + (data support radius) + 2.
 
-The scheme is explicit leapfrog, second order in space and time.  The first
-step is seeded with the Taylor expansion u(dt) = psi_0 + dt psi_1 + dt^2/2
-psi_2 built from the compatibility jet.  When N depends on u_t the update is
-implicit through the centered difference (u^{n+1} - u^{n-1})/(2 dt); two
-fixed-point sweeps starting from the lagged value resolve it.
+The scheme is explicit leapfrog, second order in time; one core steps both
+``run`` (second order in space) and ``reference_samples`` (fourth order).  The
+first step is the Taylor expansion u(dt) = psi_0 + dt psi_1 + dt^2/2 psi_2 of
+the compatibility jet.  When N depends on u_t the update is implicit through
+(u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lagged value
+resolve it.  When N(0) = 0 and there is no forcing, ``run`` steps only the
+light-cone window r <= r_b + support + t + 2 and holds exact zeros beyond (the
+data is zeroed beyond its support radius, where the bump is below 2.3e-16 of
+its peak); any other input steps the full grid.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -37,14 +41,12 @@ __all__ = [
     "DataSpec",
     "SolverConfig",
     "MonitorSeries",
-    "EnergyReport",
     "Trajectory",
     "CylinderGrid",
     "run",
     "evaluate",
     "sample",
     "transform_to_cylinder",
-    "monitors",
     "reference_samples",
     "DEFAULT_BANDS",
 ]
@@ -65,10 +67,6 @@ class DataSpec:
     def support_radius(self) -> float:
         """Outer radius beyond which the data is numerically zero."""
         return self.center + 6.0 * self.width
-
-    @property
-    def inner_radius(self) -> float:
-        return max(self.center - 6.0 * self.width, 0.0)
 
     def profiles(self, r0, r_max, dr, epsilon):
         bump_f = compat.gaussian_bump(self.center, self.width, epsilon * self.f_amp)
@@ -125,14 +123,6 @@ class MonitorSeries:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    t: np.ndarray
-    E_total: np.ndarray
-    E_local: np.ndarray
-    local_radius: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Stored evolution: frames on a (possibly decimated) radial grid plus monitors."""
 
@@ -157,10 +147,6 @@ class Trajectory:
         return cached
 
 
-def _energy(u_t, u_r, r, dr):
-    return 4.0 * math.pi * np.trapezoid((u_t ** 2 + u_r ** 2) * r ** 2, dx=dr)
-
-
 def run(config: SolverConfig) -> Trajectory:
     """Evolve the exterior problem; see the module docstring for the scheme.
 
@@ -173,59 +159,51 @@ def run(config: SolverConfig) -> Trajectory:
     n = int(round((config.r_max - r_b) / dr))
     r = r_b + dr * np.arange(n + 1)
     f, g = config.data.profiles(r_b, r[-1], dr, config.epsilon)
-    jet = compat.compute_jet(f, g, config.nonlinearity, K=2)
+    psi = [p.values for p in compat.compute_jet(f, g, config.nonlinearity, K=2).psi]
 
     n_steps = int(round(config.t_max / dt))
     stride = config.snapshot_stride or max(1, int(round(0.05 / dt)))
     dec = max(1, config.frame_decimation)
     rho = config.local_radius if config.local_radius is not None else 2.0 * r_b
-    local_sel = r <= rho
-    forcing = config.forcing_fn
+    n_local = int(np.count_nonzero(r <= rho))
+    inv_r = 1.0 / r
+    reach = None
+    if config.forcing_fn is None and all(sum(p) >= 1 for _, p in config.nonlinearity.terms):
+        # N(0) = 0: the field vanishes ahead of the light cone of the data
+        reach = config.data.support_radius + 2.0
+        psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
 
-    def nonlin(u, u_t, u_r, t):
-        out = config.nonlinearity(u, u_t, u_r, r)
-        if forcing is not None:
-            out = out + forcing(t, r)
-        return out
-
-    has_nonlin = (not config.nonlinearity.is_trivial) or forcing is not None
-
-    w_prev = r * jet.psi[0].values
-    w_prev[0] = w_prev[-1] = 0.0
-    w_curr = r * (jet.psi[0].values + dt * jet.psi[1].values + 0.5 * dt ** 2 * jet.psi[2].values)
-    w_curr[0] = w_curr[-1] = 0.0
-
-    frames_t, frames_u, frames_ut = [], [], []
+    frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
+    frames_u, frames_ut = np.zeros((2, n_steps // stride + 2, len(r[::dec])))
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
     mon_bands = {b: [] for b in config.band_offsets}
 
-    def record(level, u, u_t, u_r, t):
+    def record(level, t, w, u_t):
+        """Monitors and frames from w = r u and u_t on the first len(w) nodes (zero beyond)."""
+        e = len(w)
+        u = w * inv_r[:e]
         if level % config.monitor_stride == 0 or level == n_steps:
+            u_r = _radial_derivative(w, inv_r[:e], dr)
+            density = (u_t ** 2 + u_r ** 2) * r[:e] ** 2
             mon_t.append(t)
-            mon_E.append(_energy(u_t, u_r, r, dr))
-            mon_El.append(
-                4.0 * math.pi * np.trapezoid(((u_t ** 2 + u_r ** 2) * r ** 2)[local_sel], dx=dr)
-            )
+            mon_E.append(4.0 * math.pi * np.trapezoid(density, dx=dr))
+            mon_El.append(4.0 * math.pi * np.trapezoid(density[:n_local], dx=dr))
             mon_sup.append(float(np.max(np.abs(u))))
             for b in config.band_offsets:
                 rb_pt = t - b
-                val = float(np.interp(rb_pt, r, u)) if r[0] <= rb_pt <= r[-1] else 0.0
+                val = float(np.interp(rb_pt, r[:e], u)) if r[0] <= rb_pt <= r[-1] else 0.0
                 mon_bands[b].append(val)
         if level % stride == 0 or level == n_steps:
+            row = (len(frames_t), slice(0, len(u[::dec])))
+            frames_u[row], frames_ut[row] = u[::dec], u_t[::dec]
             frames_t.append(t)
-            frames_u.append(u[::dec].copy())
-            frames_ut.append(u_t[::dec].copy())
-
-    # level 0
-    u0 = jet.psi[0].values.copy()
-    record(0, u0, jet.psi[1].values, deriv_r(w_prev, r, dr), 0.0)
 
     def partial_trajectory(completed):
         return Trajectory(
             r=r[::dec].copy(),
             times=np.asarray(frames_t),
-            u_frames=np.asarray(frames_u),
-            ut_frames=np.asarray(frames_ut),
+            u_frames=frames_u[:len(frames_t)],
+            ut_frames=frames_ut[:len(frames_t)],
             monitors=MonitorSeries(
                 t=np.asarray(mon_t),
                 E_total=np.asarray(mon_E),
@@ -238,61 +216,117 @@ def run(config: SolverConfig) -> Trajectory:
             completed=completed,
         )
 
-    inv_r = 1.0 / r
-    for level in range(1, n_steps):
-        t_here = level * dt
-        w_rr = np.zeros_like(w_curr)
-        w_rr[1:-1] = (w_curr[2:] - 2.0 * w_curr[1:-1] + w_curr[:-2]) / dr ** 2
-        base = 2.0 * w_curr - w_prev + dt ** 2 * w_rr
-        if has_nonlin:
-            u = w_curr * inv_r
-            u_r = deriv_r(w_curr, r, dr)
-            u_t = (w_curr - w_prev) / dt * inv_r  # lagged first guess
-            w_next = base
-            prev_delta = None
-            for _ in range(2):
-                w_next_new = base + dt ** 2 * r * nonlin(u, u_t, u_r, t_here)
-                w_next_new[0] = w_next_new[-1] = 0.0
-                delta = float(np.max(np.abs(w_next_new - w_next)))
-                if prev_delta is not None and delta > 2.0 * prev_delta and delta > 1e-6:
-                    raise StabilityError(
-                        f"fixed-point sweep diverging at t = {t_here:.4f}"
-                    )
-                prev_delta = delta
-                w_next = w_next_new
-                u_t = (w_next - w_prev) / (2.0 * dt) * inv_r
-        else:
-            w_next = base
-            w_next[0] = w_next[-1] = 0.0
-        w_next[0] = w_next[-1] = 0.0
-
-        if level % 50 == 0 or level == n_steps - 1:
-            peak = float(np.max(np.abs(w_next)))
-            if not math.isfinite(peak) or peak > 1e12:
-                exc = NaNError(f"nonfinite values at t = {t_here:.4f}")
-                exc.trajectory = partial_trajectory(completed=False)
-                raise exc
-
-        u = w_curr * inv_r
-        u_t = (w_next - w_prev) / (2.0 * dt) * inv_r
-        u_rad = deriv_r(w_curr, r, dr)
-        record(level, u, u_t, u_rad, t_here)
-        w_prev, w_curr = w_curr, w_next
+    steps = _leapfrog(r, dr, dt, psi, n_steps, config.nonlinearity, config.forcing_fn,
+                      reach=reach)
+    try:
+        for level, w_prev, w_curr, w_next, hi in steps:
+            if level % config.monitor_stride == 0 or level % stride == 0:
+                e = hi + 1  # node hi and beyond hold zeros
+                u_t = psi[1] if level == 0 else (w_next[:e] - w_prev[:e]) / (2.0 * dt) * inv_r[:e]
+                record(level, level * dt, w_curr[:e], u_t)
+            w_prev, w_curr = w_curr, w_next
+    except NaNError as exc:
+        exc.trajectory = partial_trajectory(completed=False)
+        raise
 
     # final level: one-sided u_t from the last two kept levels
-    u = w_curr * inv_r
-    u_t = (w_curr - w_prev) / dt * inv_r
-    record(n_steps, u, u_t, deriv_r(w_curr, r, dr), n_steps * dt)
+    record(n_steps, n_steps * dt, w_curr, (w_curr - w_prev) / dt * inv_r)
     return partial_trajectory(completed=True)
 
 
-def deriv_r(w, r, dr):
-    """u_r from w = r u: (dw/dr) / r - w / r^2, centered inside, one-sided at ends."""
-    dw = np.empty_like(w)
-    dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
-    dw[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dr)
-    dw[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
-    return dw / r - w / r ** 2
+def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reach=None):
+    """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
+
+    Yields ``(level, w_prev, w_curr, w_next, hi)`` for level = 0 .. n_steps - 1
+    (``w_prev`` is None at level 0) in three reused buffers.  Nodes 1 .. hi-1 are
+    stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t;
+    the rest hold zeros.  ``order`` (2 or 4) is the spatial order of w_rr and
+    u_r.  Raises StabilityError when the fixed-point sweeps diverge and NaNError
+    on blow-up, checked every 50 steps and on the last one.
+    """
+    n = len(r) - 1
+    k = (dt / dr) ** 2
+    inv_r = 1.0 / r
+    inv_dt = inv_r / dt
+    # split N once into monomials without u_t (added once per step) and with it
+    # (once per sweep), each as dt^2 r * coefficient and its factors' indices
+    fixed, swept = [], []
+    for coeff, powers in nonlinearity.terms:
+        c = dt * dt * r * (coeff(r) if callable(coeff) else coeff)
+        factors = [i for i, p in enumerate(powers) for _ in range(p)]
+        (swept if powers[1] else fixed).append((c, factors))
+    used = {i for _, factors in fixed + swept for i in factors}
+    bufs = (r * psi[0], r * (psi[0] + dt * psi[1] + 0.5 * dt ** 2 * psi[2]), np.zeros_like(r))
+    for w in bufs:
+        w[0] = w[-1] = 0.0
+    yield 0, None, bufs[0], bufs[1], n
+    scratch = np.empty_like(r)
+    for level in range(1, n_steps):
+        t = level * dt
+        prv, cur, nxt = bufs
+        hi = n if reach is None else min(n, int((reach + t) / dr) + 1)
+        a = slice(1, hi)
+        base = nxt[a]
+        # dt^2 w_rr first, then 2 w - w_prev added to it: this order keeps the
+        # round-off floor of the decayed field near r_b at the 1e-16 level
+        if order == 2:
+            np.multiply(cur[a], 2.0, out=base)
+            np.subtract(cur[2:hi + 1], base, out=base)
+            base += cur[:hi - 1]
+        else:
+            base[1:-1] = (-cur[:hi - 3] + 16.0 * cur[1:hi - 2] - 30.0 * cur[2:hi - 1]
+                          + 16.0 * cur[3:hi] - cur[4:hi + 1]) / 12.0
+            base[0] = cur[2] - 2.0 * cur[1] + cur[0]
+            base[-1] = cur[hi] - 2.0 * cur[hi - 1] + cur[hi - 2]
+        base *= k
+        twice = np.multiply(cur[a], 2.0, out=scratch[a])
+        twice -= prv[a]
+        base += twice
+
+        if nonlinearity.terms or forcing is not None:
+            fields = [None, None, None]  # u, u_t, u_r on nodes 1 .. hi-1
+            if 0 in used:
+                fields[0] = cur[a] * inv_r[a]
+            if 2 in used:
+                fields[2] = _radial_derivative(cur[:hi + 1], inv_r[:hi + 1], dr, order)[1:-1]
+            inc = np.zeros(hi - 1)
+            for c, factors in fixed:
+                inc += math.prod((fields[i] for i in factors), start=c[a])
+            if forcing is not None:
+                inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
+            if swept:
+                fields[1] = (cur[a] - prv[a]) * inv_dt[a]  # lagged first guess
+                for sweep in (1, 2):
+                    if sweep == 2:
+                        fields[1] = (base + inc + part - prv[a]) * (0.5 * inv_dt[a])
+                    new = sum(math.prod((fields[i] for i in factors), start=c[a])
+                              for c, factors in swept)
+                    # sweep 1 is measured against the linear base, sweep 2 against sweep 1
+                    delta = float(np.max(np.abs(inc + new if sweep == 1 else new - part)))
+                    if sweep == 2 and delta > 2.0 * prev_delta and delta > 1e-6:
+                        raise StabilityError(f"fixed-point sweep diverging at t = {t:.4f}")
+                    prev_delta, part = delta, new
+                inc += part
+            base += inc
+
+        if level % 50 == 0 or level == n_steps - 1:
+            peak = float(np.max(np.abs(base)))
+            if not math.isfinite(peak) or peak > 1e12:
+                raise NaNError(f"nonfinite values at t = {t:.4f}")
+        yield level, prv, cur, nxt, hi
+        bufs = (cur, nxt, prv)
+
+
+def _radial_derivative(w, inv_r, dr, order=2):
+    """u_r = (dw/dr - u) / r from w = r u, dw/dr of the given order, one-sided at the ends."""
+    if order == 4:
+        dw = compat.deriv4(w, dr, 1)
+    else:
+        dw = np.empty_like(w)
+        dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
+        dw[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dr)
+        dw[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
+    return (dw - w * inv_r) * inv_r
 
 
 def sample(traj: Trajectory, t, r):
@@ -435,13 +469,10 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     )
 
 
-def monitors(traj: Trajectory):
-    """Energy report plus the raw monitor series."""
-    m = traj.monitors
-    report = EnergyReport(
-        t=m.t, E_total=m.E_total, E_local=m.E_local, local_radius=m.local_radius
-    )
-    return report, m
+def _config_record(cfg: SolverConfig) -> dict[str, str]:
+    """The values that define a run, as strings for store metadata and manifests."""
+    return {"r_b": repr(cfg.obs.r_b), "nonlinearity": cfg.nonlinearity.name,
+            **{key: repr(getattr(cfg, key)) for key in ("epsilon", "dr", "cfl", "t_max", "r_max")}}
 
 
 def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list[str]:
@@ -485,13 +516,7 @@ def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list
     meta = configparser.ConfigParser()
     cfg = traj.config
     meta["trajectory"] = {
-        "r_b": repr(cfg.obs.r_b),
-        "nonlinearity": cfg.nonlinearity.name,
-        "epsilon": repr(cfg.epsilon),
-        "dr": repr(cfg.dr),
-        "cfl": repr(cfg.cfl),
-        "t_max": repr(cfg.t_max),
-        "r_max": repr(cfg.r_max),
+        **_config_record(cfg),
         "local_radius": repr(m.local_radius),
         "band_offsets": ",".join(f"{b:g}" for b in band_keys),
         "completed": str(traj.completed),
@@ -572,41 +597,10 @@ def reference_samples(
     m = max(1, int(math.ceil(dt / (cfl * dr))))
     dt_int = dt / m
     r = f.r
-    jet = compat.compute_jet(f, g, F, K=2)
-    w_prev = r * f.values
-    w_curr = r * (jet.psi[0].values + dt_int * jet.psi[1].values
-                  + 0.5 * dt_int ** 2 * jet.psi[2].values)
-    w_prev[0] = w_prev[-1] = 0.0
-    w_curr[0] = w_curr[-1] = 0.0
-    inv_r = 1.0 / r
+    psi = [p.values for p in compat.compute_jet(f, g, F, K=2).psi]
     out = [f.values.copy()]
-    level = 1  # w_curr currently holds time level * dt_int
-    if level % m == 0:
-        out.append(w_curr * inv_r)
-    total = (n_samples - 1) * m
-    while level < total:
-        w_rr = np.zeros_like(w_curr)
-        w_rr[2:-2] = (
-            -w_curr[:-4] + 16 * w_curr[1:-3] - 30 * w_curr[2:-2]
-            + 16 * w_curr[3:-1] - w_curr[4:]
-        ) / (12 * dr ** 2)
-        w_rr[1] = (w_curr[2] - 2 * w_curr[1] + w_curr[0]) / dr ** 2
-        w_rr[-2] = (w_curr[-1] - 2 * w_curr[-2] + w_curr[-3]) / dr ** 2
-        base = 2 * w_curr - w_prev + dt_int ** 2 * w_rr
-        if F.is_trivial:
-            w_next = base.copy()
-        else:
-            u = w_curr * inv_r
-            u_r = compat.deriv4(w_curr, dr, 1) * inv_r - w_curr * inv_r ** 2
-            u_t = (w_curr - w_prev) / dt_int * inv_r
-            w_next = base
-            for _ in range(2):
-                w_next = base + dt_int ** 2 * r * F(u, u_t, u_r, r)
-                w_next[0] = w_next[-1] = 0.0
-                u_t = (w_next - w_prev) / (2 * dt_int) * inv_r
-        w_next[0] = w_next[-1] = 0.0
-        w_prev, w_curr = w_curr, w_next
-        level += 1
-        if level % m == 0:
-            out.append(w_curr * inv_r)
+    for level, _, _, w_next, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
+                                            order=4):
+        if (level + 1) % m == 0:
+            out.append(w_next / r)
     return out

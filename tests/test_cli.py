@@ -3,6 +3,9 @@
 import configparser
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +58,23 @@ class TestConfigParsing:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(cli.ParseError):
             cli.read_config(str(tmp_path / "absent.ini"))
+
+    @pytest.mark.parametrize("section,key", [
+        ("grid", "n_t"), ("grid", "n_r"), ("output", "dir"),
+        ("verify", "sigma"), ("verify", "seed"), ("verify", "require_null"),
+    ])
+    def test_unread_keys_exit_with_parse_error(self, tmp_path, capsys, section, key):
+        cfg = configparser.ConfigParser()
+        cfg.read_string(SMALL_CONFIG)
+        if not cfg.has_section(section):
+            cfg.add_section(section)
+        cfg[section][key] = "1"
+        path = tmp_path / "run.ini"
+        with open(path, "w") as fh:
+            cfg.write(fh)
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_PARSE
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_unknown_nonlinearity_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -149,6 +169,11 @@ class TestCheckNull:
         assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
         assert "line 2" in capsys.readouterr().err
 
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check-null", "--builtin", "q0", "--seed", "1"])
+        assert info.value.code == 2
+
     def test_report_output(self, tmp_path):
         out = tmp_path / "rep"
         assert cli.main(["check-null", "--builtin", "q0", "--out", str(out)]) == 0
@@ -213,6 +238,32 @@ class TestVerifyCommand:
     def test_unknown_check_is_a_parse_error(self, capsys):
         assert cli.main(["verify", "--check", "bogus"]) == cli.EXIT_PARSE
         assert "unknown check" in capsys.readouterr().err
+
+    def test_trajectory_digest_follows_the_data(self, tmp_path):
+        run_dir = tmp_path / "run"
+
+        def simulate(epsilon):
+            path = tmp_path / "run.ini"
+            path.write_text(SMALL_CONFIG.replace("epsilon = 0.01", f"epsilon = {epsilon}"))
+            assert cli.main(["simulate", "--config", str(path), "--out", str(run_dir)]) == 0
+
+        def digest(out):
+            report = json.loads((out / "verify_decay.json").read_text())
+            return report["inputs_digest"]
+
+        verify = ["verify", "--check", "decay", "--traj", str(run_dir), "--out"]
+        simulate(0.01)
+        assert cli.main(verify + [str(tmp_path / "a")]) == 0
+        # the same stored run verified again, in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "penwave.cli"] + verify + [str(tmp_path / "b")],
+                       env=env, check=True, capture_output=True)
+        simulate(0.02)
+        assert cli.main(verify + [str(tmp_path / "c")]) == 0
+        assert digest(tmp_path / "a") == digest(tmp_path / "b")
+        assert digest(tmp_path / "a") != digest(tmp_path / "c")
 
     def test_trajectory_checks_need_a_source(self):
         assert cli.main(["verify", "--check", "decay"]) == cli.EXIT_PARSE

@@ -1,13 +1,14 @@
 """Exterior radial solver: analytic oracles, conservation, convergence, I/O."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from penwave import compat, geometry, solver
-from penwave.errors import ConfigError, RangeError, StabilityError
+from penwave.errors import ConfigError, NaNError, RangeError, StabilityError
 
 
 def short_config(**overrides):
@@ -154,6 +155,47 @@ class TestNonlinearRuns:
             )
         )
         assert np.max(np.abs(forced.u_frames[-1])) > 1e-4
+
+    def test_light_cone_window_matches_full_grid(self):
+        # N(0) = 0 without forcing steps only the light-cone window; a zero
+        # forcing makes the same problem step the full grid
+        config = short_config(nonlinearity=compat.Q0_RADIAL, t_max=6.0, r_max=12.0)
+        windowed = solver.run(config)
+        full = solver.run(replace(config, forcing_fn=lambda t, r: 0.0 * r))
+        wm, fm = windowed.monitors, full.monitors
+        # each series is compared on the scale of its kind: bands sample u,
+        # and the local energy is a part of the total
+        u_scale = np.max(np.abs(full.u_frames))
+        e_scale = np.max(fm.E_total)
+        pairs = [(windowed.u_frames, full.u_frames, u_scale),
+                 (windowed.ut_frames, full.ut_frames, np.max(np.abs(full.ut_frames))),
+                 (wm.E_total, fm.E_total, e_scale), (wm.E_local, fm.E_local, e_scale),
+                 (wm.sup_u, fm.sup_u, u_scale)]
+        pairs += [(wm.bands[b], fm.bands[b], u_scale) for b in fm.bands]
+        assert np.array_equal(windowed.times, full.times)
+        for got, ref, scale in pairs:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+
+
+class TestGuards:
+    def test_fixed_point_divergence_raises(self):
+        config = short_config(nonlinearity=compat.DT_SQUARED, epsilon=1.0, dr=0.01,
+                              t_max=4.0, r_max=10.0)
+        with pytest.raises(StabilityError, match=r"t = 1\.6"):
+            solver.run(config)
+
+    def test_blow_up_carries_the_partial_trajectory(self):
+        config = short_config(
+            dr=0.01, t_max=4.0, r_max=10.0,
+            forcing_fn=lambda t, r: 1e30 * np.exp(-((r - 1.5) ** 2)),
+        )
+        with pytest.raises(NaNError) as info:
+            solver.run(config)
+        traj = info.value.trajectory
+        assert traj.completed is False
+        assert 0.0 < traj.times[-1] < config.t_max
+        assert len(traj.monitors.t) > 0
 
 
 class TestSampling:
