@@ -196,7 +196,10 @@ class EnergySlackReport:
 
     lhs[i] is the energy norm (L^2 of v, d_T v, d_R v in quadrature) on row
     T[i]; rhs[i] is the initial energy norm plus the time-integrated L^2 of
-    the forcing up to T[i].  slack is the worst (lhs - rhs) relative to rhs.
+    the forcing up to T[i].  slack is the worst (lhs - rhs) relative to rhs;
+    it cannot fall below 0 because lhs[0] == rhs[0].  headroom is the margin
+    the verdict does not show: the least (rhs - lhs) relative to rhs over the
+    rows after the first (inf for a single row).
     """
 
     T: np.ndarray
@@ -204,6 +207,7 @@ class EnergySlackReport:
     rhs: np.ndarray
     slack: float
     passed: bool
+    headroom: float
 
 
 def energy_inequality_check(field: cylinder.CylinderField, tol: float = 0.02) -> EnergySlackReport:
@@ -215,22 +219,19 @@ def energy_inequality_check(field: cylinder.CylinderField, tol: float = 0.02) ->
     absent forcing is treated as zero.
     """
     dv_T, dv_R = cylinder.grad_fields(field)
-    rows = [i for i in range(len(field.T)) if field.mask[i].any()]
-    if not rows:
+    rows = np.flatnonzero(field.mask.any(axis=1))
+    if not len(rows):
         raise DomainError("field has no covered rows")
     T = field.T[rows]
-    lhs = np.empty(len(rows))
-    g_norm = np.empty(len(rows))
-    for j, i in enumerate(rows):
-        m = field.mask[i]
-        n_v = cylinder.slice_L2(field.values[i], field.R, m)
-        n_T = cylinder.slice_L2(dv_T.values[i], field.R, dv_T.mask[i])
-        n_R = cylinder.slice_L2(dv_R.values[i], field.R, dv_R.mask[i])
-        lhs[j] = math.sqrt(n_v ** 2 + n_T ** 2 + n_R ** 2)
-        if field.forcing is not None:
-            g_norm[j] = cylinder.slice_L2(field.forcing[i], field.R, m)
-        else:
-            g_norm[j] = 0.0
+    mask = field.mask[rows]
+    n_v = cylinder.rows_Lp(field.values[rows], field.R, mask, 2.0)
+    n_T = cylinder.rows_Lp(dv_T.values[rows], field.R, dv_T.mask[rows], 2.0)
+    n_R = cylinder.rows_Lp(dv_R.values[rows], field.R, dv_R.mask[rows], 2.0)
+    lhs = np.sqrt(n_v ** 2 + n_T ** 2 + n_R ** 2)
+    if field.forcing is not None:
+        g_norm = cylinder.rows_Lp(field.forcing[rows], field.R, mask, 2.0)
+    else:
+        g_norm = np.zeros(len(rows))
     # cumulative trapezoid of the forcing norm over T
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (g_norm[1:] + g_norm[:-1]) * np.diff(T))])
     rhs = lhs[0] + cum
@@ -238,7 +239,9 @@ def energy_inequality_check(field: cylinder.CylinderField, tol: float = 0.02) ->
     slack = float(np.max((lhs - rhs) / scale)) if rhs[0] > 0 or field.forcing is not None else 0.0
     if lhs[0] == 0.0 and np.all(rhs == 0.0):
         slack = float(np.max(lhs))  # zero solution: both sides vanish
-    return EnergySlackReport(T=T, lhs=lhs, rhs=rhs, slack=slack, passed=slack <= tol)
+    headroom = float(np.min(((rhs - lhs) / scale)[1:], initial=math.inf))
+    return EnergySlackReport(T=T, lhs=lhs, rhs=rhs, slack=slack, passed=slack <= tol,
+                             headroom=headroom)
 
 
 @dataclass(frozen=True)
@@ -273,21 +276,15 @@ def weighted_norm_report(
     Verdict "bounded" iff the m series has plateau ratio <= ``plateau_tol``
     over the last third of covered rows.
     """
-    if p > 3:
-        raise DomainError("weighted norm order capped at 3")
-    spec = cylinder.WeightedDerivativeSpec(order=p)
-    rows = [i for i in range(len(field.T)) if field.mask[i].sum() >= 4]
+    rows = np.flatnonzero(field.mask.sum(axis=1) >= 4)
     T = field.T[rows]
-    m_vals = np.empty(len(rows))
-    sup_order = max(p - 1, 0)
-    for j, i in enumerate(rows):
-        norms = cylinder.weighted_norms(field, spec, float(field.T[i]))
-        total = 0.0
-        for order, (l2, l6, sup) in norms.items():
-            total += l2 + l6
-            if order <= sup_order:
-                total += (math.pi - field.T[i]) ** sigma * sup
-        m_vals[j] = total
+    norms = cylinder.weighted_row_norms(field, cylinder.WeightedDerivativeSpec(order=p), rows)
+    envelope = (math.pi - T) ** sigma
+    m_vals = np.zeros(len(rows))
+    for order, (l2, l6, sup) in norms.items():
+        m_vals += l2 + l6
+        if order <= max(p - 1, 0):
+            m_vals += envelope * sup
     n_tail = max(len(rows) // 3, 2)
     tail_max = float(m_vals[-n_tail:].max())
     head_max = float(m_vals[:-n_tail].max()) if len(rows) > n_tail else tail_max

@@ -31,7 +31,6 @@ from .errors import DomainError, MaskError
 __all__ = [
     "CylinderField",
     "WeightedDerivativeSpec",
-    "EnergyDensity",
     "a_coeff",
     "box_g_fn",
     "field_X_fn",
@@ -41,7 +40,9 @@ __all__ = [
     "intertwining_residual",
     "slice_L2",
     "slice_Lp",
+    "rows_Lp",
     "weighted_norms",
+    "weighted_row_norms",
     "grad_fields",
     "TEST_BATTERY",
     "battery_points",
@@ -224,13 +225,6 @@ class WeightedDerivativeSpec:
             raise DomainError("order must be nonnegative")
 
 
-@dataclass(frozen=True)
-class EnergyDensity:
-    """Nodal energy density e0 = |d_T v|^2 + |d_R v|^2."""
-
-    e0: np.ndarray
-
-
 def _diff_axis(values: np.ndarray, mask: np.ndarray, spacing: float, axis: int):
     """Second-order first derivative on a masked grid.
 
@@ -339,24 +333,23 @@ def field_X(v: CylinderField) -> CylinderField:
 # quadrature and weighted norms
 
 
+def rows_Lp(values: np.ndarray, R: np.ndarray, sel: np.ndarray, p: float) -> np.ndarray:
+    """(integral |v|^p 4 pi sin^2 R dR)^(1/p) of every row over its selected nodes.
+
+    Composite trapezoid rule along the last axis: a pair of adjacent nodes
+    contributes only when both are selected, so a gap splits the quadrature
+    into runs and an isolated node contributes nothing.
+    """
+    integrand = np.where(sel, np.abs(values) ** p * 4.0 * math.pi * np.sin(R) ** 2, 0.0)
+    pairs = np.where(sel[..., 1:] & sel[..., :-1], integrand[..., 1:] + integrand[..., :-1], 0.0)
+    return (0.5 * (R[1] - R[0]) * pairs.sum(axis=-1)) ** (1.0 / p)
+
+
 def slice_Lp(row: np.ndarray, R: np.ndarray, mask_row: np.ndarray, p: float,
              region: np.ndarray | None = None) -> float:
     """(integral |v|^p 4 pi sin^2 R dR)^(1/p) over valid, region-restricted nodes."""
-    sel = mask_row.copy()
-    if region is not None:
-        sel &= region
-    if not sel.any():
-        return 0.0
-    integrand = np.where(sel, np.abs(row) ** p * 4.0 * math.pi * np.sin(R) ** 2, 0.0)
-    # trapezoid over each contiguous valid run
-    total = 0.0
-    idx = np.flatnonzero(sel)
-    splits = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-    dR = R[1] - R[0]
-    for run in splits:
-        if len(run) > 1:
-            total += np.trapezoid(integrand[run], dx=dR)
-    return float(total ** (1.0 / p))
+    sel = mask_row if region is None else mask_row & region
+    return float(rows_Lp(row, R, sel, p))
 
 
 def slice_L2(row: np.ndarray, R: np.ndarray, mask_row: np.ndarray,
@@ -372,6 +365,42 @@ def _z_apply(values: np.ndarray, mask: np.ndarray, T: np.ndarray, spacing: float
     return np.where(m, w * d, np.nan), m
 
 
+def weighted_row_norms(
+    v: CylinderField,
+    spec: WeightedDerivativeSpec,
+    rows: np.ndarray,
+    region: np.ndarray | None = None,
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Slice norms of the weighted derivatives Z^alpha v on every given row.
+
+    Z ranges over the envelope basis {(pi-T)^2 d_T, (pi-T)^2 d_R}, with the
+    weight re-evaluated between applications; each Z^alpha v field is built
+    once per call.  Returns, per derivative order, the arrays of (L^2, L^6,
+    sup) slice norms over ``rows``, the first two summed over the order's
+    multi-indices and the sup maximised over them.  ``region`` may be a
+    boolean mask of shape (len(rows), len(v.R)) restricting the norms.
+    """
+    if spec.order > 3:
+        raise DomainError("weighted derivative order capped at 3")
+    fields = [(v.values, v.mask)]
+    out: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for order in range(spec.order + 1):
+        if order:
+            fields = [
+                _z_apply(vals, m, v.T, spacing, axis)
+                for vals, m in fields for spacing, axis in ((v.dT, 0), (v.dR, 1))
+            ]
+        l2 = l6 = sup = np.zeros(len(rows))
+        for vals, m in fields:
+            row_vals = vals[rows]
+            sel = m[rows] if region is None else m[rows] & region
+            l2 = l2 + rows_Lp(row_vals, v.R, sel, 2.0)
+            l6 = l6 + rows_Lp(row_vals, v.R, sel, 6.0)
+            sup = np.maximum(sup, np.max(np.where(sel, np.abs(row_vals), 0.0), axis=-1))
+        out[order] = (l2, l6, sup)
+    return out
+
+
 def weighted_norms(
     v: CylinderField,
     spec: WeightedDerivativeSpec,
@@ -380,38 +409,15 @@ def weighted_norms(
 ) -> dict[int, tuple[float, float, float]]:
     """Slice norms of the weighted derivatives Z^alpha v for |alpha| <= spec.order.
 
-    Z ranges over the envelope basis {(pi-T)^2 d_T, (pi-T)^2 d_R}, with the
-    weight re-evaluated between applications.  Returns, per derivative order,
-    the (L^2, L^6, sup) slice norms at the grid row nearest to T, summed over
-    the order's multi-indices.  ``region`` may be a nodewise predicate
-    region(T, R) -> bool restricting the norms.
+    Returns, per derivative order, the (L^2, L^6, sup) slice norms of
+    ``weighted_row_norms`` at the grid row nearest to T.  ``region`` may be a
+    nodewise predicate region(T, R) -> bool restricting the norms.
     """
-    if spec.order > 3:
-        raise DomainError("weighted derivative order capped at 3")
     row = int(np.argmin(np.abs(v.T - T)))
     if not v.mask[row].any():
         raise MaskError(f"row T={T} has no valid nodes")
     region_row = None
     if region is not None:
-        region_row = np.array([bool(region(v.T[row], r)) for r in v.R])
-
-    current = [(v.values, v.mask)]
-    out: dict[int, tuple[float, float, float]] = {}
-    for order in range(spec.order + 1):
-        l2 = l6 = sup = 0.0
-        for vals, m in current:
-            sel = m[row]
-            if region_row is not None:
-                sel = sel & region_row
-            if sel.any():
-                l2 += slice_L2(vals[row], v.R, m[row], region_row)
-                l6 += slice_Lp(vals[row], v.R, m[row], 6.0, region_row)
-                sup = max(sup, float(np.max(np.abs(vals[row][sel]))))
-        out[order] = (l2, l6, sup)
-        if order < spec.order:
-            nxt = []
-            for vals, m in current:
-                nxt.append(_z_apply(vals, m, v.T, v.dT, axis=0))
-                nxt.append(_z_apply(vals, m, v.T, v.dR, axis=1))
-            current = nxt
-    return out
+        region_row = np.array([[bool(region(v.T[row], r)) for r in v.R]])
+    norms = weighted_row_norms(v, spec, np.array([row]), region_row)
+    return {order: tuple(float(x[0]) for x in n) for order, n in norms.items()}

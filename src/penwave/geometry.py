@@ -18,7 +18,7 @@ functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -100,20 +100,17 @@ class StereoPoint:
 
 @dataclass(frozen=True)
 class ObstacleSpec:
-    """Spherical obstacle of radius r_b; a sampled phi(omega) is a generalization hook.
+    """Spherical obstacle of radius r_b.
 
     The boundary radius must satisfy 0 < r_b < 1/4 so that the obstacle
     boundary stays inside the region where the collapse estimates apply.
     """
 
     r_b: float
-    phi_samples: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
         if not 0.0 < self.r_b < 0.25:
             raise DomainError(f"r_b must lie in (0, 1/4), got {self.r_b}")
-        if self.phi_samples is not None and any(p <= 0 for p in self.phi_samples):
-            raise DomainError("phi samples must be strictly positive")
 
 
 @dataclass(frozen=True)

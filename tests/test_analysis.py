@@ -125,6 +125,17 @@ def flat_field(fn, n_T=60, n_R=200, T_max=2.5, R_max=3.0, forcing=None):
     return cylinder.CylinderField(T=T, R=R, values=vals, mask=mask, forcing=fc)
 
 
+def gapped_field():
+    """A field masked by an obstacle, a band gap and the diamond edge, with
+    one interior row cut to three valid nodes."""
+    field = flat_field(lambda T, R: math.sin(R) * math.cos(T) + 0.3 * R, T_max=3.0)
+    TT, RR = np.meshgrid(field.T, field.R, indexing="ij")
+    mask = (RR > 0.15) & (TT + RR < math.pi) & ~((RR > 1.0) & (RR < 1.1) & (TT < 1.5))
+    mask[20] &= np.cumsum(mask[20]) <= 3
+    values = np.where(mask, field.values, np.nan)
+    return cylinder.CylinderField(T=field.T, R=field.R, values=values, mask=mask)
+
+
 class TestEnergyInequality:
     def test_static_field_has_zero_slack(self):
         field = flat_field(lambda T, R: math.sin(R))
@@ -154,6 +165,27 @@ class TestEnergyInequality:
             flat_field(growing, forcing=lambda T, R: 10.0 * math.sin(R))
         )
         assert fed.slack < bare.slack
+
+    def test_headroom_reports_the_margin(self):
+        decaying = analysis.energy_inequality_check(
+            flat_field(lambda T, R: math.sin(R) * math.exp(-0.2 * T)))
+        growing = analysis.energy_inequality_check(
+            flat_field(lambda T, R: math.sin(R) * math.exp(0.5 * T)))
+        assert decaying.slack == 0.0 < decaying.headroom
+        assert growing.headroom < 0.0
+
+    def test_lhs_matches_the_single_row_norms(self):
+        field = gapped_field()
+        report = analysis.energy_inequality_check(field)
+        dv_T, dv_R = cylinder.grad_fields(field)
+        rows = [i for i in range(len(field.T)) if field.mask[i].any()]
+        expected = [
+            math.sqrt(cylinder.slice_L2(field.values[i], field.R, field.mask[i]) ** 2
+                      + cylinder.slice_L2(dv_T.values[i], field.R, dv_T.mask[i]) ** 2
+                      + cylinder.slice_L2(dv_R.values[i], field.R, dv_R.mask[i]) ** 2)
+            for i in rows
+        ]
+        np.testing.assert_allclose(report.lhs, expected, rtol=1e-13, atol=0.0)
 
     def test_empty_field_rejected(self):
         field = flat_field(lambda T, R: 1.0, n_T=8, n_R=8)
@@ -192,6 +224,24 @@ class TestWeightedNormReport:
         field = flat_field(lambda T, R: math.sin(R))
         with pytest.raises(DomainError):
             analysis.weighted_norm_report(field, p=4)
+
+    def test_rows_match_the_single_row_norms(self):
+        field = gapped_field()
+        report = analysis.weighted_norm_report(field, p=2, sigma=0.25)
+        rows = [i for i in range(len(field.T)) if field.mask[i].sum() >= 4]
+        assert 20 not in rows and field.mask[20].sum() == 3
+        expected = []
+        for i in rows:
+            norms = cylinder.weighted_norms(
+                field, cylinder.WeightedDerivativeSpec(order=2), field.T[i])
+            total = 0.0
+            for order, (l2, l6, sup) in norms.items():
+                total += l2 + l6
+                if order <= 1:
+                    total += (math.pi - field.T[i]) ** 0.25 * sup
+            expected.append(total)
+        np.testing.assert_array_equal(report.T, field.T[rows])
+        np.testing.assert_allclose(report.m, expected, rtol=1e-13, atol=0.0)
 
 
 class TestVanishingOrderFit:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from penwave import cylinder, geometry
@@ -180,6 +180,26 @@ class TestSliceNorms:
         assert cylinder.slice_L2(c * row, R, mask) == pytest.approx(
             abs(c) * base, rel=1e-10, abs=1e-12
         )
+
+    @given(
+        sel=st.lists(st.booleans(), min_size=2, max_size=60),
+        p=st.sampled_from([2.0, 6.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(sel=[False] * 7, p=2.0, seed=0)
+    @example(sel=[True, False, True, True, False, True, False], p=6.0, seed=1)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_trapezoid_over_each_valid_run(self, sel, p, seed):
+        sel = np.array(sel)
+        R = np.linspace(0.1, 3.0, len(sel))
+        row = np.random.default_rng(seed).normal(size=len(sel))
+        row[~sel] = np.nan
+        integrand = np.abs(row) ** p * 4.0 * math.pi * np.sin(R) ** 2
+        idx = np.flatnonzero(sel)
+        runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+        total = sum(np.trapezoid(integrand[run], dx=R[1] - R[0]) for run in runs if len(run))
+        got = cylinder.slice_Lp(row, R, sel, p)
+        assert got == pytest.approx(total ** (1.0 / p), rel=1e-13, abs=0.0)
 
     def test_empty_selection_is_zero(self):
         R = np.linspace(0.0, 1.0, 11)
