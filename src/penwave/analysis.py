@@ -274,9 +274,12 @@ def weighted_norm_report(
     derivatives) plus (pi-T)^sigma times the sup norms up to order p-1.
 
     Verdict "bounded" iff the m series has plateau ratio <= ``plateau_tol``
-    over the last third of covered rows.
+    over the last third of covered rows.  Raises DomainError when no row has
+    the 4 valid nodes a row needs.
     """
     rows = np.flatnonzero(field.mask.sum(axis=1) >= 4)
+    if len(rows) == 0:
+        raise DomainError("no row has 4 valid nodes")
     T = field.T[rows]
     norms = cylinder.weighted_row_norms(field, cylinder.WeightedDerivativeSpec(order=p), rows)
     envelope = (math.pi - T) ** sigma

@@ -111,27 +111,23 @@ def _getfloat(cfg, section, key, default):
 
 
 def solver_config_from(cfg: configparser.ConfigParser) -> solver.SolverConfig:
-    name = cfg.get("problem", "nonlinearity", fallback="zero")
+    """The run a config describes; a key it leaves out keeps the dataclass default."""
+    base = solver.SolverConfig()
+    name = cfg.get("problem", "nonlinearity", fallback=base.nonlinearity.name)
     if name not in compat.BUILTIN_NONLINEARITIES:
         raise ParseError(
             f"unknown nonlinearity '{name}'; "
             f"choose from {sorted(compat.BUILTIN_NONLINEARITIES)}"
         )
     return solver.SolverConfig(
-        obs=geometry.ObstacleSpec(_getfloat(cfg, "problem", "r_b", 0.2)),
+        obs=geometry.ObstacleSpec(_getfloat(cfg, "problem", "r_b", base.obs.r_b)),
         nonlinearity=compat.BUILTIN_NONLINEARITIES[name],
-        data=solver.DataSpec(
-            center=_getfloat(cfg, "data", "center", 1.5),
-            width=_getfloat(cfg, "data", "width", 0.25),
-            f_amp=_getfloat(cfg, "data", "f_amp", 0.0),
-            g_amp=_getfloat(cfg, "data", "g_amp", 1.0),
-        ),
-        epsilon=_getfloat(cfg, "problem", "epsilon", 0.01),
-        dr=_getfloat(cfg, "grid", "dr", 5e-3),
-        cfl=_getfloat(cfg, "grid", "cfl", 0.45),
-        t_max=_getfloat(cfg, "grid", "t_max", 80.0),
-        r_max=_getfloat(cfg, "grid", "r_max", 90.0),
-        frame_decimation=int(_getfloat(cfg, "output", "frame_decimation", 1)),
+        data=solver.DataSpec(**{key: _getfloat(cfg, "data", key, getattr(base.data, key))
+                                for key in _SCHEMA["data"]}),
+        epsilon=_getfloat(cfg, "problem", "epsilon", base.epsilon),
+        **{key: _getfloat(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
+        frame_decimation=int(_getfloat(cfg, "output", "frame_decimation",
+                                       base.frame_decimation)),
     )
 
 

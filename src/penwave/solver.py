@@ -83,7 +83,7 @@ class SolverConfig:
     data: DataSpec = field(default_factory=DataSpec)
     epsilon: float = 0.01
     dr: float = 5e-3
-    cfl: float = 0.45
+    cfl: float = 0.9
     t_max: float = 80.0
     r_max: float = 90.0
     snapshot_stride: int | None = None
@@ -234,20 +234,23 @@ def run(config: SolverConfig) -> Trajectory:
     return partial_trajectory(completed=True)
 
 
-def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reach=None):
+def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reach=None,
+              sweeps=None):
     """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
 
     Yields ``(level, w_prev, w_curr, w_next, hi)`` for level = 0 .. n_steps - 1
     (``w_prev`` is None at level 0) in three reused buffers.  Nodes 1 .. hi-1 are
     stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t;
     the rest hold zeros.  ``order`` (2 or 4) is the spatial order of w_rr and
-    u_r.  Raises StabilityError when the fixed-point sweeps diverge and NaNError
-    on blow-up, checked every 50 steps and on the last one.
+    u_r.  When N depends on u_t and ``sweeps`` is a list, each step appends its
+    two fixed-point increments to it.  Raises StabilityError when the sweeps
+    diverge and NaNError on blow-up, checked every 50 steps and on the last one.
     """
     n = len(r) - 1
     k = (dt / dr) ** 2
     inv_r = 1.0 / r
     inv_dt = inv_r / dt
+    half_inv_dt = 0.5 * inv_dt
     # split N once into monomials without u_t (added once per step) and with it
     # (once per sweep), each as dt^2 r * coefficient and its factors' indices
     fixed, swept = [], []
@@ -261,6 +264,9 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
         w[0] = w[-1] = 0.0
     yield 0, None, bufs[0], bufs[1], n
     scratch = np.empty_like(r)
+    # the nonlinearity's work arrays, allocated once: u, u_t, u_r and its
+    # scratch, one monomial, the fixed sum and the last two swept sums
+    u_buf, ut_buf, ur_buf, ur_work, term_buf, inc_buf, *sums = np.empty((8, n + 1))
     for level in range(1, n_steps):
         t = level * dt
         prv, cur, nxt = bufs
@@ -284,27 +290,36 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
         base += twice
 
         if nonlinearity.terms or forcing is not None:
+            m = hi - 1
+            term = term_buf[:m]
             fields = [None, None, None]  # u, u_t, u_r on nodes 1 .. hi-1
             if 0 in used:
-                fields[0] = cur[a] * inv_r[a]
+                fields[0] = np.multiply(cur[a], inv_r[a], out=u_buf[:m])
             if 2 in used:
-                fields[2] = _radial_derivative(cur[:hi + 1], inv_r[:hi + 1], dr, order)[1:-1]
-            inc = np.zeros(hi - 1)
-            for c, factors in fixed:
-                inc += math.prod((fields[i] for i in factors), start=c[a])
+                fields[2] = _radial_derivative(cur[:hi + 1], inv_r[:hi + 1], dr, order,
+                                               out=(ur_buf[:hi + 1], ur_work[:hi + 1]))[1:-1]
+            inc = _sum_monomials(fixed, fields, a, inc_buf[:m], term)
             if forcing is not None:
                 inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
             if swept:
-                fields[1] = (cur[a] - prv[a]) * inv_dt[a]  # lagged first guess
+                ut = fields[1] = ut_buf[:m]
+                np.subtract(cur[a], prv[a], out=ut)
+                ut *= inv_dt[a]  # lagged first guess
                 for sweep in (1, 2):
                     if sweep == 2:
-                        fields[1] = (base + inc + part - prv[a]) * (0.5 * inv_dt[a])
-                    new = sum(math.prod((fields[i] for i in factors), start=c[a])
-                              for c, factors in swept)
+                        np.add(base, inc, out=ut)
+                        ut += part
+                        ut -= prv[a]
+                        ut *= half_inv_dt[a]
+                    new = _sum_monomials(swept, fields, a, sums[sweep - 1][:m], term)
                     # sweep 1 is measured against the linear base, sweep 2 against sweep 1
-                    delta = float(np.max(np.abs(inc + new if sweep == 1 else new - part)))
+                    diff = (np.add(inc, new, out=term) if sweep == 1
+                            else np.subtract(new, part, out=term))
+                    delta = float(np.max(np.abs(diff, out=diff)))
                     if sweep == 2 and delta > 2.0 * prev_delta and delta > 1e-6:
                         raise StabilityError(f"fixed-point sweep diverging at t = {t:.4f}")
+                    if sweep == 2 and sweeps is not None:
+                        sweeps.append((prev_delta, delta))
                     prev_delta, part = delta, new
                 inc += part
             base += inc
@@ -317,16 +332,39 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
         bufs = (cur, nxt, prv)
 
 
-def _radial_derivative(w, inv_r, dr, order=2):
-    """u_r = (dw/dr - u) / r from w = r u, dw/dr of the given order, one-sided at the ends."""
+def _sum_monomials(monomials, fields, a, out, term):
+    """Sum of c[a] * f_1 * ... * f_k over ``monomials`` into ``out``, using ``term``.
+
+    Each product is multiplied left to right from c[a] and the sum starts from
+    zero: the order of ``sum(math.prod(fields, start=c[a]) ...)``, which the
+    tests compare bit for bit.
+    """
+    out.fill(0.0)
+    for c, factors in monomials:
+        np.copyto(term, c[a])
+        for i in factors:
+            term *= fields[i]
+        out += term
+    return out
+
+
+def _radial_derivative(w, inv_r, dr, order=2, out=None):
+    """u_r = (dw/dr - u) / r from w = r u, dw/dr of the given order, one-sided at the ends.
+
+    ``out`` is an optional pair of arrays shaped like ``w``, the result and a
+    scratch array; the second-order case then allocates nothing.
+    """
+    dw, work = (np.empty_like(w), np.empty_like(w)) if out is None else out
     if order == 4:
-        dw = compat.deriv4(w, dr, 1)
+        dw[:] = compat.deriv4(w, dr, 1)
     else:
-        dw = np.empty_like(w)
-        dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * dr)
+        np.subtract(w[2:], w[:-2], out=dw[1:-1])
+        dw[1:-1] /= 2.0 * dr
         dw[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dr)
         dw[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
-    return (dw - w * inv_r) * inv_r
+    dw -= np.multiply(w, inv_r, out=work)
+    dw *= inv_r
+    return dw
 
 
 def sample(traj: Trajectory, t, r):

@@ -225,6 +225,14 @@ class TestWeightedNormReport:
         with pytest.raises(DomainError):
             analysis.weighted_norm_report(field, p=4)
 
+    def test_no_row_with_four_valid_nodes_rejected(self):
+        field = flat_field(lambda T, R: math.sin(R), n_T=10, n_R=20)
+        mask = np.zeros_like(field.mask)
+        mask[:, 5:8] = True
+        sparse = cylinder.CylinderField(T=field.T, R=field.R, values=field.values, mask=mask)
+        with pytest.raises(DomainError, match="4 valid nodes"):
+            analysis.weighted_norm_report(sparse, p=2)
+
     def test_rows_match_the_single_row_norms(self):
         field = gapped_field()
         report = analysis.weighted_norm_report(field, p=2, sigma=0.25)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from penwave import cli, geometry
+from penwave import cli, geometry, solver
 
 SMALL_CONFIG = """\
 [problem]
@@ -81,6 +81,11 @@ class TestConfigParsing:
         path.write_text("[problem]\nnonlinearity = quintic\n")
         with pytest.raises(cli.ParseError):
             cli.solver_config_from(cli.read_config(str(path)))
+
+    def test_empty_config_gives_the_default_run(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("")
+        assert cli.solver_config_from(cli.read_config(str(path))) == solver.SolverConfig()
 
 
 class TestTransform:

@@ -1,0 +1,89 @@
+"""The solver against closed-form solutions of the acceptance problem.
+
+The data is (u, u_t) = (0, eps g) outside the sphere r = r_b, with g the
+Gaussian bump of ``DataSpec`` and u = 0 on the sphere.
+
+- Linear: w = r u solves w_tt = w_rr on r > r_b with w(r_b) = 0.  d'Alembert's
+  formula with the odd reflection of s g(s) about r_b solves it, in closed
+  form with erf.
+- Q0 (u_tt - Laplace u = u_t^2 - u_r^2): phi = 1 - exp(-u) solves the linear
+  problem (Nirenberg's transform).  Since u(0) = 0, phi has the same data and
+  the same Dirichlet condition, so u = -log(1 - phi) with phi from the
+  linear closed form.
+
+The error of a run is max |u - u_exact| over its frames divided by max |u|.
+Both runs are second order, so the error is bounded by C dr^2.  The leapfrog's
+dispersion error for w_tt = w_rr scales as (1 - cfl^2) dr^2, and the runs at
+cfl 0.9 are at least as accurate as at 0.45 with half the steps.  That is why
+0.9, the stability ceiling of ``SolverConfig.validate``, is the default.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from penwave import compat, solver
+
+R_B = 0.2
+T_MAX = 10.0
+DATA = solver.DataSpec(center=1.5, width=0.25, f_amp=0.0, g_amp=1.0)
+EPSILON = 0.01
+DEFAULT_CFL = solver.SolverConfig().cfl
+# C in error <= C dr^2: measured 4.00 and 4.03 (linear), 4.05 and 4.08 (Q0)
+# at dr = 1e-2 and 5e-3 and the default cfl; cfl 0.45 measures 8.55-8.63
+ERROR_DR2 = 5.0
+
+
+def bump_moment(s):
+    """Antiderivative of s * eps * exp(-((s - center)/width)^2)."""
+    z = (s - DATA.center) / DATA.width
+    return EPSILON * (0.5 * DATA.center * DATA.width * math.sqrt(math.pi) * erf(z)
+                      - 0.5 * DATA.width ** 2 * np.exp(-z * z))
+
+
+def linear_u(t, r):
+    """d'Alembert's solution with the odd reflection of s g(s) about r_b, over r."""
+    lower = np.where(r - t < R_B, 2.0 * R_B - r + t, r - t)
+    return 0.5 * (bump_moment(r + t) - bump_moment(lower)) / r
+
+
+def q0_u(t, r):
+    """Nirenberg's u = -log(1 - phi), phi the linear solution."""
+    return -np.log1p(-linear_u(t, r))
+
+
+EXACT = {"linear": (compat.ZERO, linear_u), "q0": (compat.Q0_RADIAL, q0_u)}
+
+
+@functools.cache
+def relative_error(problem, dr, cfl):
+    """max |u - u_exact| over every frame of a run to T_MAX, over max |u|."""
+    nonlinearity, exact = EXACT[problem]
+    traj = solver.run(solver.SolverConfig(
+        nonlinearity=nonlinearity, data=DATA, epsilon=EPSILON,
+        dr=dr, cfl=cfl, t_max=T_MAX, r_max=R_B + T_MAX + 6.0))
+    err = max(float(np.max(np.abs(u - exact(t, traj.r))))
+              for t, u in zip(traj.times, traj.u_frames))
+    return err / float(np.max(np.abs(traj.u_frames)))
+
+
+@pytest.mark.parametrize("problem", sorted(EXACT))
+@pytest.mark.parametrize("dr", [1e-2, 5e-3])
+def test_error_is_bounded_by_c_dr_squared(problem, dr):
+    assert relative_error(problem, dr, DEFAULT_CFL) <= ERROR_DR2 * dr ** 2
+
+
+@pytest.mark.parametrize("problem", sorted(EXACT))
+def test_observed_order_is_two(problem):
+    coarse, fine = (relative_error(problem, dr, DEFAULT_CFL) for dr in (1e-2, 5e-3))
+    order = math.log2(coarse / fine)
+    assert 1.8 <= order <= 2.2, order
+
+
+@pytest.mark.parametrize("problem", sorted(EXACT))
+def test_default_cfl_is_no_less_accurate_than_half_of_it(problem):
+    assert DEFAULT_CFL == 0.9
+    assert relative_error(problem, 1e-2, DEFAULT_CFL) <= relative_error(problem, 1e-2, 0.45)
