@@ -149,7 +149,8 @@ class Manifest:
         self.outputs.append(str(path))
         return str(path)
 
-    def write(self, outdir) -> str:
+    def write(self, outdir, extend: bool = False) -> str:
+        """Write ``outdir/manifest.ini``; ``extend`` keeps one already there and adds to it."""
         doc = configparser.ConfigParser()
         doc["manifest"] = {
             "command": self.command,
@@ -157,10 +158,17 @@ class Manifest:
             "wall_clock_s": f"{time.time() - self.started:.3f}",
         }
         doc["config"] = self.config
-        doc["outputs"] = {f"path_{i}": p for i, p in enumerate(self.outputs)}
-        doc["verdicts"] = self.verdicts
-        os.makedirs(outdir, exist_ok=True)
+        doc["outputs"], doc["verdicts"] = {}, {}
         final = os.path.join(outdir, "manifest.ini")
+        if extend:
+            try:
+                doc.read(final)
+            except configparser.Error as exc:
+                raise ParseError(f"{final}: {exc}") from exc
+        paths = dict.fromkeys([*doc["outputs"].values(), *self.outputs])
+        doc["outputs"] = {f"path_{i}": p for i, p in enumerate(paths)}
+        doc["verdicts"].update(self.verdicts)
+        os.makedirs(outdir, exist_ok=True)
         tmp = final + ".tmp"
         with open(tmp, "w") as fh:
             doc.write(fh)
@@ -429,7 +437,7 @@ def _check_intertwining(args, rng):
         for _, fn in cylinder.TEST_BATTERY
     )
     return analysis.structured_report(
-        "intertwining", "conformal-operator-interchange", "battery",
+        "intertwining", "conformal-operator-interchange", np.array([(p.T, p.R) for p in points]),
         worst, 1e-4, worst < 1e-4,
     )
 
@@ -441,14 +449,18 @@ def _check_commutator(args, rng):
         for _, fn in cylinder.TEST_BATTERY
     )
     return analysis.structured_report(
-        "commutator", "timelike-field-commutation", "battery",
+        "commutator", "timelike-field-commutation", np.array([(p.T, p.R) for p in points]),
         worst, 1e-5, worst < 1e-5,
     )
 
 
+BOUNDARY_T = np.linspace(1.0, math.pi - 1e-3, 200)
+VANISHING_EPS = math.pi * 0.5 ** np.arange(3, 13)
+
+
 def _check_boundary_geometry(args, rng):
     obs = geometry.ObstacleSpec(0.2)
-    T = np.linspace(1.0, math.pi - 1e-3, 200)
+    T = BOUNDARY_T
     phi = np.array([geometry.boundary_curve(obs, Tv) for Tv in T])
     ratio = phi / (math.pi - T) ** 2
     slopes = np.array([geometry.boundary_curve_slope(obs, Tv) for Tv in T])
@@ -456,26 +468,21 @@ def _check_boundary_geometry(args, rng):
     rel = np.max(np.abs(slopes - fd)[2:-2] / np.abs(fd[2:-2]))
     ok = ratio.max() / ratio.min() < 10 and np.all(slopes < 0)
     return analysis.structured_report(
-        "boundary-geometry", "obstacle-curve-collapse", "r_b=0.2",
+        "boundary-geometry", "obstacle-curve-collapse", (T, obs.r_b),
         float(ratio.max() / ratio.min()), 10.0, bool(ok and rel < 1e-3),
     )
 
 
 def _check_vanishing_order(args, rng):
-    eps = math.pi * 0.5 ** np.arange(3, 13)
     samples_frame, samples_a = [], []
-    for e in eps:
-        T = math.pi - e
-        R = e / 8.0
-        ev = geometry.EinsteinEvent(T=T, R=R)
-        fr = geometry.frame_at(geometry.to_minkowski(ev))
-        samples_frame.append((e, fr.jac[0, 0]))
-        co = nullform.transformed_q0_coefficients(ev)
-        samples_a.append((e, co.a[0, 0]))
+    for e in VANISHING_EPS:
+        ev = geometry.EinsteinEvent(T=math.pi - e, R=e / 8.0)
+        samples_frame.append((e, geometry.frame_at(geometry.to_minkowski(ev)).jac[0, 0]))
+        samples_a.append((e, nullform.transformed_q0_coefficients(ev).a[0, 0]))
     s1 = analysis.vanishing_order_fit(samples_frame).exponent
     s2 = analysis.vanishing_order_fit(samples_a).exponent
     return analysis.structured_report(
-        "vanishing-order", "tip-degeneration-rate", "R=(pi-T)/8",
+        "vanishing-order", "tip-degeneration-rate", VANISHING_EPS,
         min(s1, s2), 1.9, min(s1, s2) >= 1.9,
     )
 
@@ -519,10 +526,10 @@ def _check_energy(args, rng):
     traj, inputs = _load_traj(args)
     field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
     rep = analysis.energy_inequality_check(field)
-    return analysis.structured_report(
+    return {**analysis.structured_report(
         "energy", "conformal-energy-inequality", inputs,
         rep.slack, 0.02, rep.passed,
-    )
+    ), "headroom": rep.headroom}
 
 
 def _check_weighted_norms(args, rng):
@@ -553,8 +560,9 @@ def cmd_verify(args) -> int:
         raise ParseError(f"unknown check '{args.check}'; choose from {sorted(_CHECKS)}")
     rng = np.random.default_rng(args.seed)
     report = _CHECKS[args.check](args, rng)
+    margin = f" headroom={report['headroom']:.6g}" if "headroom" in report else ""
     print(f"{report['check']}: value={report['value']:.6g} "
-          f"threshold={report['threshold']:g} -> {report['verdict']}")
+          f"threshold={report['threshold']:g}{margin} -> {report['verdict']}")
     if args.out:
         manifest = Manifest("verify")
         os.makedirs(args.out, exist_ok=True)
@@ -562,7 +570,7 @@ def cmd_verify(args) -> int:
         analysis.write_report(report, path)
         manifest.add_output(path)
         manifest.verdicts[args.check] = report["verdict"]
-        manifest.write(args.out)
+        manifest.write(args.out, extend=True)
     return EXIT_OK if report["verdict"] == "pass" else EXIT_VERDICT
 
 

@@ -140,11 +140,12 @@ class Trajectory:
 
     @property
     def ur_frames(self) -> np.ndarray:
-        cached = getattr(self, "_ur_cache", None)
-        if cached is None:
-            cached = np.gradient(self.u_frames, self.r, axis=1)
-            object.__setattr__(self, "_ur_cache", cached)
-        return cached
+        """``np.gradient(u_frames, r, axis=1)`` bit for bit.  The full field is built on
+        each access, at the cost of one frame stack; ``sample`` reads u_r at its corners."""
+        out, nodes = np.empty_like(self.u_frames), np.arange(len(self.r))
+        for i in range(len(out)):
+            out[i] = _gradient_at(self.u_frames, self.r, i, nodes)
+        return out
 
 
 def run(config: SolverConfig) -> Trajectory:
@@ -167,6 +168,7 @@ def run(config: SolverConfig) -> Trajectory:
     rho = config.local_radius if config.local_radius is not None else 2.0 * r_b
     n_local = int(np.count_nonzero(r <= rho))
     inv_r = 1.0 / r
+    r2 = r ** 2
     reach = None
     if config.forcing_fn is None and all(sum(p) >= 1 for _, p in config.nonlinearity.terms):
         # N(0) = 0: the field vanishes ahead of the light cone of the data
@@ -176,7 +178,7 @@ def run(config: SolverConfig) -> Trajectory:
     frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
     frames_u, frames_ut = np.zeros((2, n_steps // stride + 2, len(r[::dec])))
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
-    mon_bands = {b: [] for b in config.band_offsets}
+    mon_bands = []  # one row per monitor level, one column per band offset
 
     def record(level, t, w, u_t):
         """Monitors and frames from w = r u and u_t on the first len(w) nodes (zero beyond)."""
@@ -184,15 +186,15 @@ def run(config: SolverConfig) -> Trajectory:
         u = w * inv_r[:e]
         if level % config.monitor_stride == 0 or level == n_steps:
             u_r = _radial_derivative(w, inv_r[:e], dr)
-            density = (u_t ** 2 + u_r ** 2) * r[:e] ** 2
+            density = (u_t ** 2 + u_r ** 2) * r2[:e]
             mon_t.append(t)
             mon_E.append(4.0 * math.pi * np.trapezoid(density, dx=dr))
             mon_El.append(4.0 * math.pi * np.trapezoid(density[:n_local], dx=dr))
             mon_sup.append(float(np.max(np.abs(u))))
-            for b in config.band_offsets:
-                rb_pt = t - b
-                val = float(np.interp(rb_pt, r[:e], u)) if r[0] <= rb_pt <= r[-1] else 0.0
-                mon_bands[b].append(val)
+            points = t - np.asarray(config.band_offsets, dtype=float)
+            bands = np.interp(points, r[:e], u)
+            bands[(points < r[0]) | (points > r[-1])] = 0.0
+            mon_bands.append(bands)
         if level % stride == 0 or level == n_steps:
             row = (len(frames_t), slice(0, len(u[::dec])))
             frames_u[row], frames_ut[row] = u[::dec], u_t[::dec]
@@ -209,7 +211,7 @@ def run(config: SolverConfig) -> Trajectory:
                 E_total=np.asarray(mon_E),
                 E_local=np.asarray(mon_El),
                 sup_u=np.asarray(mon_sup),
-                bands={b: np.asarray(v) for b, v in mon_bands.items()},
+                bands=dict(zip(config.band_offsets, np.array(mon_bands).T.copy())),
                 local_radius=rho,
             ),
             config=config,
@@ -367,6 +369,22 @@ def _radial_derivative(w, inv_r, dr, order=2, out=None):
     return dw
 
 
+def _gradient_at(frames, r, it, ir):
+    """``np.gradient(frames, r, axis=1)[it, ir]`` bit for bit, from numpy's stencil at
+    those indices alone: three points inside (the uniform form when ``np.diff(r)`` is
+    exactly constant), one-sided at the two ends.  ``r`` needs three nodes or more."""
+    dx = np.diff(r)
+    j = np.clip(ir, 1, len(dx) - 1)
+    fm, f0, fp = frames[it, j - 1], frames[it, j], frames[it, j + 1]
+    if (dx == dx[0]).all():
+        inner = (fp - fm) / (2.0 * dx[0])
+    else:
+        d1, d2 = dx[j - 1], dx[j]
+        inner = (-d2 / (d1 * (d1 + d2)) * fm + (d2 - d1) / (d1 * d2) * f0
+                 + d1 / (d2 * (d1 + d2)) * fp)
+    return np.where(ir == 0, (f0 - fm) / dx[0], np.where(ir == len(dx), (fp - f0) / dx[-1], inner))
+
+
 def sample(traj: Trajectory, t, r):
     """Vectorized bilinear interpolation of (u, u_t, u_r) at (t, r) arrays."""
     t = np.asarray(t, dtype=float)
@@ -381,19 +399,17 @@ def sample(traj: Trajectory, t, r):
     wt = np.clip((t - times[it]) / (times[it + 1] - times[it]), 0.0, 1.0)
     wr = np.clip((r - radii[ir]) / (radii[ir + 1] - radii[ir]), 0.0, 1.0)
 
-    def bilin(frames):
-        f00 = frames[it, ir]
-        f01 = frames[it, ir + 1]
-        f10 = frames[it + 1, ir]
-        f11 = frames[it + 1, ir + 1]
+    def bilin(at):  # at(i, j): the field at frame i, node j
         return (
-            f00 * (1 - wt) * (1 - wr)
-            + f01 * (1 - wt) * wr
-            + f10 * wt * (1 - wr)
-            + f11 * wt * wr
+            at(it, ir) * (1 - wt) * (1 - wr)
+            + at(it, ir + 1) * (1 - wt) * wr
+            + at(it + 1, ir) * wt * (1 - wr)
+            + at(it + 1, ir + 1) * wt * wr
         )
 
-    return bilin(traj.u_frames), bilin(traj.ut_frames), bilin(traj.ur_frames)
+    u = bilin(lambda i, j: traj.u_frames[i, j])
+    u_t = bilin(lambda i, j: traj.ut_frames[i, j])
+    return u, u_t, bilin(lambda i, j: _gradient_at(traj.u_frames, radii, i, j))
 
 
 def evaluate(traj: Trajectory, t: float, r: float):

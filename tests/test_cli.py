@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from penwave import cli, geometry, solver
+from penwave import analysis, cli, cylinder, geometry, solver
 
 SMALL_CONFIG = """\
 [problem]
@@ -269,6 +269,64 @@ class TestVerifyCommand:
         assert cli.main(verify + [str(tmp_path / "c")]) == 0
         assert digest(tmp_path / "a") == digest(tmp_path / "b")
         assert digest(tmp_path / "a") != digest(tmp_path / "c")
+
+    def test_verify_into_the_run_directory_keeps_the_run_manifest(self, config_path, tmp_path):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config_path, "--out", str(run_dir)]) == 0
+
+        def manifest():
+            doc = configparser.ConfigParser()
+            doc.read(run_dir / "manifest.ini")
+            return {section: dict(doc[section]) for section in doc.sections()}
+
+        before = manifest()
+        verify = ["verify", "--check", "decay", "--traj", str(run_dir), "--out", str(run_dir)]
+        assert cli.main(verify) == 0
+        assert cli.main(verify) == 0  # a second verdict replaces the first
+        after = manifest()
+        report = str(run_dir / "verify_decay.json")
+        assert after["manifest"]["command"] == "simulate"
+        assert after["manifest"] == before["manifest"] and after["config"] == before["config"]
+        assert after["verdicts"] == {"completed": "True", "decay": "pass"}
+        assert list(after["outputs"].values()) == list(before["outputs"].values()) + [report]
+        (run_dir / "manifest.ini").write_text("not an ini file\n")
+        assert cli.main(verify) == cli.EXIT_PARSE
+
+    def test_energy_prints_and_records_its_headroom(self, config_path, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--check", "energy", "--config", config_path,
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "verify_energy.json").read_text())
+        assert 0.0 < report["headroom"] < 1.0  # the linear field decays: rhs stays above lhs
+        assert f"headroom={report['headroom']:.6g} -> pass" in capsys.readouterr().out
+
+    def test_identity_checks_digest_their_evaluation_points(self, monkeypatch):
+        def digest(inputs):
+            return analysis.structured_report("", "", inputs, 0.0, 0.0, True)["inputs_digest"]
+
+        def check_digest(name):
+            return cli._CHECKS[name](None, None)["inputs_digest"]
+
+        battery = cylinder.battery_points()
+        points = {
+            "intertwining": np.array([(p.T, p.R) for p in battery]),
+            "commutator": np.array([(p.T, p.R) for p in battery]),
+            "boundary-geometry": (np.linspace(1.0, math.pi - 1e-3, 200), 0.2),
+            "vanishing-order": math.pi * 0.5 ** np.arange(3, 13),
+        }
+        for name, inputs in points.items():
+            assert check_digest(name) == digest(inputs), name
+        # move one evaluation point of each check
+        moved = list(battery)
+        moved[7] = geometry.EinsteinEvent(T=moved[7].T + 1e-3, R=moved[7].R)
+        monkeypatch.setattr(cylinder, "battery_points", lambda: moved)
+        T, eps = cli.BOUNDARY_T.copy(), cli.VANISHING_EPS.copy()
+        T[50] += 1e-4
+        eps[0] *= 1.01
+        monkeypatch.setattr(cli, "BOUNDARY_T", T)
+        monkeypatch.setattr(cli, "VANISHING_EPS", eps)
+        for name, inputs in points.items():
+            assert check_digest(name) != digest(inputs), name
 
     def test_trajectory_checks_need_a_source(self):
         assert cli.main(["verify", "--check", "decay"]) == cli.EXIT_PARSE

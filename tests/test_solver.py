@@ -1,6 +1,7 @@
 """Exterior radial solver: analytic oracles, conservation, convergence, I/O."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,92 @@ class TestSampling:
             assert u[k] == pytest.approx(su, rel=1e-12)
             assert u_t[k] == pytest.approx(sut, rel=1e-12)
             assert u_r[k] == pytest.approx(sur, rel=1e-12)
+
+
+class TestRadialGradient:
+    """u_r is np.gradient(u_frames, r, axis=1), evaluated only where it is read."""
+
+    @staticmethod
+    def assert_matches_np_gradient(frames, r):
+        expected = np.gradient(frames, r, axis=1)
+        nodes = np.arange(len(r))
+        rows = np.stack([solver._gradient_at(frames, r, i, nodes) for i in range(len(frames))])
+        assert np.array_equal(rows, expected)
+        # scattered (frame, node) pairs, both end nodes among them
+        rng = np.random.default_rng(3)
+        ir = np.r_[0, len(r) - 1, rng.integers(0, len(r), 200), 0, len(r) - 1]
+        it = rng.integers(0, len(frames), len(ir))
+        assert np.array_equal(solver._gradient_at(frames, r, it, ir), expected[it, ir])
+
+    def test_windowed_q0_frames_with_their_zero_tail(self):
+        traj = solver.run(short_config(nonlinearity=compat.Q0_RADIAL, dr=0.01, t_max=4.0,
+                                       r_max=14.0))
+        assert np.all(traj.u_frames[:, -300:] == 0.0)  # beyond the light-cone window
+        self.assert_matches_np_gradient(traj.u_frames, traj.r)
+        assert np.array_equal(traj.ur_frames, np.gradient(traj.u_frames, traj.r, axis=1))
+
+    def test_decimated_frames(self):
+        traj = solver.run(short_config(dr=0.01, t_max=4.0, r_max=10.0, frame_decimation=2))
+        assert np.allclose(np.diff(traj.r), 0.02)
+        assert np.array_equal(traj.ur_frames, np.gradient(traj.u_frames, traj.r, axis=1))
+
+    def test_random_non_uniform_grid(self):
+        rng = np.random.default_rng(1)
+        r = np.sort(rng.uniform(0.2, 5.0, 60))
+        self.assert_matches_np_gradient(rng.standard_normal((7, 60)), r)
+
+    def test_exactly_uniform_grid_takes_numpys_uniform_formula(self):
+        # spacing 3, not a power of two: the non-uniform weights -1/6, 0, 1/6
+        # round differently from (f[j+1] - f[j-1]) / 6 in the last bit
+        r = 1.0 + 3.0 * np.arange(40)
+        assert np.all(np.diff(r) == 3.0)
+        frames = np.random.default_rng(2).standard_normal((9, 40))
+        self.assert_matches_np_gradient(frames, r)
+
+    def test_sampled_u_r_is_the_bilinear_interpolant_of_np_gradient(self, short_run):
+        rng = np.random.default_rng(4)
+        times, r = short_run.times, short_run.r
+        t = np.r_[times[0], times[-1], times[5], rng.uniform(times[0], times[-1], 300)]
+        rr = np.r_[r[0], r[-1], r[7], rng.uniform(r[0], r[-1], 300)]
+        _, _, u_r = solver.sample(short_run, t, rr)
+        # the same interpolation applied to np.gradient's field through the u slot
+        gradient_field = replace(short_run, u_frames=np.gradient(short_run.u_frames, r, axis=1))
+        expected, _, _ = solver.sample(gradient_field, t, rr)
+        assert np.array_equal(u_r, expected)
+
+    def test_pushforward_holds_no_frame_stack(self):
+        # tracemalloc sees numpy's buffers: np.gradient over all frames peaks at
+        # about three frame stacks, reading the bilinear corners at a few percent
+        traj = solver.run(short_config(dr=0.01, cfl=0.9, t_max=20.0, r_max=26.0))
+        grid = solver.CylinderGrid(n_T=40, n_R=100)
+        # imports happen outside the trace; the copy leaves nothing cached on traj
+        solver.transform_to_cylinder(replace(traj), grid)
+        tracemalloc.start()
+        try:
+            solver.transform_to_cylinder(traj, grid)
+            pushforward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            traj.ur_frames
+            ur_frames_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pushforward_peak < traj.u_frames.nbytes / 4
+        assert ur_frames_peak < 1.25 * traj.u_frames.nbytes
+
+
+class TestMonitorBands:
+    def test_bands_sample_u_at_t_minus_each_offset(self):
+        # frames on every monitor level: each band value is np.interp of that
+        # level's u at r = t - offset, and 0 off the grid
+        traj = solver.run(short_config(dr=0.01, t_max=4.0, r_max=10.0, snapshot_stride=4,
+                                       band_offsets=(0.0, 0.5, 2.0, 30.0)))
+        m = traj.monitors
+        assert np.array_equal(m.t, traj.times)
+        for b in (0.0, 0.5, 2.0, 30.0):
+            expected = [float(np.interp(t - b, traj.r, u)) if traj.r[0] <= t - b <= traj.r[-1]
+                        else 0.0 for t, u in zip(traj.times, traj.u_frames)]
+            assert np.array_equal(m.bands[b], expected)
+        assert np.any(m.bands[0.5] != 0.0) and np.all(m.bands[30.0] == 0.0)
 
 
 class TestCylinderTransform:
