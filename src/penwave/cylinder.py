@@ -124,8 +124,7 @@ def intertwining_residual(test, points, h: float) -> float:
     """
 
     def u_tilde(t, r):
-        tr = geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
-        return tr.omega_factor * test(tr.einstein.T, tr.einstein.R)
+        return geometry.omega_factor(t, r) * test(*geometry.einstein_coords(t, r))
 
     worst = 0.0
     for ev in points:

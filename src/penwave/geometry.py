@@ -13,6 +13,10 @@ with conformal factor
 Everything here is radial: the angular variable is carried along untouched,
 so the public API works on (t, r) <-> (T, R) pairs.  All operations are pure
 functions of their inputs.
+
+The closed forms are written once and broadcast over arrays of any shape;
+``to_einstein``, ``to_minkowski``, ``omega_factor`` and ``frame_at`` wrap
+them for one validated event and return Python floats.
 """
 
 from __future__ import annotations
@@ -32,14 +36,19 @@ __all__ = [
     "StereoPoint",
     "ObstacleSpec",
     "FrameCoefficients",
+    "einstein_coords",
+    "minkowski_coords",
+    "omega_minkowski",
+    "omega_einstein",
+    "frame_terms",
+    "minkowski_valid",
+    "in_diamond",
     "to_einstein",
     "to_minkowski",
     "stereo_south",
     "kelvin",
     "frame_at",
     "omega_factor",
-    "r_of",
-    "in_region_B",
     "boundary_curve",
     "boundary_curve_slope",
 ]
@@ -56,6 +65,9 @@ class MinkowskiEvent:
     omega: tuple[float, float, float] = _NORTH
 
     def __post_init__(self):
+        for name, value in (("t", self.t), ("r", self.r)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.r < 0:
             raise DomainError(f"radial coordinate must be nonnegative, got {self.r}")
         n = math.sqrt(sum(c * c for c in self.omega))
@@ -71,13 +83,10 @@ class EinsteinEvent:
     R: float
 
     def __post_init__(self):
+        if not math.isfinite(self.T):
+            raise DomainError(f"T must be finite, got {self.T}")
         if not 0.0 <= self.R <= math.pi:
             raise DomainError(f"R must lie in [0, pi], got {self.R}")
-
-    @property
-    def in_diamond(self) -> bool:
-        """True when the event lies strictly inside the open diamond |T| + R < pi."""
-        return abs(self.T) + self.R < math.pi
 
 
 @dataclass(frozen=True)
@@ -126,21 +135,57 @@ class FrameCoefficients:
     omega_grad: tuple[float, float]
 
 
-def omega_factor(t: float, r: float) -> float:
+def einstein_coords(t, r):
+    """Cylinder coordinates (T, R) = (a + b, a - b) with a, b = arctan(t + r), arctan(t - r)."""
+    a, b = np.arctan(t + r), np.arctan(t - r)
+    return a + b, a - b
+
+
+def minkowski_coords(T, R):
+    """Minkowski coordinates (t, r) by tangent half-angles t +- r = tan((T +- R)/2)."""
+    a, b = np.tan(0.5 * (T + R)), np.tan(0.5 * (T - R))
+    return 0.5 * (a + b), 0.5 * (a - b)
+
+
+def omega_minkowski(t, r):
     """Conformal factor via the rational closed form 2/sqrt((1+(t+r)^2)(1+(t-r)^2))."""
-    return 2.0 / math.sqrt((1.0 + (t + r) ** 2) * (1.0 + (t - r) ** 2))
+    return 2.0 / np.sqrt((1.0 + (t + r) ** 2) * (1.0 + (t - r) ** 2))
+
+
+def omega_einstein(T, R):
+    """Conformal factor on the cylinder, cos T + cos R."""
+    return np.cos(T) + np.cos(R)
+
+
+def frame_terms(t, r):
+    """p = 1/(1+(t+r)^2) and q = 1/(1+(t-r)^2): dT/dt = dR/dr = p + q, dT/dr = dR/dt = p - q."""
+    return 1.0 / (1.0 + (t + r) ** 2), 1.0 / (1.0 + (t - r) ** 2)
+
+
+def minkowski_valid(t, r):
+    """Mask of the (t, r) that ``MinkowskiEvent`` accepts: both finite and r >= 0."""
+    return np.isfinite(t) & np.isfinite(r) & (r >= 0)
+
+
+def in_diamond(T, R):
+    """Mask of the (T, R) ``to_minkowski`` maps: R >= 0 and |T| + R < pi, both finite."""
+    return (R >= 0) & (abs(T) + R < math.pi)
+
+
+def omega_factor(t: float, r: float) -> float:
+    """Scalar ``omega_minkowski``."""
+    return float(omega_minkowski(t, r))
 
 
 def to_einstein(ev: MinkowskiEvent) -> TransformResult:
     """Map a Minkowski event into the Einstein diamond.
 
-    Total on valid inputs: finite Minkowski events always land strictly
-    inside the diamond.
+    Total on valid inputs: the image lies strictly inside the diamond unless
+    |t +- r| > ~1e16 rounds an arctan to +-pi/2, which puts it on the boundary.
     """
-    a = math.atan(ev.t + ev.r)
-    b = math.atan(ev.t - ev.r)
+    T, R = einstein_coords(ev.t, ev.r)
     return TransformResult(
-        einstein=EinsteinEvent(T=a + b, R=a - b),
+        einstein=EinsteinEvent(T=float(T), R=float(R)),
         omega_factor=omega_factor(ev.t, ev.r),
     )
 
@@ -153,13 +198,12 @@ def to_minkowski(ev: EinsteinEvent) -> MinkowskiEvent:
     DomainError
         If |T| + R >= pi (null infinity; the tangent blows up).
     """
-    if not ev.in_diamond:
+    if not in_diamond(ev.T, ev.R):
         raise DomainError(
             f"event (T={ev.T}, R={ev.R}) lies on or beyond null infinity (|T| + R >= pi)"
         )
-    a = math.tan(0.5 * (ev.T + ev.R))
-    b = math.tan(0.5 * (ev.T - ev.R))
-    return MinkowskiEvent(t=0.5 * (a + b), r=0.5 * (a - b))
+    t, r = minkowski_coords(ev.T, ev.R)
+    return MinkowskiEvent(t=float(t), r=float(r))
 
 
 def stereo_south(ev: EinsteinEvent, omega: tuple[float, float, float] = _NORTH) -> StereoPoint:
@@ -204,43 +248,13 @@ def frame_at(ev: MinkowskiEvent) -> FrameCoefficients:
     The d_T component of the pushforward of d_t equals 1 + cos R cos T.
     The Omega gradient is (-Omega sin T cos R, -Omega cos T sin R).
     """
-    p = 1.0 / (1.0 + (ev.t + ev.r) ** 2)
-    q = 1.0 / (1.0 + (ev.t - ev.r) ** 2)
-    dT_dt = p + q
-    dT_dr = p - q
-    jac = np.array([[dT_dt, dT_dr], [dT_dr, dT_dt]])
+    p, q = frame_terms(ev.t, ev.r)
+    jac = np.array([[p + q, p - q], [p - q, p + q]])
 
-    tr = to_einstein(ev)
-    T, R = tr.einstein.T, tr.einstein.R
-    om = tr.omega_factor
-    omega_grad = (-om * math.sin(T) * math.cos(R), -om * math.cos(T) * math.sin(R))
+    T, R = einstein_coords(ev.t, ev.r)
+    om = omega_minkowski(ev.t, ev.r)
+    omega_grad = (float(-om * np.sin(T) * np.cos(R)), float(-om * np.cos(T) * np.sin(R)))
     return FrameCoefficients(jac=jac, omega_grad=omega_grad)
-
-
-def r_of(ev: EinsteinEvent) -> float:
-    """Minkowski radial coordinate r(T, R) = sin R / (cos T + cos R).
-
-    Raises
-    ------
-    DomainError
-        When cos T + cos R <= 0 (the event has no finite Minkowski radius).
-    """
-    om = math.cos(ev.T) + math.cos(ev.R)
-    if om <= 0.0:
-        raise DomainError(
-            f"event (T={ev.T}, R={ev.R}) has cos T + cos R = {om} <= 0 (null infinity)"
-        )
-    return math.sin(ev.R) / om
-
-
-def in_region_B(ev: EinsteinEvent, r: float) -> bool:
-    """True iff the event lies in the region of Minkowski radius < r."""
-    if r <= 0:
-        raise DomainError(f"region radius must be positive, got {r}")
-    try:
-        return r_of(ev) < r
-    except DomainError:
-        return False
 
 
 def _boundary_residual(R: float, T: float, r_b: float) -> float:

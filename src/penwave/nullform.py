@@ -336,12 +336,9 @@ def transformed_q0_coefficients(ev: geometry.EinsteinEvent) -> BilinearCoeffs:
 
     (tilde denoting the Minkowski pullback) is assembled by the chain rule
     from the analytic Jacobian and Omega gradient of the frame at the
-    Minkowski preimage.  Raises DomainError outside the finite-radius region.
+    Minkowski preimage.  Raises DomainError outside the diamond, the
+    finite-radius region.
     """
-    if not ev.in_diamond:
-        raise DomainError("event outside the diamond")
-    if np.cos(ev.T) + np.cos(ev.R) <= 0:
-        raise DomainError("event outside the finite-radius region")
     mk = geometry.to_minkowski(ev)
     fr = geometry.frame_at(mk)
     (t_T, t_R), (r_T, r_R) = fr.jac[0], fr.jac[1]

@@ -451,22 +451,12 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
                 f"stored t_max is {traj.times[-1]:.2f}"
             )
     else:
-        # highest row whose first off-pole grid node (R = one spacing) still
-        # has a Minkowski preimage within coverage
-        dRg = math.pi / (grid.n_R - 1)
-
-        def overshoot(Tv):
-            a = math.tan(0.5 * (Tv + dRg))
-            b = math.tan(0.5 * (Tv - dRg))
-            return 0.5 * (a + b) - t_cap
-
-        from scipy.optimize import brentq
-
-        hi = math.pi - dRg - 1e-9
-        T_max = T_cap - 1e-6 if overshoot(hi) < 0 else float(
-            brentq(overshoot, dRg + 1e-9, hi)
-        ) - 1e-9
-        T_max = min(T_max, T_cap - 1e-6)
+        # highest row whose first off-pole grid node (R = d, one spacing) still
+        # has a Minkowski preimage within coverage: t(T, d) = sin T / (cos T + cos d)
+        # = t_cap, i.e. sin T - t_cap cos T = t_cap cos d
+        d = math.pi / (grid.n_R - 1)
+        T_max = math.atan(t_cap) + math.asin(t_cap * math.cos(d) / math.sqrt(1.0 + t_cap ** 2))
+        T_max = min(T_max - 1e-9, T_cap - 1e-6)
     T = np.linspace(grid.T_min, T_max, grid.n_T)
     R = np.linspace(0.0, math.pi, grid.n_R)
     obs = traj.config.obs
@@ -474,11 +464,7 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
 
     TT, RR = np.meshgrid(T, R, indexing="ij")
     mask = (RR > phi[:, None]) & (TT + RR < math.pi - 1e-9)
-    # Minkowski preimages
-    a = np.tan(0.5 * (TT + RR), where=mask, out=np.zeros_like(TT))
-    b = np.tan(0.5 * (TT - RR), where=mask, out=np.zeros_like(TT))
-    t_pre = 0.5 * (a + b)
-    r_pre = 0.5 * (a - b)
+    t_pre, r_pre = geometry.minkowski_coords(TT, RR)
     mask &= (t_pre <= traj.times[-1]) & (t_pre >= traj.times[0])
     mask &= (r_pre >= traj.r[0]) & (r_pre <= traj.r[-1])
 
@@ -489,9 +475,8 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
         ts = t_pre[mask]
         rs = r_pre[mask]
         u, u_t, u_r = sample(traj, ts, rs)
-        om = 2.0 / np.sqrt((1.0 + (ts + rs) ** 2) * (1.0 + (ts - rs) ** 2))
-        p = 1.0 / (1.0 + (ts + rs) ** 2)
-        q = 1.0 / (1.0 + (ts - rs) ** 2)
+        om = geometry.omega_minkowski(ts, rs)
+        p, q = geometry.frame_terms(ts, rs)
         dTdt = p + q
         dRdt = p - q
         det = dTdt ** 2 - dRdt ** 2  # jac is [[p+q, p-q], [p-q, p+q]]
@@ -512,10 +497,8 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     forcing = None
     if traj.config.forcing_fn is not None:
         forcing = np.zeros_like(TT)
-        om_full = np.cos(TT) + np.cos(RR)
-        forcing[mask] = (
-            traj.config.forcing_fn(t_pre[mask], r_pre[mask]) / om_full[mask] ** 3
-        )
+        forcing[mask] = (traj.config.forcing_fn(t_pre[mask], r_pre[mask])
+                         / geometry.omega_einstein(TT[mask], RR[mask]) ** 3)
 
     vals[~mask] = np.nan
     return cylinder.CylinderField(

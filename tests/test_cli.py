@@ -6,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penwave import analysis, cli, cylinder, geometry, solver
 
@@ -114,6 +117,86 @@ class TestTransform:
         rows = np.loadtxt(out / "transformed.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(rows[0]))
         assert np.all(np.isnan(rows[1, 2:]))
+
+    def _mixed(self, tmp_path, capsys, lines, backward):
+        inp = tmp_path / "mixed.csv"
+        inp.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "mixed"
+        argv = ["transform", "--input", str(inp), "--out", str(out)]
+        code = cli.main(argv + (["--backward"] if backward else []))
+        rows = np.loadtxt(out / "transformed.csv", delimiter=",", skiprows=1, ndmin=2)
+        doc = configparser.ConfigParser()
+        doc.read(out / "manifest.ini")
+        return code, rows, capsys.readouterr().err.splitlines(), doc["verdicts"]["rows_failed"]
+
+    def test_mixed_forward_rows(self, tmp_path, capsys):
+        code, rows, err, failed = self._mixed(
+            tmp_path, capsys, ["0,1", "1,0", "2,-1", "nan,1", "inf,0"], backward=False)
+        assert code == cli.EXIT_DOMAIN and failed == "3"
+        assert err == ["row 2: radial coordinate must be nonnegative, got -1.0",
+                       "row 3: t must be finite, got nan",
+                       "row 4: t must be finite, got inf"]
+        assert np.allclose(rows[:2], [[0.0, 1.0, 0.0, math.pi / 2, 1.0],
+                                      [1.0, 0.0, math.pi / 2, 0.0, 1.0]], rtol=0, atol=1e-15)
+        assert np.array_equal(rows[2:, :2], [[2.0, -1.0], [np.nan, 1.0], [np.inf, 0.0]],
+                              equal_nan=True)
+        assert np.all(np.isnan(rows[2:, 2:]))
+
+    def test_mixed_backward_rows(self, tmp_path, capsys):
+        code, rows, err, failed = self._mixed(
+            tmp_path, capsys, [f"0,{math.pi / 2!r}", f"{math.pi / 2!r},0", "0.5,4",
+                               "2,1.5", "nan,1"], backward=True)
+        assert code == cli.EXIT_DOMAIN and failed == "3"
+        assert err == ["row 2: R must lie in [0, pi], got 4.0",
+                       "row 3: event (T=2.0, R=1.5) lies on or beyond null infinity "
+                       "(|T| + R >= pi)",
+                       "row 4: T must be finite, got nan"]
+        assert np.allclose(rows[:2, 2:], [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-15)
+        assert np.all(np.isnan(rows[2:, 2:]))
+
+    @given(cells=st.lists(st.tuples(*[st.one_of(
+        st.floats(-4.0, 4.0), st.sampled_from([np.nan, np.inf, -np.inf, 0.0, math.pi]))] * 2),
+        min_size=1, max_size=12), backward=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_flags_exactly_the_rows_the_scalar_types_reject(self, tmp_path_factory, cells,
+                                                             backward):
+        tmp = tmp_path_factory.mktemp("rows")
+        np.savetxt(tmp / "in.csv", np.array(cells), delimiter=",", fmt="%.17g")
+        argv = ["transform", "--input", str(tmp / "in.csv"), "--out", str(tmp)]
+        rejected = []
+        for i, (x, y) in enumerate(cells):
+            try:
+                if backward:
+                    geometry.to_minkowski(geometry.EinsteinEvent(T=x, R=y))
+                else:
+                    geometry.to_einstein(geometry.MinkowskiEvent(t=x, r=y))
+            except cli.DomainError:
+                rejected.append(i)
+        code = cli.main(argv + (["--backward"] if backward else []))
+        rows = np.loadtxt(tmp / "transformed.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert list(np.flatnonzero(np.isnan(rows[:, 2]))) == rejected
+        assert np.all(np.isfinite(np.delete(rows[:, 2:], rejected, axis=0)))
+        assert code == (cli.EXIT_DOMAIN if rejected else cli.EXIT_OK)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_valid_rows_never_take_the_scalar_path(self, tmp_path, monkeypatch, backward):
+        def refuse(ev):
+            raise AssertionError("scalar transform called for a valid row")
+
+        monkeypatch.setattr(geometry, "to_einstein", refuse)
+        monkeypatch.setattr(geometry, "to_minkowski", refuse)
+        rng = np.random.default_rng(5)
+        if backward:
+            R = rng.uniform(1e-2, 3.0, 10_000)
+            pts = np.column_stack([rng.uniform(-1.0, 1.0, 10_000) * (math.pi - R - 1e-3), R])
+        else:
+            pts = np.column_stack([rng.uniform(-50, 50, 10_000), rng.uniform(0, 50, 10_000)])
+        inp = tmp_path / "points.csv"
+        np.savetxt(inp, pts, delimiter=",", fmt="%.17g")
+        argv = ["transform", "--input", str(inp), "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--backward"] if backward else [])) == cli.EXIT_OK
+        rows = np.loadtxt(tmp_path / "o" / "transformed.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (10_000, 4 if backward else 5) and np.all(np.isfinite(rows))
 
     def test_malformed_csv_is_a_parse_error(self, tmp_path):
         inp = tmp_path / "bad.csv"
@@ -327,6 +410,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "VANISHING_EPS", eps)
         for name, inputs in points.items():
             assert check_digest(name) != digest(inputs), name
+
+    def test_manifest_clock_covers_the_check(self, tmp_path, monkeypatch):
+        def slow_check(args, rng):
+            time.sleep(0.05)
+            return analysis.structured_report("slow", "sleep", 0, 0.0, 1.0, True)
+
+        monkeypatch.setitem(cli._CHECKS, "identity-omega", slow_check)
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--check", "identity-omega", "--out", str(out)]) == 0
+        doc = configparser.ConfigParser()
+        doc.read(out / "manifest.ini")
+        assert float(doc["manifest"]["wall_clock_s"]) >= 0.05
 
     def test_trajectory_checks_need_a_source(self):
         assert cli.main(["verify", "--check", "decay"]) == cli.EXIT_PARSE

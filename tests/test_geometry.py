@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from penwave import geometry
 from penwave.errors import DomainError
 
 finite_coords = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
 times = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
+any_float = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                      st.sampled_from([0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi]))
 
 
 class TestConformalFactor:
@@ -53,11 +56,112 @@ class TestCompactification:
     def test_to_minkowski_rejects_diamond_boundary(self):
         with pytest.raises(DomainError):
             geometry.to_minkowski(geometry.EinsteinEvent(T=math.pi / 2, R=math.pi / 2))
+        # beyond null infinity cos T + cos R < 0: no finite Minkowski radius
+        with pytest.raises(DomainError):
+            geometry.to_minkowski(geometry.EinsteinEvent(T=math.pi - 0.1, R=3.0))
 
     def test_spatial_infinity_limit(self):
         ev = geometry.to_einstein(geometry.MinkowskiEvent(t=0.0, r=1e8)).einstein
         assert ev.R == pytest.approx(math.pi, abs=1e-6)
         assert ev.T == pytest.approx(0.0, abs=1e-12)
+
+
+def _events(n):
+    """Up to n Minkowski events (t, r), as two arrays."""
+    return st.integers(1, n).flatmap(lambda k: st.tuples(
+        arrays(float, k, elements=times), arrays(float, k, elements=finite_coords)))
+
+
+class TestArrayClosedForms:
+    @given(tr=_events(40))
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_equal_the_scalar_wrappers(self, tr):
+        t, r = tr
+        T, R = geometry.einstein_coords(t, r)
+        om = geometry.omega_minkowski(t, r)
+        p, q = geometry.frame_terms(t, r)
+        for i in range(len(t)):
+            res = geometry.to_einstein(geometry.MinkowskiEvent(t=float(t[i]), r=float(r[i])))
+            fr = geometry.frame_at(geometry.MinkowskiEvent(t=float(t[i]), r=float(r[i])))
+            assert type(res.einstein.T) is float and type(res.omega_factor) is float
+            # a scalar squares with pow, an array by multiplying: p - q may differ
+            # by the round-off of p + q, which it cancels
+            for array_value, scalar, scale in (
+                    (T[i], res.einstein.T, res.einstein.T), (R[i], res.einstein.R, res.einstein.R),
+                    (om[i], res.omega_factor, res.omega_factor),
+                    (p[i] + q[i], fr.jac[0, 0], fr.jac[0, 0]),
+                    (p[i] - q[i], fr.jac[0, 1], fr.jac[0, 0])):
+                assert abs(array_value - scalar) <= 1e-15 * abs(scale)
+            if abs(T[i]) + R[i] < math.pi:
+                back = geometry.to_minkowski(res.einstein)
+                bt, br = geometry.minkowski_coords(T[i], R[i])
+                assert abs(bt - back.t) <= 1e-15 * abs(back.t)
+                assert abs(br - back.r) <= 1e-15 * abs(back.r)
+
+    @given(tr=_events(40))
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_match_the_math_module_forms(self, tr):
+        # the formulas as the scalar code wrote them with math, one ulp apart at most
+        t, r = tr
+        T, R = geometry.einstein_coords(t, r)
+        om = geometry.omega_minkowski(t, r)
+        om_cyl = geometry.omega_einstein(T, R)
+        for i in range(len(t)):
+            a, b = math.atan(t[i] + r[i]), math.atan(t[i] - r[i])
+            assert abs(T[i] - (a + b)) <= 1e-15 and abs(R[i] - (a - b)) <= 1e-15
+            ref = 2.0 / math.sqrt((1.0 + (t[i] + r[i]) ** 2) * (1.0 + (t[i] - r[i]) ** 2))
+            assert abs(om[i] - ref) <= 1e-15 * ref
+            assert abs(om_cyl[i] - (math.cos(T[i]) + math.cos(R[i]))) <= 1e-15
+
+    @given(tr=_events(40))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_on_arrays(self, tr):
+        t, r = tr
+        T, R = geometry.einstein_coords(t, r)
+        assert np.all(geometry.in_diamond(T, R))
+        back_t, back_r = geometry.minkowski_coords(T, R)
+        scale = 1.0 + np.abs(t) + r
+        assert np.all(np.abs(back_t - t) / scale < 1e-9)
+        assert np.all(np.abs(back_r - r) / scale < 1e-9)
+
+    def test_arrays_keep_their_shape(self):
+        t = np.linspace(0.0, 5.0, 12).reshape(3, 4)
+        for out in (*geometry.einstein_coords(t, 1.0), geometry.omega_minkowski(t, 1.0),
+                    *geometry.frame_terms(t, 1.0), *geometry.minkowski_coords(t / 10, 0.5)):
+            assert out.shape == (3, 4)
+
+    @given(t=any_float, r=any_float)
+    @settings(max_examples=300, deadline=None)
+    def test_minkowski_mask_is_what_the_event_accepts(self, t, r):
+        try:
+            geometry.MinkowskiEvent(t=t, r=r)
+            accepted = True
+        except DomainError as exc:
+            accepted = False
+            if not math.isfinite(t):
+                assert str(exc) == f"t must be finite, got {t}"
+            elif not math.isfinite(r):
+                assert str(exc) == f"r must be finite, got {r}"
+        assert geometry.minkowski_valid(np.array([t]), np.array([r]))[0] == accepted
+
+    @given(T=any_float, R=any_float)
+    @settings(max_examples=300, deadline=None)
+    def test_diamond_mask_is_what_to_minkowski_accepts(self, T, R):
+        try:
+            geometry.to_minkowski(geometry.EinsteinEvent(T=T, R=R))
+            accepted = True
+        except DomainError as exc:
+            accepted = False
+            if not math.isfinite(T):
+                assert str(exc) == f"T must be finite, got {T}"
+        with np.errstate(invalid="ignore", over="ignore"):  # |inf| + -inf, 1e308 + 1e308
+            assert geometry.in_diamond(np.array([T]), np.array([R]))[0] == accepted
+
+    def test_infinite_time_is_rejected_not_mapped_to_the_boundary(self):
+        # arctan(inf) would place (inf, 0) at T = pi, R = 0 with Omega = 0
+        for t, r in ((math.inf, 0.0), (-math.inf, 2.0), (3.0, math.inf)):
+            with pytest.raises(DomainError, match="must be finite"):
+                geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
 
 
 class TestKelvinAndCharts:
@@ -166,21 +270,3 @@ class TestBoundaryCurve:
             geometry.ObstacleSpec(0.3)
         with pytest.raises(DomainError):
             geometry.ObstacleSpec(0.0)
-
-
-class TestRegionPredicates:
-    def test_r_of_inverts_radius(self):
-        res = geometry.to_einstein(geometry.MinkowskiEvent(t=2.0, r=3.0))
-        assert geometry.r_of(res.einstein) == pytest.approx(3.0, rel=1e-12)
-
-    def test_r_of_rejects_degenerate_rows(self):
-        with pytest.raises(DomainError):
-            geometry.r_of(geometry.EinsteinEvent(T=math.pi - 0.1, R=3.0))
-
-    def test_in_region_B_is_the_radius_sublevel_set(self):
-        ev = geometry.to_einstein(geometry.MinkowskiEvent(t=0.0, r=5.0)).einstein
-        assert geometry.in_region_B(ev, 6.0)
-        assert not geometry.in_region_B(ev, 4.0)
-        # events beyond null infinity have no finite radius: excluded
-        far = geometry.EinsteinEvent(T=math.pi - 0.05, R=3.0)
-        assert not geometry.in_region_B(far, 1e6)

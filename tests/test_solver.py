@@ -363,6 +363,19 @@ class TestCylinderTransform:
             u, _, _ = solver.evaluate(short_run, mk.t, mk.r)
             assert field.values[i, j] == pytest.approx(u / om, rel=1e-10, abs=1e-14)
 
+    def test_default_top_row_is_found_in_closed_form(self, short_run, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root finder called")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        grid = solver.CylinderGrid()
+        field = solver.transform_to_cylinder(short_run, grid)
+        # the top row's first off-pole node, 1e-9 later, lies at the last covered time
+        t_top, _ = geometry.minkowski_coords(field.T[-1] + 1e-9, field.R[1])
+        assert t_top == pytest.approx(short_run.times[-1] - grid.margin, rel=1e-12)
+
     def test_mask_respects_boundary_curve_and_diamond(self, short_run):
         grid = solver.CylinderGrid(n_T=40, n_R=120)
         field = solver.transform_to_cylinder(short_run, grid)
