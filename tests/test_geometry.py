@@ -56,9 +56,6 @@ class TestCompactification:
     def test_to_minkowski_rejects_diamond_boundary(self):
         with pytest.raises(DomainError):
             geometry.to_minkowski(geometry.EinsteinEvent(T=math.pi / 2, R=math.pi / 2))
-        # beyond null infinity cos T + cos R < 0: no finite Minkowski radius
-        with pytest.raises(DomainError):
-            geometry.to_minkowski(geometry.EinsteinEvent(T=math.pi - 0.1, R=3.0))
 
     def test_spatial_infinity_limit(self):
         ev = geometry.to_einstein(geometry.MinkowskiEvent(t=0.0, r=1e8)).einstein
@@ -162,6 +159,16 @@ class TestArrayClosedForms:
         for t, r in ((math.inf, 0.0), (-math.inf, 2.0), (3.0, math.inf)):
             with pytest.raises(DomainError, match="must be finite"):
                 geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
+
+
+class TestRegionPredicates:
+    def test_r_of_rejects_degenerate_rows(self):
+        # beyond null infinity cos T + cos R < 0: no finite Minkowski radius r(T, R)
+        T, R = math.pi - 0.1, 3.0
+        assert math.cos(T) + math.cos(R) < 0
+        assert not geometry.in_diamond(np.array([T]), np.array([R]))[0]
+        with pytest.raises(DomainError):
+            geometry.to_minkowski(geometry.EinsteinEvent(T=T, R=R))
 
 
 class TestKelvinAndCharts:
