@@ -110,6 +110,13 @@ def _getfloat(cfg, section, key, default):
         raise ParseError(f"[{section}] {key}: {exc}") from exc
 
 
+def _getint(cfg, section, key, default):
+    try:
+        return cfg.getint(section, key, fallback=default)
+    except ValueError as exc:
+        raise ParseError(f"[{section}] {key}: {exc}") from exc
+
+
 def solver_config_from(cfg: configparser.ConfigParser) -> solver.SolverConfig:
     """The run a config describes; a key it leaves out keeps the dataclass default."""
     base = solver.SolverConfig()
@@ -126,8 +133,7 @@ def solver_config_from(cfg: configparser.ConfigParser) -> solver.SolverConfig:
                                 for key in _SCHEMA["data"]}),
         epsilon=_getfloat(cfg, "problem", "epsilon", base.epsilon),
         **{key: _getfloat(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
-        frame_decimation=int(_getfloat(cfg, "output", "frame_decimation",
-                                       base.frame_decimation)),
+        frame_decimation=_getint(cfg, "output", "frame_decimation", base.frame_decimation),
     )
 
 
@@ -193,8 +199,9 @@ def cmd_transform(args) -> int:
         if args.backward:
             valid, mapped = geometry.in_diamond(x, y), geometry.minkowski_coords(x, y)
         else:
-            valid = geometry.minkowski_valid(x, y)
             mapped = (*geometry.einstein_coords(x, y), geometry.omega_minkowski(x, y))
+            # |t| beyond ~1e16 rounds T to +-pi, which EinsteinEvent rejects
+            valid = geometry.minkowski_valid(x, y) & (abs(mapped[0]) < math.pi)
     rows = np.column_stack([x, y, *mapped])
     rows[~valid, 2:] = np.nan
     failed = np.flatnonzero(~valid)
@@ -203,7 +210,7 @@ def cmd_transform(args) -> int:
             if args.backward:
                 geometry.to_minkowski(geometry.EinsteinEvent(T=x[i], R=y[i]))
             else:
-                geometry.MinkowskiEvent(t=x[i], r=y[i])
+                geometry.to_einstein(geometry.MinkowskiEvent(t=x[i], r=y[i]))
         except DomainError as exc:
             print(f"row {i}: {exc}", file=sys.stderr)
     manifest = Manifest("transform")
@@ -365,9 +372,9 @@ def cmd_check_null(args) -> int:
 def cmd_compat(args) -> int:
     cfg = read_config(args.config)
     scfg = solver_config_from(cfg)
-    order = int(_getfloat(cfg, "verify", "order", 4))
-    s_order = int(_getfloat(cfg, "verify", "boundary_order", order))
-    tol = cfg.getfloat("verify", "tol", fallback=None)
+    order = _getint(cfg, "verify", "order", 4)
+    s_order = _getint(cfg, "verify", "boundary_order", order)
+    tol = _getfloat(cfg, "verify", "tol", None)
     r_b = scfg.obs.r_b
     f, g = scfg.data.profiles(r_b, scfg.r_max, scfg.dr, scfg.epsilon)
     jet = compat.compute_jet(f, g, scfg.nonlinearity, K=order)

@@ -85,6 +85,8 @@ class EinsteinEvent:
     def __post_init__(self):
         if not math.isfinite(self.T):
             raise DomainError(f"T must be finite, got {self.T}")
+        if not -math.pi < self.T < math.pi:
+            raise DomainError(f"T must lie in (-pi, pi), got {self.T}")
         if not 0.0 <= self.R <= math.pi:
             raise DomainError(f"R must lie in [0, pi], got {self.R}")
 
@@ -180,8 +182,13 @@ def omega_factor(t: float, r: float) -> float:
 def to_einstein(ev: MinkowskiEvent) -> TransformResult:
     """Map a Minkowski event into the Einstein diamond.
 
-    Total on valid inputs: the image lies strictly inside the diamond unless
-    |t +- r| > ~1e16 rounds an arctan to +-pi/2, which puts it on the boundary.
+    The image lies strictly inside the diamond, or on its boundary when
+    |t +- r| > ~1e16 rounds an arctan to +-pi/2.
+
+    Raises
+    ------
+    DomainError
+        When both arctans round, so that T = +-pi (|t| beyond ~1e16).
     """
     T, R = einstein_coords(ev.t, ev.r)
     return TransformResult(

@@ -14,7 +14,10 @@ the compatibility jet.  When N depends on u_t the update is implicit through
 resolve it.  When N(0) = 0 and there is no forcing, ``run`` steps only the
 light-cone window r <= r_b + support + t + 2 and holds exact zeros beyond (the
 data is zeroed beyond its support radius, where the bump is below 2.3e-16 of
-its peak); any other input steps the full grid.
+its peak); any other input steps the full grid.  When N reads u_r, the step
+hands the u_r it computed for a level to the monitors instead of having them
+differentiate that level again: the same call on the same nodes, so the
+output is bit-identical to the scheme that recomputed it.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -98,14 +101,28 @@ class SolverConfig:
         return self.cfl * self.dr
 
     def validate(self):
+        """Raise StabilityError above the cfl ceiling and ConfigError, naming the
+        field, on any other setting the scheme cannot run (NaN included)."""
         if self.cfl > 0.9:
             raise StabilityError(f"cfl = {self.cfl} exceeds the 0.9 stability ceiling")
-        if self.cfl <= 0:
-            raise ConfigError("cfl must be positive")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        bound = self.obs.r_b + self.t_max + self.data.support_radius + 2.0
-        if self.r_max < bound:
+        for name, value in (("cfl", self.cfl), ("epsilon", self.epsilon), ("dr", self.dr),
+                            ("t_max", self.t_max), ("r_max", self.r_max),
+                            ("data.width", self.data.width)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        strides = {"monitor_stride": self.monitor_stride,
+                   "frame_decimation": self.frame_decimation}
+        if self.snapshot_stride is not None:  # None: every 0.05 time units
+            strides["snapshot_stride"] = self.snapshot_stride
+        for name, value in strides.items():
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        r_b = self.obs.r_b
+        if self.local_radius is not None and not self.local_radius >= r_b + self.dr:
+            raise ConfigError(f"local_radius = {self.local_radius} must reach r_b + dr = "
+                              f"{r_b + self.dr:g}, or E_local spans no grid cell")
+        bound = r_b + self.t_max + self.data.support_radius + 2.0
+        if not self.r_max >= bound:
             raise ConfigError(
                 f"r_max = {self.r_max} violates the no-reflection bound "
                 f"r_b + t_max + support + 2 = {bound:.3f}"
@@ -164,7 +181,7 @@ def run(config: SolverConfig) -> Trajectory:
 
     n_steps = int(round(config.t_max / dt))
     stride = config.snapshot_stride or max(1, int(round(0.05 / dt)))
-    dec = max(1, config.frame_decimation)
+    dec = config.frame_decimation
     rho = config.local_radius if config.local_radius is not None else 2.0 * r_b
     n_local = int(np.count_nonzero(r <= rho))
     inv_r = 1.0 / r
@@ -179,19 +196,25 @@ def run(config: SolverConfig) -> Trajectory:
     frames_u, frames_ut = np.zeros((2, n_steps // stride + 2, len(r[::dec])))
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
     mon_bands = []  # one row per monitor level, one column per band offset
+    offsets = np.asarray(config.band_offsets, dtype=float)
+    density, ur_squared = np.empty((2, len(r)))
 
-    def record(level, t, w, u_t):
-        """Monitors and frames from w = r u and u_t on the first len(w) nodes (zero beyond)."""
+    def record(level, t, w, u_t, u_r=None):
+        """Monitors and frames from w = r u, u_t and, unless None, u_r on the first
+        len(w) nodes (zero beyond)."""
         e = len(w)
         u = w * inv_r[:e]
         if level % config.monitor_stride == 0 or level == n_steps:
-            u_r = _radial_derivative(w, inv_r[:e], dr)
-            density = (u_t ** 2 + u_r ** 2) * r2[:e]
+            if u_r is None:
+                u_r = _radial_derivative(w, inv_r[:e], dr)
+            dens = np.square(u_t, out=density[:e])
+            dens += np.square(u_r, out=ur_squared[:e])
+            dens *= r2[:e]
             mon_t.append(t)
-            mon_E.append(4.0 * math.pi * np.trapezoid(density, dx=dr))
-            mon_El.append(4.0 * math.pi * np.trapezoid(density[:n_local], dx=dr))
-            mon_sup.append(float(np.max(np.abs(u))))
-            points = t - np.asarray(config.band_offsets, dtype=float)
+            mon_E.append(4.0 * math.pi * _trapezoid(dens, dr))
+            mon_El.append(4.0 * math.pi * _trapezoid(dens[:n_local], dr))
+            mon_sup.append(float(np.abs(u).max()))
+            points = t - offsets
             bands = np.interp(points, r[:e], u)
             bands[(points < r[0]) | (points > r[-1])] = 0.0
             mon_bands.append(bands)
@@ -221,11 +244,11 @@ def run(config: SolverConfig) -> Trajectory:
     steps = _leapfrog(r, dr, dt, psi, n_steps, config.nonlinearity, config.forcing_fn,
                       reach=reach)
     try:
-        for level, w_prev, w_curr, w_next, hi in steps:
+        for level, w_prev, w_curr, w_next, hi, u_r in steps:
             if level % config.monitor_stride == 0 or level % stride == 0:
                 e = hi + 1  # node hi and beyond hold zeros
                 u_t = psi[1] if level == 0 else (w_next[:e] - w_prev[:e]) / (2.0 * dt) * inv_r[:e]
-                record(level, level * dt, w_curr[:e], u_t)
+                record(level, level * dt, w_curr[:e], u_t, u_r)
             w_prev, w_curr = w_curr, w_next
     except NaNError as exc:
         exc.trajectory = partial_trajectory(completed=False)
@@ -240,13 +263,15 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
               sweeps=None):
     """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
 
-    Yields ``(level, w_prev, w_curr, w_next, hi)`` for level = 0 .. n_steps - 1
+    Yields ``(level, w_prev, w_curr, w_next, hi, u_r)`` for level = 0 .. n_steps - 1
     (``w_prev`` is None at level 0) in three reused buffers.  Nodes 1 .. hi-1 are
     stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t;
-    the rest hold zeros.  ``order`` (2 or 4) is the spatial order of w_rr and
-    u_r.  When N depends on u_t and ``sweeps`` is a list, each step appends its
-    two fixed-point increments to it.  Raises StabilityError when the sweeps
-    diverge and NaNError on blow-up, checked every 50 steps and on the last one.
+    the rest hold zeros.  ``u_r`` is the step's ``_radial_derivative`` of
+    ``w_curr[:hi + 1]`` in a reused buffer when N reads u_r, else None.
+    ``order`` (2 or 4) is the spatial order of w_rr and u_r.  When N depends on
+    u_t and ``sweeps`` is a list, each step appends its two fixed-point
+    increments to it.  Raises StabilityError when the sweeps diverge and
+    NaNError on blow-up, checked every 50 steps and on the last one.
     """
     n = len(r) - 1
     k = (dt / dr) ** 2
@@ -264,7 +289,7 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
     bufs = (r * psi[0], r * (psi[0] + dt * psi[1] + 0.5 * dt ** 2 * psi[2]), np.zeros_like(r))
     for w in bufs:
         w[0] = w[-1] = 0.0
-    yield 0, None, bufs[0], bufs[1], n
+    yield 0, None, bufs[0], bufs[1], n, None
     scratch = np.empty_like(r)
     # the nonlinearity's work arrays, allocated once: u, u_t, u_r and its
     # scratch, one monomial, the fixed sum and the last two swept sums
@@ -274,12 +299,12 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
         prv, cur, nxt = bufs
         hi = n if reach is None else min(n, int((reach + t) / dr) + 1)
         a = slice(1, hi)
-        base = nxt[a]
+        base, prv_a = nxt[a], prv[a]
+        twice = np.multiply(cur[a], 2.0, out=scratch[a])
         # dt^2 w_rr first, then 2 w - w_prev added to it: this order keeps the
         # round-off floor of the decayed field near r_b at the 1e-16 level
         if order == 2:
-            np.multiply(cur[a], 2.0, out=base)
-            np.subtract(cur[2:hi + 1], base, out=base)
+            np.subtract(cur[2:hi + 1], twice, out=base)
             base += cur[:hi - 1]
         else:
             base[1:-1] = (-cur[:hi - 3] + 16.0 * cur[1:hi - 2] - 30.0 * cur[2:hi - 1]
@@ -287,10 +312,10 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
             base[0] = cur[2] - 2.0 * cur[1] + cur[0]
             base[-1] = cur[hi] - 2.0 * cur[hi - 1] + cur[hi - 2]
         base *= k
-        twice = np.multiply(cur[a], 2.0, out=scratch[a])
-        twice -= prv[a]
+        twice -= prv_a
         base += twice
 
+        u_r = None
         if nonlinearity.terms or forcing is not None:
             m = hi - 1
             term = term_buf[:m]
@@ -298,26 +323,27 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
             if 0 in used:
                 fields[0] = np.multiply(cur[a], inv_r[a], out=u_buf[:m])
             if 2 in used:
-                fields[2] = _radial_derivative(cur[:hi + 1], inv_r[:hi + 1], dr, order,
-                                               out=(ur_buf[:hi + 1], ur_work[:hi + 1]))[1:-1]
+                u_r = _radial_derivative(cur[:hi + 1], inv_r[:hi + 1], dr, order,
+                                         out=(ur_buf[:hi + 1], ur_work[:hi + 1]))
+                fields[2] = u_r[1:-1]
             inc = _sum_monomials(fixed, fields, a, inc_buf[:m], term)
             if forcing is not None:
                 inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
             if swept:
                 ut = fields[1] = ut_buf[:m]
-                np.subtract(cur[a], prv[a], out=ut)
+                np.subtract(cur[a], prv_a, out=ut)
                 ut *= inv_dt[a]  # lagged first guess
                 for sweep in (1, 2):
                     if sweep == 2:
                         np.add(base, inc, out=ut)
                         ut += part
-                        ut -= prv[a]
+                        ut -= prv_a
                         ut *= half_inv_dt[a]
                     new = _sum_monomials(swept, fields, a, sums[sweep - 1][:m], term)
                     # sweep 1 is measured against the linear base, sweep 2 against sweep 1
                     diff = (np.add(inc, new, out=term) if sweep == 1
                             else np.subtract(new, part, out=term))
-                    delta = float(np.max(np.abs(diff, out=diff)))
+                    delta = float(np.abs(diff, out=diff).max())
                     if sweep == 2 and delta > 2.0 * prev_delta and delta > 1e-6:
                         raise StabilityError(f"fixed-point sweep diverging at t = {t:.4f}")
                     if sweep == 2 and sweeps is not None:
@@ -327,27 +353,39 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
             base += inc
 
         if level % 50 == 0 or level == n_steps - 1:
-            peak = float(np.max(np.abs(base)))
+            peak = float(np.abs(base).max())
             if not math.isfinite(peak) or peak > 1e12:
                 raise NaNError(f"nonfinite values at t = {t:.4f}")
-        yield level, prv, cur, nxt, hi
+        yield level, prv, cur, nxt, hi, u_r
         bufs = (cur, nxt, prv)
 
 
 def _sum_monomials(monomials, fields, a, out, term):
     """Sum of c[a] * f_1 * ... * f_k over ``monomials`` into ``out``, using ``term``.
 
-    Each product is multiplied left to right from c[a] and the sum starts from
-    zero: the order of ``sum(math.prod(fields, start=c[a]) ...)``, which the
-    tests compare bit for bit.
+    Each product is multiplied left to right from c[a], the first straight into
+    ``out``: the order of ``sum(math.prod(fields, start=c[a]) ...)``, which the
+    tests compare bit for bit.  No monomials sum to zero.
     """
-    out.fill(0.0)
-    for c, factors in monomials:
-        np.copyto(term, c[a])
-        for i in factors:
-            term *= fields[i]
-        out += term
+    if not monomials:
+        out.fill(0.0)
+    for j, (c, factors) in enumerate(monomials):
+        prod = term if j else out
+        if factors:
+            np.multiply(c[a], fields[factors[0]], out=prod)
+        else:
+            np.copyto(prod, c[a])
+        for i in factors[1:]:
+            prod *= fields[i]
+        if j:
+            out += term
     return out
+
+
+def _trapezoid(y, dx):
+    """``np.trapezoid(y, dx=dx)`` of a 1-d array bit for bit: its operation order
+    without its per-call wrapper."""
+    return (dx * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def _radial_derivative(w, inv_r, dr, order=2, out=None):
@@ -636,8 +674,8 @@ def reference_samples(
     r = f.r
     psi = [p.values for p in compat.compute_jet(f, g, F, K=2).psi]
     out = [f.values.copy()]
-    for level, _, _, w_next, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
-                                            order=4):
+    for level, _, _, w_next, _, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
+                                               order=4):
         if (level + 1) % m == 0:
             out.append(w_next / r)
     return out

@@ -79,6 +79,32 @@ class TestConfigParsing:
         assert code == cli.EXIT_PARSE
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,key", [
+        ("simulate", "output", "frame_decimation"), ("compat", "verify", "order"),
+        ("compat", "verify", "boundary_order"),
+    ])
+    def test_fractional_integer_key_is_a_parse_error(self, tmp_path, capsys, command,
+                                                     section, key):
+        # int() used to truncate 2.5 to 2
+        cfg = configparser.ConfigParser()
+        cfg.read_string(SMALL_CONFIG)
+        if not cfg.has_section(section):
+            cfg.add_section(section)
+        cfg[section][key] = "2.5"
+        path = tmp_path / "run.ini"
+        with open(path, "w") as fh:
+            cfg.write(fh)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_PARSE
+        assert f"[{section}] {key}:" in capsys.readouterr().err
+
+    def test_out_of_range_frame_decimation_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG + "frame_decimation = 0\n")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_DOMAIN
+        assert "frame_decimation must be a positive integer, got 0" in capsys.readouterr().err
+
     def test_unknown_nonlinearity_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nnonlinearity = quintic\n")
@@ -141,6 +167,15 @@ class TestTransform:
         assert np.array_equal(rows[2:, :2], [[2.0, -1.0], [np.nan, 1.0], [np.inf, 0.0]],
                               equal_nan=True)
         assert np.all(np.isnan(rows[2:, 2:]))
+
+    def test_forward_row_whose_time_rounds_to_pi_is_flagged(self, tmp_path, capsys):
+        # arctan(t +- r) both round to pi/2 beyond t ~ 1e16: T = pi, outside (-pi, pi)
+        code, rows, err, failed = self._mixed(
+            tmp_path, capsys, ["1,0", "1e17,0", "-1e17,3"], backward=False)
+        assert code == cli.EXIT_DOMAIN and failed == "2"
+        assert err == [f"row 1: T must lie in (-pi, pi), got {math.pi!r}",
+                       f"row 2: T must lie in (-pi, pi), got {-math.pi!r}"]
+        assert np.all(np.isfinite(rows[0])) and np.all(np.isnan(rows[1:, 2:]))
 
     def test_mixed_backward_rows(self, tmp_path, capsys):
         code, rows, err, failed = self._mixed(

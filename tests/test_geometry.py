@@ -1,6 +1,7 @@
 """Coordinate map, conformal factor, frames, and boundary-curve tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ class TestArrayClosedForms:
                 assert str(exc) == f"T must be finite, got {T}"
         with np.errstate(invalid="ignore", over="ignore"):  # |inf| + -inf, 1e308 + 1e308
             assert geometry.in_diamond(np.array([T]), np.array([R]))[0] == accepted
+
+    @pytest.mark.parametrize("T", [10.0, -10.0, math.pi, -math.pi, 4.0])
+    def test_einstein_event_rejects_time_outside_the_cylinder_range(self, T):
+        # T = 10 used to construct, and stereo_south mapped it to a chart point
+        with pytest.raises(DomainError, match=re.escape(f"T must lie in (-pi, pi), got {T}")):
+            geometry.EinsteinEvent(T=T, R=0.5)
+
+    def test_time_rounding_to_pi_is_rejected_not_mapped_to_the_boundary(self):
+        assert geometry.to_einstein(geometry.MinkowskiEvent(t=1e15, r=0.0)).einstein.T < math.pi
+        for t in (1e17, -1e17):
+            with pytest.raises(DomainError, match=r"T must lie in \(-pi, pi\)"):
+                geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=1.0))
 
     def test_infinite_time_is_rejected_not_mapped_to_the_boundary(self):
         # arctan(inf) would place (inf, 0) at T = pi, R = 0 with Omega = 0

@@ -1,11 +1,14 @@
 """Exterior radial solver: analytic oracles, conservation, convergence, I/O."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from penwave import compat, geometry, solver
@@ -69,6 +72,28 @@ class TestConfigValidation:
 
     def test_default_config_is_valid(self):
         solver.SolverConfig().validate()
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("monitor_stride", dict(monitor_stride=0)),
+        ("snapshot_stride", dict(snapshot_stride=-2)),
+        ("snapshot_stride", dict(snapshot_stride=0)),
+        ("frame_decimation", dict(frame_decimation=0)),
+        ("frame_decimation", dict(frame_decimation=-3)),
+        ("frame_decimation", dict(frame_decimation=2.5)),
+        ("dr", dict(dr=0.0)),
+        ("dr", dict(dr=-5e-3)),
+        ("dr", dict(dr=math.nan)),
+        ("t_max", dict(t_max=-1.0)),
+        ("data.width", dict(data=solver.DataSpec(width=-0.25))),
+        ("local_radius", dict(local_radius=0.1)),
+    ], ids=["monitor_stride=0", "snapshot_stride=-2", "snapshot_stride=0",
+            "frame_decimation=0", "frame_decimation=-3", "frame_decimation=2.5", "dr=0",
+            "dr=-5e-3", "dr=nan", "t_max=-1", "width=-0.25", "local_radius=0.1"])
+    def test_bad_setting_is_rejected_naming_its_field(self, field, overrides):
+        # each of these used to fail with a bare ZeroDivisionError, ValueError,
+        # TypeError or IndexError, or to run with the value silently replaced
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
+            solver.run(short_config(**overrides))
 
 
 class TestLinearOracles:
@@ -234,6 +259,88 @@ class TestGuards:
         assert traj.completed is False
         assert 0.0 < traj.times[-1] < config.t_max
         assert len(traj.monitors.t) > 0
+
+
+class TestMonitorReuse:
+    @pytest.mark.parametrize("nonlinearity", [compat.Q0_RADIAL, compat.ZERO],
+                             ids=lambda spec: spec.name)
+    def test_monitors_equal_a_recomputation_at_every_level(self, monkeypatch, nonlinearity):
+        # Q0 hands each level's u_r from its step to the monitors; the linear
+        # step computes none, so record takes its own
+        config = short_config(nonlinearity=nonlinearity, epsilon=0.5, dr=0.01,
+                              cfl=solver.SolverConfig().cfl, t_max=4.0, r_max=10.0,
+                              monitor_stride=3)
+        stride = config.monitor_stride
+        levels, calls, jet = [], [], []
+        leapfrog, derivative = solver._leapfrog, solver._radial_derivative
+
+        def capture(*args, **kw):
+            jet.append(args[3])
+            for step in leapfrog(*args, **kw):
+                level, prv, cur, nxt, hi, u_r = step
+                if level % stride == 0 or level == args[4] - 1:
+                    levels.append((level, None if prv is None else prv.copy(), cur.copy(),
+                                   nxt.copy(), hi, None if u_r is None else u_r.copy()))
+                yield step
+
+        def counted(*args, **kw):
+            calls.append(len(args[0]))
+            return derivative(*args, **kw)
+
+        monkeypatch.setattr(solver, "_leapfrog", capture)
+        monkeypatch.setattr(solver, "_radial_derivative", counted)
+        traj = solver.run(config)
+        monkeypatch.undo()
+
+        r, dr, dt = traj.r, config.dr, config.dt
+        inv_r, offsets = 1.0 / r, np.asarray(config.band_offsets)
+        n_local = np.count_nonzero(r <= 2.0 * config.obs.r_b)
+        t, E, E_local, sup, bands = [], [], [], [], []
+
+        def monitor(level, w, u_t):
+            e = len(w)
+            u = w * inv_r[:e]
+            density = (u_t ** 2 + solver._radial_derivative(w, inv_r[:e], dr) ** 2) * r[:e] ** 2
+            t.append(level * dt)
+            E.append(4.0 * math.pi * np.trapezoid(density, dx=dr))
+            E_local.append(4.0 * math.pi * np.trapezoid(density[:n_local], dx=dr))
+            sup.append(np.max(np.abs(u)))
+            points = level * dt - offsets
+            row = np.interp(points, r[:e], u)
+            row[(points < r[0]) | (points > r[-1])] = 0.0
+            bands.append(row)
+
+        for level, prv, cur, nxt, hi, u_r in levels:
+            e = hi + 1
+            if nonlinearity.terms and level > 0:
+                assert np.array_equal(u_r, derivative(cur[:e], inv_r[:e], dr))
+            else:
+                assert u_r is None
+            if level % stride == 0:
+                monitor(level, cur[:e], jet[0][1] if level == 0
+                        else (nxt[:e] - prv[:e]) / (2.0 * dt) * inv_r[:e])
+        last = levels[-1]  # its w_next is the final level
+        monitor(last[0] + 1, last[3], (last[3] - last[2]) / dt * inv_r)
+
+        m = traj.monitors
+        for got, want in ((m.t, t), (m.E_total, E), (m.E_local, E_local), (m.sup_u, sup)):
+            assert np.array_equal(got, want)
+        for i, b in enumerate(config.band_offsets):
+            assert np.array_equal(m.bands[b], np.array(bands)[:, i])
+        # one u_r per step, plus record's own: every monitor level of the linear
+        # run, only level 0 and the final level of the Q0 run
+        n_steps = int(round(config.t_max / dt))
+        assert len(calls) == (n_steps + 1 if nonlinearity.terms else len(m.t))
+
+    @given(n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 4000)),
+           extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+           dx=st.floats(1e-4, 10.0), scale=st.sampled_from([1e-30, 1.0, 1e30]))
+    @settings(max_examples=80, deadline=None)
+    def test_trapezoid_is_np_trapezoid_bit_for_bit(self, n, extra, seed, dx, scale):
+        # on a prefix view, as record takes E_local
+        y = (scale * np.random.default_rng(seed).standard_normal(n + extra))[:n]
+        got, want = solver._trapezoid(y, dx), np.trapezoid(y, dx=dx)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestSampling:
