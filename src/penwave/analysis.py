@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cylinder
 from .errors import DomainError, FitError
-from .solver import Trajectory
+from .solver import DEFAULT_BANDS, Trajectory
 
 __all__ = [
     "Series",
@@ -166,15 +166,14 @@ def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
     if not 0.0 < sigma <= 1.0:
         raise DomainError("sigma must lie in (0, 1]")
     r = traj.r
-    bands = traj.config.band_offsets
-    band_max = {float(b): 0.0 for b in bands}
+    band_max = {float(b): 0.0 for b in DEFAULT_BANDS}
     frame_sup = np.zeros(len(traj.times))
     for i, t in enumerate(traj.times):
         dist = np.abs(t - r)
         weight = (1.0 + t) * (1.0 + dist) ** (1.0 - sigma)
         weighted = np.abs(traj.u_frames[i]) * weight
         frame_sup[i] = float(weighted.max())
-        for b in bands:
+        for b in DEFAULT_BANDS:
             sel = np.abs(dist - b) <= 0.5
             if sel.any():
                 band_max[float(b)] = max(band_max[float(b)], float(weighted[sel].max()))

@@ -15,9 +15,10 @@ Exit codes are fixed for scriptability:
     6  coverage error
     7  a requested verdict failed
 
-Every run writes a manifest (structured text) listing the resolved
-configuration and all output paths; the manifest is written last via an
-atomic rename, so its presence certifies a complete run.
+Every run writes a manifest (structured text) listing all output paths, and
+for ``simulate`` the run's config keys as the store records them; the
+manifest is written last via an atomic rename, so its presence certifies a
+complete run.
 """
 
 from __future__ import annotations
@@ -70,71 +71,6 @@ def _exit_code(exc: PenwaveError) -> int:
         if isinstance(exc, types):
             return code
     return EXIT_DOMAIN
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-_SCHEMA = {
-    "problem": {"nonlinearity", "epsilon", "r_b"},
-    "grid": {"dr", "cfl", "t_max", "r_max"},
-    "data": {"center", "width", "f_amp", "g_amp"},
-    "output": {"snapshot_every", "frame_decimation"},
-    "verify": {"order", "boundary_order", "tol"},
-}
-
-
-def read_config(path) -> configparser.ConfigParser:
-    """Parse an INI config, rejecting unknown sections or keys."""
-    parser = configparser.ConfigParser()
-    try:
-        loaded = parser.read(path)
-    except configparser.Error as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not loaded:
-        raise ParseError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ParseError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ParseError(f"{path}: unknown key '{key}' in [{section}]")
-    return parser
-
-
-def _getfloat(cfg, section, key, default):
-    try:
-        return cfg.getfloat(section, key, fallback=default)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: {exc}") from exc
-
-
-def _getint(cfg, section, key, default):
-    try:
-        return cfg.getint(section, key, fallback=default)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: {exc}") from exc
-
-
-def solver_config_from(cfg: configparser.ConfigParser) -> solver.SolverConfig:
-    """The run a config describes; a key it leaves out keeps the dataclass default."""
-    base = solver.SolverConfig()
-    name = cfg.get("problem", "nonlinearity", fallback=base.nonlinearity.name)
-    if name not in compat.BUILTIN_NONLINEARITIES:
-        raise ParseError(
-            f"unknown nonlinearity '{name}'; "
-            f"choose from {sorted(compat.BUILTIN_NONLINEARITIES)}"
-        )
-    return solver.SolverConfig(
-        obs=geometry.ObstacleSpec(_getfloat(cfg, "problem", "r_b", base.obs.r_b)),
-        nonlinearity=compat.BUILTIN_NONLINEARITIES[name],
-        data=solver.DataSpec(**{key: _getfloat(cfg, "data", key, getattr(base.data, key))
-                                for key in _SCHEMA["data"]}),
-        epsilon=_getfloat(cfg, "problem", "epsilon", base.epsilon),
-        **{key: _getfloat(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
-        frame_decimation=_getint(cfg, "output", "frame_decimation", base.frame_decimation),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +306,11 @@ def cmd_check_null(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    cfg = read_config(args.config)
-    scfg = solver_config_from(cfg)
-    order = _getint(cfg, "verify", "order", 4)
-    s_order = _getint(cfg, "verify", "boundary_order", order)
-    tol = _getfloat(cfg, "verify", "tol", None)
+    cfg = solver.read_config(args.config)
+    scfg = solver.solver_config_from(cfg)
+    order = solver.getint(cfg, "verify", "order", 4)
+    s_order = solver.getint(cfg, "verify", "boundary_order", order)
+    tol = solver.getfloat(cfg, "verify", "tol", None)
     r_b = scfg.obs.r_b
     f, g = scfg.data.profiles(r_b, scfg.r_max, scfg.dr, scfg.epsilon)
     jet = compat.compute_jet(f, g, scfg.nonlinearity, K=order)
@@ -411,12 +347,13 @@ def cmd_compat(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = read_config(args.config)
-    scfg = solver_config_from(cfg)
+    cfg = solver.read_config(args.config)
+    scfg = solver.solver_config_from(cfg)
     manifest = Manifest("simulate")
-    manifest.config = solver._config_record(scfg)
+    manifest.config = {key: value for keys in solver.config_sections(scfg).values()
+                       for key, value in keys.items()}
     traj = solver.run(scfg)
-    every = _getfloat(cfg, "output", "snapshot_every", 5.0)
+    every = solver.getfloat(cfg, "output", "snapshot_every", 5.0)
     for p in solver.write_outputs(traj, args.out, snapshot_every=every):
         manifest.add_output(p)
     manifest.verdicts["completed"] = str(traj.completed)
@@ -429,17 +366,17 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _check_identity_omega(args, rng):
-    t, r = rng.uniform(0.0, 50.0, size=(10_000, 2)).T
+def _check_identity_omega(args):
+    t, r = np.random.default_rng(0).uniform(0.0, 50.0, size=(10_000, 2)).T
     omega = geometry.omega_einstein(*geometry.einstein_coords(t, r))
     worst = float(np.max(np.abs(geometry.omega_minkowski(t, r) - omega)))
     return analysis.structured_report(
-        "identity-omega", "conformal-factor-closed-forms", len(t),
+        "identity-omega", "conformal-factor-closed-forms", (t, r),
         worst, 1e-12, worst < 1e-12,
     )
 
 
-def _check_intertwining(args, rng):
+def _check_intertwining(args):
     points = cylinder.battery_points()
     worst = max(
         cylinder.intertwining_residual(fn, points, h=1e-3)
@@ -451,7 +388,7 @@ def _check_intertwining(args, rng):
     )
 
 
-def _check_commutator(args, rng):
+def _check_commutator(args):
     points = cylinder.battery_points()
     worst = max(
         cylinder.commutator_residual(fn, points, h=1e-3)
@@ -467,7 +404,7 @@ BOUNDARY_T = np.linspace(1.0, math.pi - 1e-3, 200)
 VANISHING_EPS = math.pi * 0.5 ** np.arange(3, 13)
 
 
-def _check_boundary_geometry(args, rng):
+def _check_boundary_geometry(args):
     obs = geometry.ObstacleSpec(0.2)
     T = BOUNDARY_T
     phi = np.array([geometry.boundary_curve(obs, Tv) for Tv in T])
@@ -482,7 +419,7 @@ def _check_boundary_geometry(args, rng):
     )
 
 
-def _check_vanishing_order(args, rng):
+def _check_vanishing_order(args):
     T, R = math.pi - VANISHING_EPS, VANISHING_EPS / 8.0
     p, q = geometry.frame_terms(*geometry.minkowski_coords(T, R))
     a00 = [nullform.transformed_q0_coefficients(geometry.EinsteinEvent(T=Ti, R=Ri)).a[0, 0]
@@ -501,14 +438,14 @@ def _load_traj(args):
     if args.traj:
         traj = solver.load_trajectory(args.traj)
     elif args.config:
-        traj = solver.run(solver_config_from(read_config(args.config)))
+        traj = solver.run(solver.solver_config_from(solver.read_config(args.config)))
     else:
         raise ParseError("this check needs --traj DIR or --config PATH")
     return traj, (traj.times, traj.u_frames, traj.ut_frames,
-                  sorted(solver._config_record(traj.config).items()))
+                  solver.config_sections(traj.config))
 
 
-def _check_decay(args, rng):
+def _check_decay(args):
     traj, inputs = _load_traj(args)
     cert = analysis.decay_certificate(traj, sigma=args.sigma)
     ok = math.isfinite(cert.C_sup) and cert.plateau_ratio <= 2.0
@@ -518,7 +455,7 @@ def _check_decay(args, rng):
     )
 
 
-def _check_morawetz(args, rng):
+def _check_morawetz(args):
     traj, inputs = _load_traj(args)
     m = traj.monitors
     fit = analysis.fit_exponential(analysis.Series(m.t, np.maximum(m.E_local, 1e-300)),
@@ -530,7 +467,7 @@ def _check_morawetz(args, rng):
     )
 
 
-def _check_energy(args, rng):
+def _check_energy(args):
     traj, inputs = _load_traj(args)
     field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
     rep = analysis.energy_inequality_check(field)
@@ -540,7 +477,7 @@ def _check_energy(args, rng):
     ), "headroom": rep.headroom}
 
 
-def _check_weighted_norms(args, rng):
+def _check_weighted_norms(args):
     traj, inputs = _load_traj(args)
     field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
     rep = analysis.weighted_norm_report(field, p=2, sigma=args.sigma)
@@ -566,9 +503,8 @@ _CHECKS = {
 def cmd_verify(args) -> int:
     if args.check not in _CHECKS:
         raise ParseError(f"unknown check '{args.check}'; choose from {sorted(_CHECKS)}")
-    rng = np.random.default_rng(args.seed)
     manifest = Manifest("verify")  # its clock covers the check
-    report = _CHECKS[args.check](args, rng)
+    report = _CHECKS[args.check](args)
     margin = f" headroom={report['headroom']:.6g}" if "headroom" in report else ""
     print(f"{report['check']}: value={report['value']:.6g} "
           f"threshold={report['threshold']:g}{margin} -> {report['verdict']}")
@@ -622,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", help="directory written by 'simulate'")
     p.add_argument("--sigma", type=float, default=0.25)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 
@@ -277,6 +276,8 @@ def boundary_curve(obs: ObstacleSpec, T: float, xtol: float = 1e-13) -> float:
     """
     if not 0.0 <= T < math.pi:
         raise DomainError(f"T must lie in [0, pi), got {T}")
+    from scipy.optimize import brentq  # on first use: no other path needs scipy.optimize
+
     lo = 1e-300
     hi = math.pi - T - 1e-14
     try:

@@ -163,8 +163,6 @@ def check_null_semilinear(
         residual = max(residual, _frobenius(defect))
     scale = max(1.0, _frobenius(s))
     verdict = exact_zero if exact else residual < tol * scale
-    if exact and not exact_zero:
-        verdict = False
     return verdict, NullDecomposition(lam=lam, antisym=antisym, residual=residual)
 
 
@@ -209,18 +207,19 @@ def check_null_quasilinear(
 
     For each (I, J) slice the symbol P(xi) = sum k[i,j,k] xi_i xi_j xi_k is
     fully symmetrized and tested for membership in the span of
-    {quadric * xi_m : m = 0..3} by solving the 4-coefficient least-squares
-    system.  The part of the slice that symmetrizes to zero (the q_ij-type
-    combinations whose symbols vanish identically) is reported separately in
-    ``trivially_null`` and never affects the verdict.
+    {quadric * xi_m : m = 0..3} by projecting onto it: the four monomial
+    vectors are orthogonal with squared norm 4 (Gram matrix 4 I), so the
+    least-squares coefficients are basis @ vec / 4.  The part of the slice
+    that symmetrizes to zero (the q_ij-type combinations whose symbols vanish
+    identically) is reported separately in ``trivially_null`` and never
+    affects the verdict.
     """
     k = q.k
     n = q.n_components
     exact = q.is_exact
     monomials = _sym_cubic_monomials()
     basis = _quadric_times_xi_basis(monomials, exact)
-    gram = basis @ basis.T  # 4x4, diagonal-dominant, well conditioned
-    gram_f = gram.astype(float)
+    quarter = Fraction(1, 4) if exact else 0.25
     lin = np.zeros((n, n, 4), dtype=object if exact else float)
     trivially_null = np.zeros_like(k)
     residual = 0.0
@@ -229,11 +228,8 @@ def check_null_quasilinear(
         sym = _symmetrize_cubic(k[idx])
         trivially_null[idx] = k[idx] - sym
         vec = _cubic_to_monomial_vector(sym, monomials)
-        coeffs = np.linalg.solve(gram_f, (basis @ vec).astype(float))
-        if exact:
-            coeffs = _solve_exact_4x4(gram, basis @ vec)
-        lin[idx] = coeffs
-        defect = vec - basis.T @ coeffs
+        lin[idx] = basis @ vec * quarter
+        defect = vec - basis.T @ lin[idx]
         if exact and any(v != 0 for v in defect.flat):
             exact_zero = False
         residual = max(residual, _frobenius(defect))
@@ -246,24 +242,6 @@ def check_null_quasilinear(
         linear_factor=lin,
         trivially_null=trivially_null,
     )
-
-
-def _solve_exact_4x4(gram, rhs):
-    """Gaussian elimination over Fractions for the tiny normal system."""
-    a = [[Fraction(gram[i, j]) for j in range(4)] + [Fraction(rhs[i])] for i in range(4)]
-    for col in range(4):
-        piv = next(r for r in range(col, 4) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(4):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[col])]
-    out = np.empty(4, dtype=object)
-    for i in range(4):
-        out[i] = a[i][4]
-    return out
 
 
 def cone_sample_oracle(

@@ -26,8 +26,9 @@ compactifying map.
 
 from __future__ import annotations
 
+import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import (
     ConfigError,
     CoverageError,
     NaNError,
+    ParseError,
     RangeError,
     StabilityError,
 )
@@ -51,10 +53,25 @@ __all__ = [
     "sample",
     "transform_to_cylinder",
     "reference_samples",
+    "read_config",
+    "solver_config_from",
+    "config_sections",
     "DEFAULT_BANDS",
 ]
 
+# cone bands t - r = b that the monitors sample and decay_certificate maximizes over
 DEFAULT_BANDS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
+_FRAME_SPACING = 0.05  # a frame every round(0.05 / dt) steps
+_MONITOR_STRIDE = 4  # monitors every 4 steps
+
+# the sections and keys a config file may hold, in the order the store writes them
+_SCHEMA = {
+    "problem": ("nonlinearity", "epsilon", "r_b"),
+    "grid": ("dr", "cfl", "t_max", "r_max"),
+    "data": ("center", "width", "f_amp", "g_amp"),
+    "output": ("snapshot_every", "frame_decimation"),
+    "verify": ("order", "boundary_order", "tol"),
+}
 
 
 @dataclass(frozen=True)
@@ -89,11 +106,7 @@ class SolverConfig:
     cfl: float = 0.9
     t_max: float = 80.0
     r_max: float = 90.0
-    snapshot_stride: int | None = None
-    monitor_stride: int = 4
     frame_decimation: int = 1
-    local_radius: float | None = None
-    band_offsets: tuple[float, ...] = DEFAULT_BANDS
     forcing_fn: object = None
 
     @property
@@ -110,17 +123,13 @@ class SolverConfig:
                             ("data.width", self.data.width)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        strides = {"monitor_stride": self.monitor_stride,
-                   "frame_decimation": self.frame_decimation}
-        if self.snapshot_stride is not None:  # None: every 0.05 time units
-            strides["snapshot_stride"] = self.snapshot_stride
-        for name, value in strides.items():
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        dec = self.frame_decimation
+        if not isinstance(dec, (int, np.integer)) or dec < 1:
+            raise ConfigError(f"frame_decimation must be a positive integer, got {dec!r}")
         r_b = self.obs.r_b
-        if self.local_radius is not None and not self.local_radius >= r_b + self.dr:
-            raise ConfigError(f"local_radius = {self.local_radius} must reach r_b + dr = "
-                              f"{r_b + self.dr:g}, or E_local spans no grid cell")
+        if not self.dr <= r_b:
+            raise ConfigError(f"dr = {self.dr} must not exceed r_b = {r_b}, or E_local, "
+                              f"taken out to 2 r_b, spans no grid cell")
         bound = r_b + self.t_max + self.data.support_radius + 2.0
         if not self.r_max >= bound:
             raise ConfigError(
@@ -136,7 +145,6 @@ class MonitorSeries:
     E_local: np.ndarray
     sup_u: np.ndarray
     bands: dict[float, np.ndarray]
-    local_radius: float
 
 
 @dataclass(frozen=True)
@@ -180,10 +188,9 @@ def run(config: SolverConfig) -> Trajectory:
     psi = [p.values for p in compat.compute_jet(f, g, config.nonlinearity, K=2).psi]
 
     n_steps = int(round(config.t_max / dt))
-    stride = config.snapshot_stride or max(1, int(round(0.05 / dt)))
+    stride = max(1, int(round(_FRAME_SPACING / dt)))
     dec = config.frame_decimation
-    rho = config.local_radius if config.local_radius is not None else 2.0 * r_b
-    n_local = int(np.count_nonzero(r <= rho))
+    n_local = int(np.count_nonzero(r <= 2.0 * r_b))  # E_local is taken out to 2 r_b
     inv_r = 1.0 / r
     r2 = r ** 2
     reach = None
@@ -196,7 +203,7 @@ def run(config: SolverConfig) -> Trajectory:
     frames_u, frames_ut = np.zeros((2, n_steps // stride + 2, len(r[::dec])))
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
     mon_bands = []  # one row per monitor level, one column per band offset
-    offsets = np.asarray(config.band_offsets, dtype=float)
+    offsets = np.asarray(DEFAULT_BANDS)
     density, ur_squared = np.empty((2, len(r)))
 
     def record(level, t, w, u_t, u_r=None):
@@ -204,7 +211,7 @@ def run(config: SolverConfig) -> Trajectory:
         len(w) nodes (zero beyond)."""
         e = len(w)
         u = w * inv_r[:e]
-        if level % config.monitor_stride == 0 or level == n_steps:
+        if level % _MONITOR_STRIDE == 0 or level == n_steps:
             if u_r is None:
                 u_r = _radial_derivative(w, inv_r[:e], dr)
             dens = np.square(u_t, out=density[:e])
@@ -234,8 +241,7 @@ def run(config: SolverConfig) -> Trajectory:
                 E_total=np.asarray(mon_E),
                 E_local=np.asarray(mon_El),
                 sup_u=np.asarray(mon_sup),
-                bands=dict(zip(config.band_offsets, np.array(mon_bands).T.copy())),
-                local_radius=rho,
+                bands=dict(zip(DEFAULT_BANDS, np.array(mon_bands).T.copy())),
             ),
             config=config,
             completed=completed,
@@ -245,7 +251,7 @@ def run(config: SolverConfig) -> Trajectory:
                       reach=reach)
     try:
         for level, w_prev, w_curr, w_next, hi, u_r in steps:
-            if level % config.monitor_stride == 0 or level % stride == 0:
+            if level % _MONITOR_STRIDE == 0 or level % stride == 0:
                 e = hi + 1  # node hi and beyond hold zeros
                 u_t = psi[1] if level == 0 else (w_next[:e] - w_prev[:e]) / (2.0 * dt) * inv_r[:e]
                 record(level, level * dt, w_curr[:e], u_t, u_r)
@@ -472,8 +478,9 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
 
     First derivatives of v are assembled by the chain rule from the stored
     (u_t, u_r) and the analytic frame Jacobian, avoiding grid differencing of
-    interpolated values.  Nodes below the obstacle boundary curve or with
-    preimage outside the stored coverage are masked out.  Raises
+    interpolated values.  Nodes whose preimage lies outside the stored
+    coverage are masked out; r >= r_b is the region above the obstacle
+    boundary curve.  Raises
     CoverageError when the stored t_max cannot support a requested row even
     at the boundary.
     """
@@ -497,11 +504,9 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
         T_max = min(T_max - 1e-9, T_cap - 1e-6)
     T = np.linspace(grid.T_min, T_max, grid.n_T)
     R = np.linspace(0.0, math.pi, grid.n_R)
-    obs = traj.config.obs
-    phi = np.array([geometry.boundary_curve(obs, Ti) for Ti in T])
 
     TT, RR = np.meshgrid(T, R, indexing="ij")
-    mask = (RR > phi[:, None]) & (TT + RR < math.pi - 1e-9)
+    mask = TT + RR < math.pi - 1e-9
     t_pre, r_pre = geometry.minkowski_coords(TT, RR)
     mask &= (t_pre <= traj.times[-1]) & (t_pre >= traj.times[0])
     mask &= (r_pre >= traj.r[0]) & (r_pre <= traj.r[-1])
@@ -544,21 +549,94 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     )
 
 
-def _config_record(cfg: SolverConfig) -> dict[str, str]:
-    """The values that define a run, as strings for store metadata and manifests."""
-    return {"r_b": repr(cfg.obs.r_b), "nonlinearity": cfg.nonlinearity.name,
-            **{key: repr(getattr(cfg, key)) for key in ("epsilon", "dr", "cfl", "t_max", "r_max")}}
+def read_config(path, schema=_SCHEMA) -> configparser.ConfigParser:
+    """Parse an INI config, rejecting sections or keys that ``schema`` does not list."""
+    parser = configparser.ConfigParser()
+    try:
+        loaded = parser.read(path)
+    except configparser.Error as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not loaded:
+        raise ParseError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section not in schema:
+            raise ParseError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in schema[section]:
+                raise ParseError(f"{path}: unknown key '{key}' in [{section}]")
+    return parser
+
+
+def getfloat(cfg: configparser.ConfigParser, section, key, default):
+    """``cfg.getfloat``, with a malformed value a ParseError that names the key."""
+    try:
+        return cfg.getfloat(section, key, fallback=default)
+    except ValueError as exc:
+        raise ParseError(f"[{section}] {key}: {exc}") from exc
+
+
+def getint(cfg: configparser.ConfigParser, section, key, default):
+    """``cfg.getint``, with a malformed value a ParseError that names the key."""
+    try:
+        return cfg.getint(section, key, fallback=default)
+    except ValueError as exc:
+        raise ParseError(f"[{section}] {key}: {exc}") from exc
+
+
+def solver_config_from(cfg: configparser.ConfigParser) -> SolverConfig:
+    """The run a config describes; a key it leaves out keeps the dataclass default."""
+    base = SolverConfig()
+    name = cfg.get("problem", "nonlinearity", fallback=base.nonlinearity.name)
+    if name not in compat.BUILTIN_NONLINEARITIES:
+        raise ParseError(
+            f"unknown nonlinearity '{name}'; "
+            f"choose from {sorted(compat.BUILTIN_NONLINEARITIES)}"
+        )
+    return SolverConfig(
+        obs=geometry.ObstacleSpec(getfloat(cfg, "problem", "r_b", base.obs.r_b)),
+        nonlinearity=compat.BUILTIN_NONLINEARITIES[name],
+        data=DataSpec(**{key: getfloat(cfg, "data", key, getattr(base.data, key))
+                         for key in _SCHEMA["data"]}),
+        epsilon=getfloat(cfg, "problem", "epsilon", base.epsilon),
+        **{key: getfloat(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
+        frame_decimation=getint(cfg, "output", "frame_decimation", base.frame_decimation),
+    )
+
+
+def config_sections(cfg: SolverConfig) -> dict[str, dict[str, str]]:
+    """``cfg`` as the schema's sections and keys, which ``solver_config_from`` reads
+    back equal: the record of a run in the store, the manifest and the digests.
+
+    Raises ConfigError for a run no config file can describe: one with a
+    ``forcing_fn`` or a nonlinearity other than the builtin of its name.
+    """
+    if (cfg.forcing_fn is not None
+            or compat.BUILTIN_NONLINEARITIES.get(cfg.nonlinearity.name) != cfg.nonlinearity):
+        raise ConfigError("only a run of a builtin nonlinearity without forcing_fn can be "
+                          "recorded as a config")
+    return {
+        "problem": {"nonlinearity": cfg.nonlinearity.name, "epsilon": repr(float(cfg.epsilon)),
+                    "r_b": repr(float(cfg.obs.r_b))},
+        "grid": {key: repr(float(getattr(cfg, key))) for key in _SCHEMA["grid"]},
+        "data": {key: repr(float(getattr(cfg.data, key))) for key in _SCHEMA["data"]},
+        "output": {"frame_decimation": str(cfg.frame_decimation)},
+    }
 
 
 def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list[str]:
-    """Write snapshot CSVs (r, u, u_t), a monitors CSV, and a metadata file.
+    """Write snapshot CSVs (r, u, u_t), a monitors CSV, and ``trajectory.ini``: the
+    run's config sections plus ``[trajectory] completed``.
 
     Snapshots are written for stored frames at intervals of ``snapshot_every``
     time units (plus the final frame).  Returns the list of written paths.
+    Raises ConfigError, before writing anything, for a run that
+    ``config_sections`` cannot record.
     """
-    import configparser
     import os
 
+    meta = configparser.ConfigParser()
+    meta.read_dict({**config_sections(traj.config),
+                    "trajectory": {"completed": str(traj.completed)}})
     os.makedirs(outdir, exist_ok=True)
     paths = []
     next_t = 0.0
@@ -576,26 +654,17 @@ def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list
         )
         paths.append(p)
     m = traj.monitors
-    band_keys = sorted(m.bands)
     mon_path = os.path.join(outdir, "monitors.csv")
     np.savetxt(
         mon_path,
         np.column_stack([m.t, m.E_total, m.E_local, m.sup_u]
-                        + [m.bands[b] for b in band_keys]),
+                        + [m.bands[b] for b in DEFAULT_BANDS]),
         delimiter=",",
         header=",".join(["t", "E_total", "E_local", "sup_u"]
-                        + [f"band_{b:g}" for b in band_keys]),
+                        + [f"band_{b:g}" for b in DEFAULT_BANDS]),
         comments="",
     )
     paths.append(mon_path)
-    meta = configparser.ConfigParser()
-    cfg = traj.config
-    meta["trajectory"] = {
-        **_config_record(cfg),
-        "local_radius": repr(m.local_radius),
-        "band_offsets": ",".join(f"{b:g}" for b in band_keys),
-        "completed": str(traj.completed),
-    }
     meta_path = os.path.join(outdir, "trajectory.ini")
     with open(meta_path, "w") as fh:
         meta.write(fh)
@@ -604,28 +673,13 @@ def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list
 
 
 def load_trajectory(outdir) -> Trajectory:
-    """Rebuild a (snapshot-resolution) Trajectory from write_outputs files."""
-    import configparser
+    """Rebuild a (snapshot-resolution) Trajectory from write_outputs files; its
+    config is read from ``trajectory.ini`` by the config reader."""
     import glob
     import os
 
-    meta = configparser.ConfigParser()
-    meta_path = os.path.join(outdir, "trajectory.ini")
-    if not meta.read(meta_path):
-        raise ConfigError(f"missing trajectory metadata: {meta_path}")
-    sec = meta["trajectory"]
-    bands = tuple(float(x) for x in sec["band_offsets"].split(","))
-    config = SolverConfig(
-        obs=geometry.ObstacleSpec(float(sec["r_b"])),
-        nonlinearity=compat.BUILTIN_NONLINEARITIES[sec["nonlinearity"]],
-        epsilon=float(sec["epsilon"]),
-        dr=float(sec["dr"]),
-        cfl=float(sec["cfl"]),
-        t_max=float(sec["t_max"]),
-        r_max=float(sec["r_max"]),
-        local_radius=float(sec["local_radius"]),
-        band_offsets=bands,
-    )
+    meta = read_config(os.path.join(outdir, "trajectory.ini"),
+                       {**_SCHEMA, "trajectory": ("completed",)})
     frame_paths = sorted(glob.glob(os.path.join(outdir, "frame_t*.csv")))
     if not frame_paths:
         raise ConfigError(f"no snapshot frames under {outdir}")
@@ -641,13 +695,12 @@ def load_trajectory(outdir) -> Trajectory:
     mon = np.loadtxt(os.path.join(outdir, "monitors.csv"), delimiter=",", skiprows=1)
     monitors_ = MonitorSeries(
         t=mon[:, 0], E_total=mon[:, 1], E_local=mon[:, 2], sup_u=mon[:, 3],
-        bands={b: mon[:, 4 + i] for i, b in enumerate(bands)},
-        local_radius=float(sec["local_radius"]),
+        bands={b: mon[:, 4 + i] for i, b in enumerate(DEFAULT_BANDS)},
     )
     return Trajectory(
         r=r, times=np.asarray(times), u_frames=np.asarray(us),
-        ut_frames=np.asarray(uts), monitors=monitors_, config=config,
-        completed=sec.getboolean("completed"),
+        ut_frames=np.asarray(uts), monitors=monitors_, config=solver_config_from(meta),
+        completed=meta.getboolean("trajectory", "completed"),
     )
 
 

@@ -41,8 +41,8 @@ def config_path(tmp_path):
 
 class TestConfigParsing:
     def test_valid_config(self, config_path):
-        cfg = cli.read_config(config_path)
-        scfg = cli.solver_config_from(cfg)
+        cfg = solver.read_config(config_path)
+        scfg = solver.solver_config_from(cfg)
         assert scfg.dr == 0.01
         assert scfg.nonlinearity.name == "zero"
 
@@ -50,17 +50,17 @@ class TestConfigParsing:
         path = tmp_path / "bad.ini"
         path.write_text("[wavelets]\nx = 1\n")
         with pytest.raises(cli.ParseError):
-            cli.read_config(str(path))
+            solver.read_config(str(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[grid]\ndx = 0.01\n")
         with pytest.raises(cli.ParseError):
-            cli.read_config(str(path))
+            solver.read_config(str(path))
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(cli.ParseError):
-            cli.read_config(str(tmp_path / "absent.ini"))
+            solver.read_config(str(tmp_path / "absent.ini"))
 
     @pytest.mark.parametrize("section,key", [
         ("grid", "n_t"), ("grid", "n_r"), ("output", "dir"),
@@ -109,12 +109,12 @@ class TestConfigParsing:
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nnonlinearity = quintic\n")
         with pytest.raises(cli.ParseError):
-            cli.solver_config_from(cli.read_config(str(path)))
+            solver.solver_config_from(solver.read_config(str(path)))
 
     def test_empty_config_gives_the_default_run(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("")
-        assert cli.solver_config_from(cli.read_config(str(path))) == solver.SolverConfig()
+        assert solver.solver_config_from(solver.read_config(str(path))) == solver.SolverConfig()
 
 
 class TestTransform:
@@ -423,7 +423,7 @@ class TestVerifyCommand:
             return analysis.structured_report("", "", inputs, 0.0, 0.0, True)["inputs_digest"]
 
         def check_digest(name):
-            return cli._CHECKS[name](None, None)["inputs_digest"]
+            return cli._CHECKS[name](None)["inputs_digest"]
 
         battery = cylinder.battery_points()
         points = {
@@ -446,8 +446,18 @@ class TestVerifyCommand:
         for name, inputs in points.items():
             assert check_digest(name) != digest(inputs), name
 
+    def test_identity_omega_digests_its_evaluation_points(self):
+        t, r = np.random.default_rng(0).uniform(0.0, 50.0, size=(10_000, 2)).T
+        expected = analysis.structured_report("", "", (t, r), 0.0, 0.0, True)["inputs_digest"]
+        assert cli._CHECKS["identity-omega"](None)["inputs_digest"] == expected
+
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--check", "identity-omega", "--seed", "1"])
+        assert info.value.code == 2
+
     def test_manifest_clock_covers_the_check(self, tmp_path, monkeypatch):
-        def slow_check(args, rng):
+        def slow_check(args):
             time.sleep(0.05)
             return analysis.structured_report("slow", "sleep", 0, 0.0, 1.0, True)
 

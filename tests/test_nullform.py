@@ -154,6 +154,12 @@ class TestQuasilinearClassifier:
         assert verdict
         assert dec.residual == 0.0
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_quadric_basis_is_orthogonal_with_squared_norm_four(self, exact):
+        # the classifier's coefficients are basis @ vec / 4 because of this
+        basis = nullform._quadric_times_xi_basis(nullform._sym_cubic_monomials(), exact)
+        assert np.array_equal(basis @ basis.T, 4 * np.eye(4))
+
 
 class TestConeOracle:
     def test_q0_vanishes_on_cone(self):

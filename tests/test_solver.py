@@ -23,7 +23,6 @@ def short_config(**overrides):
         cfl=0.45,
         t_max=8.0,
         r_max=14.0,
-        monitor_stride=4,
     )
     defaults.update(overrides)
     return solver.SolverConfig(**defaults)
@@ -74,9 +73,6 @@ class TestConfigValidation:
         solver.SolverConfig().validate()
 
     @pytest.mark.parametrize("field,overrides", [
-        ("monitor_stride", dict(monitor_stride=0)),
-        ("snapshot_stride", dict(snapshot_stride=-2)),
-        ("snapshot_stride", dict(snapshot_stride=0)),
         ("frame_decimation", dict(frame_decimation=0)),
         ("frame_decimation", dict(frame_decimation=-3)),
         ("frame_decimation", dict(frame_decimation=2.5)),
@@ -85,15 +81,19 @@ class TestConfigValidation:
         ("dr", dict(dr=math.nan)),
         ("t_max", dict(t_max=-1.0)),
         ("data.width", dict(data=solver.DataSpec(width=-0.25))),
-        ("local_radius", dict(local_radius=0.1)),
-    ], ids=["monitor_stride=0", "snapshot_stride=-2", "snapshot_stride=0",
-            "frame_decimation=0", "frame_decimation=-3", "frame_decimation=2.5", "dr=0",
-            "dr=-5e-3", "dr=nan", "t_max=-1", "width=-0.25", "local_radius=0.1"])
+    ], ids=["frame_decimation=0", "frame_decimation=-3", "frame_decimation=2.5", "dr=0",
+            "dr=-5e-3", "dr=nan", "t_max=-1", "width=-0.25"])
     def test_bad_setting_is_rejected_naming_its_field(self, field, overrides):
         # each of these used to fail with a bare ZeroDivisionError, ValueError,
         # TypeError or IndexError, or to run with the value silently replaced
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
             solver.run(short_config(**overrides))
+
+    def test_grid_coarser_than_r_b_is_rejected(self):
+        # E_local is taken out to 2 r_b: with dr > r_b it spans one node and reads 0
+        with pytest.raises(ConfigError, match=r"^dr = 0\.25 must not exceed r_b = 0\.2\b"):
+            solver.run(solver.SolverConfig(dr=0.25, t_max=2.0, r_max=8.0))
+        solver.SolverConfig(dr=0.2, t_max=2.0, r_max=8.0).validate()
 
 
 class TestLinearOracles:
@@ -268,9 +268,8 @@ class TestMonitorReuse:
         # Q0 hands each level's u_r from its step to the monitors; the linear
         # step computes none, so record takes its own
         config = short_config(nonlinearity=nonlinearity, epsilon=0.5, dr=0.01,
-                              cfl=solver.SolverConfig().cfl, t_max=4.0, r_max=10.0,
-                              monitor_stride=3)
-        stride = config.monitor_stride
+                              cfl=solver.SolverConfig().cfl, t_max=4.0, r_max=10.0)
+        stride = solver._MONITOR_STRIDE
         levels, calls, jet = [], [], []
         leapfrog, derivative = solver._leapfrog, solver._radial_derivative
 
@@ -293,7 +292,7 @@ class TestMonitorReuse:
         monkeypatch.undo()
 
         r, dr, dt = traj.r, config.dr, config.dt
-        inv_r, offsets = 1.0 / r, np.asarray(config.band_offsets)
+        inv_r, offsets = 1.0 / r, np.asarray(solver.DEFAULT_BANDS)
         n_local = np.count_nonzero(r <= 2.0 * config.obs.r_b)
         t, E, E_local, sup, bands = [], [], [], [], []
 
@@ -325,7 +324,7 @@ class TestMonitorReuse:
         m = traj.monitors
         for got, want in ((m.t, t), (m.E_total, E), (m.E_local, E_local), (m.sup_u, sup)):
             assert np.array_equal(got, want)
-        for i, b in enumerate(config.band_offsets):
+        for i, b in enumerate(solver.DEFAULT_BANDS):
             assert np.array_equal(m.bands[b], np.array(bands)[:, i])
         # one u_r per step, plus record's own: every monitor level of the linear
         # run, only level 0 and the final level of the Q0 run
@@ -442,17 +441,17 @@ class TestRadialGradient:
 
 class TestMonitorBands:
     def test_bands_sample_u_at_t_minus_each_offset(self):
-        # frames on every monitor level: each band value is np.interp of that
-        # level's u at r = t - offset, and 0 off the grid
-        traj = solver.run(short_config(dr=0.01, t_max=4.0, r_max=10.0, snapshot_stride=4,
-                                       band_offsets=(0.0, 0.5, 2.0, 30.0)))
+        # on the levels that carry both a frame and monitors, each band value is
+        # np.interp of that level's u at r = t - offset, and 0 off the grid
+        traj = solver.run(short_config(dr=0.01, t_max=4.0, r_max=10.0))
         m = traj.monitors
-        assert np.array_equal(m.t, traj.times)
-        for b in (0.0, 0.5, 2.0, 30.0):
+        framed, monitored = np.isin(traj.times, m.t), np.isin(m.t, traj.times)
+        assert framed.sum() > 20 and np.array_equal(traj.times[framed], m.t[monitored])
+        for b in solver.DEFAULT_BANDS:
             expected = [float(np.interp(t - b, traj.r, u)) if traj.r[0] <= t - b <= traj.r[-1]
-                        else 0.0 for t, u in zip(traj.times, traj.u_frames)]
-            assert np.array_equal(m.bands[b], expected)
-        assert np.any(m.bands[0.5] != 0.0) and np.all(m.bands[30.0] == 0.0)
+                        else 0.0 for t, u in zip(traj.times[framed], traj.u_frames[framed])]
+            assert np.array_equal(m.bands[b][monitored], expected)
+        assert np.any(m.bands[1.0] != 0.0) and np.all(m.bands[16.0] == 0.0)
 
 
 class TestCylinderTransform:
@@ -508,6 +507,26 @@ class TestOutputsRoundTrip:
             src = int(np.argmin(np.abs(short_run.times - t_snap)))
             assert np.allclose(loaded.u_frames[k], short_run.u_frames[src], atol=1e-12)
         assert np.allclose(loaded.monitors.E_total, short_run.monitors.E_total)
+
+    def test_store_records_the_run_config(self, tmp_path):
+        # every setting a config file holds, none at its default
+        config = short_config(obs=geometry.ObstacleSpec(0.15), nonlinearity=compat.Q0_RADIAL,
+                              data=solver.DataSpec(center=1.2, width=0.2, f_amp=0.3, g_amp=0.8),
+                              epsilon=0.02, dr=0.01, t_max=2.0, r_max=8.0, frame_decimation=2)
+        traj = solver.run(config)
+        solver.write_outputs(traj, tmp_path)
+        stored = solver.load_trajectory(tmp_path).config
+        assert stored == traj.config
+        rerun = solver.run(stored)
+        assert np.array_equal(rerun.u_frames, traj.u_frames)
+        assert np.array_equal(rerun.ut_frames, traj.ut_frames)
+
+    def test_forced_run_is_not_stored(self, tmp_path):
+        traj = solver.run(short_config(dr=0.01, t_max=1.0, r_max=8.0,
+                                       forcing_fn=lambda t, r: 0.0 * r))
+        with pytest.raises(ConfigError, match="forcing_fn"):
+            solver.write_outputs(traj, tmp_path / "store")
+        assert not (tmp_path / "store").exists()
 
     def test_outputs_are_deterministic(self, short_run, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
