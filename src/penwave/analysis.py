@@ -3,7 +3,8 @@
 Quantitative post-processing: power-law and exponential fits of monitor
 series, the weighted sup-norm decay certificate, the cylinder energy
 inequality, weighted-norm boundedness reports, and vanishing-order fits for
-the degenerating frame coefficients.
+the degenerating frame coefficients.  ``CHECKS`` is the one table of named
+certificates that ``penwave verify`` and the acceptance criteria both run.
 
 Boundedness claims are certified scale-free: instead of absolute constants
 (none are canonical for this problem), each certificate reports a plateau
@@ -16,11 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cylinder
+from . import cylinder, geometry, solver
 from .errors import DomainError, FitError
 from .solver import DEFAULT_BANDS, Trajectory
 
@@ -37,6 +39,7 @@ __all__ = [
     "weighted_norm_report",
     "vanishing_order_fit",
     "structured_report",
+    "Check",
     "write_report",
     "write_series_csv",
 ]
@@ -76,10 +79,6 @@ class FitResult:
     intercept: float
     r_squared: float
     window: tuple[float, float]
-
-    @property
-    def rate(self) -> float:
-        return self.exponent
 
 
 def _r_squared(x, y, slope, intercept):
@@ -209,13 +208,14 @@ class EnergySlackReport:
     headroom: float
 
 
-def energy_inequality_check(field: cylinder.CylinderField, tol: float = 0.02) -> EnergySlackReport:
+def energy_inequality_check(field: cylinder.CylinderField) -> EnergySlackReport:
     """Evaluate the energy inequality on every covered row of a cylinder field.
 
     The energy norm includes the zeroth-order term (the conformal operator
     carries a unit mass term, under which the full norm is non-increasing for
     data vanishing at T = 0).  The forcing rows come from ``field.forcing``;
-    absent forcing is treated as zero.
+    absent forcing is treated as zero.  ``passed`` applies the threshold of
+    the ``energy`` check to the slack.
     """
     dv_T, dv_R = cylinder.grad_fields(field)
     rows = np.flatnonzero(field.mask.any(axis=1))
@@ -239,8 +239,8 @@ def energy_inequality_check(field: cylinder.CylinderField, tol: float = 0.02) ->
     if lhs[0] == 0.0 and np.all(rhs == 0.0):
         slack = float(np.max(lhs))  # zero solution: both sides vanish
     headroom = float(np.min(((rhs - lhs) / scale)[1:], initial=math.inf))
-    return EnergySlackReport(T=T, lhs=lhs, rhs=rhs, slack=slack, passed=slack <= tol,
-                             headroom=headroom)
+    return EnergySlackReport(T=T, lhs=lhs, rhs=rhs, slack=slack,
+                             passed=CHECKS["energy"].passes(slack), headroom=headroom)
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,6 @@ class WeightedNormReport:
 
     T: np.ndarray
     m: np.ndarray
-    order: int
-    sigma: float
     plateau_ratio: float
     bounded: bool
 
@@ -267,14 +265,13 @@ def weighted_norm_report(
     field: cylinder.CylinderField,
     p: int = 2,
     sigma: float = DEFAULT_SIGMA,
-    plateau_tol: float = 4.0,
 ) -> WeightedNormReport:
     """Per-row m(T) = sum over orders <= p of (L2 + L6 of the weighted
     derivatives) plus (pi-T)^sigma times the sup norms up to order p-1.
 
-    Verdict "bounded" iff the m series has plateau ratio <= ``plateau_tol``
-    over the last third of covered rows.  Raises DomainError when no row has
-    the 4 valid nodes a row needs.
+    Verdict "bounded" iff the plateau ratio of the m series over the last third
+    of covered rows is within the threshold of the ``weighted-norms`` check.
+    Raises DomainError when no row has the 4 valid nodes a row needs.
     """
     rows = np.flatnonzero(field.mask.sum(axis=1) >= 4)
     if len(rows) == 0:
@@ -292,8 +289,8 @@ def weighted_norm_report(
     head_max = float(m_vals[:-n_tail].max()) if len(rows) > n_tail else tail_max
     plateau = tail_max / head_max if head_max > 0 else (math.inf if tail_max > 0 else 1.0)
     return WeightedNormReport(
-        T=T, m=m_vals, order=p, sigma=sigma,
-        plateau_ratio=plateau, bounded=plateau <= plateau_tol,
+        T=T, m=m_vals,
+        plateau_ratio=plateau, bounded=CHECKS["weighted-norms"].passes(plateau),
     )
 
 
@@ -326,7 +323,9 @@ def vanishing_order_fit(samples) -> FitResult:
 def structured_report(name: str, anchor: str, inputs, value: float,
                       threshold: float, verdict: bool) -> dict:
     """JSON-ready certificate record with a digest of the inputs: of each part
-    of a tuple in turn, an array by dtype, shape and bytes, anything else by repr."""
+    of a tuple in turn, an array by dtype, shape and bytes, anything else by repr.
+    ``margin`` is the distance from the value to the threshold, positive when the
+    verdict passes and negative when it fails."""
     digest = hashlib.sha256()
     for part in inputs if isinstance(inputs, tuple) else (inputs,):
         if isinstance(part, np.ndarray):
@@ -340,6 +339,7 @@ def structured_report(name: str, anchor: str, inputs, value: float,
         "inputs_digest": digest.hexdigest()[:16],
         "value": float(value),
         "threshold": float(threshold),
+        "margin": abs(float(threshold) - float(value)) * (1.0 if verdict else -1.0),
         "verdict": "pass" if verdict else "fail",
     }
 
@@ -353,3 +353,135 @@ def write_report(report: dict, path) -> None:
 def write_series_csv(path, header: list[str], columns) -> None:
     data = np.column_stack(columns)
     np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
+
+
+# ---------------------------------------------------------------------------
+# the certificate table
+
+
+_PASSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named certificate.  ``reads`` names its source ("trajectory", "field" or "nothing")
+    and ``params`` what else a caller may pass to ``compute(source, **params)``, which gives
+    the inputs to digest, the value, whether side conditions hold and extra report fields."""
+
+    name: str
+    anchor: str
+    reads: str
+    threshold: float
+    direction: str
+    compute: object
+    params: tuple[str, ...] = ()
+
+    def passes(self, value: float) -> bool:
+        return _PASSES[self.direction](value, self.threshold)
+
+    def run(self, source=None, **params) -> dict:
+        inputs, value, side_ok, extra = self.compute(source, **params)
+        verdict = bool(side_ok) and self.passes(value)
+        return {**structured_report(self.name, self.anchor, inputs, value, self.threshold,
+                                    verdict), **extra}
+
+
+BOUNDARY_T = np.linspace(1.0, math.pi - 1e-3, 300)
+VANISHING_EPS = math.pi * 0.5 ** np.arange(3, 13)
+MORAWETZ_WINDOW = (5.0, 30.0)
+
+
+def _identity_omega(_):
+    t, r = np.random.default_rng(0).uniform(0.0, 50.0, size=(10_000, 2)).T
+    omega = geometry.omega_einstein(*geometry.einstein_coords(t, r))
+    worst = float(np.max(np.abs(geometry.omega_minkowski(t, r) - omega)))
+    return (t, r), worst, True, {}
+
+
+def _battery(residual, in_band):
+    """Worst battery residual at h = 1e-3; each test's h-ratio (2e-3 over 1e-3) in band."""
+    points = cylinder.battery_points()
+    fine = [residual(fn, points, h=1e-3) for _, fn in cylinder.TEST_BATTERY]
+    ratios = [residual(fn, points, h=2e-3) / r1
+              for (_, fn), r1 in zip(cylinder.TEST_BATTERY, fine)]
+    return (np.array([(p.T, p.R) for p in points]), max(fine), all(map(in_band, ratios)),
+            {"h_ratio_min": min(ratios), "h_ratio_max": max(ratios)})
+
+
+def _boundary_geometry(_):
+    """Band ratio of Phi(T) / (pi - T)^2; the closed-form slope must be negative and
+    agree with central differences on well-conditioned points."""
+    obs, T, h, fd_rel = geometry.ObstacleSpec(0.2), BOUNDARY_T, 1e-5, 0.0
+    ratio = np.array([geometry.boundary_curve(obs, Tv) for Tv in T]) / (math.pi - T) ** 2
+    slopes = np.array([geometry.boundary_curve_slope(obs, Tv) for Tv in T])
+    for Tv in np.linspace(1.0, 2.9, 20):
+        fd = (geometry.boundary_curve(obs, Tv + h)
+              - geometry.boundary_curve(obs, Tv - h)) / (2 * h)
+        fd_rel = max(fd_rel, abs(geometry.boundary_curve_slope(obs, Tv) - fd) / abs(fd))
+    return ((T, obs.r_b), float(ratio.max() / ratio.min()), np.all(slopes < 0) and fd_rel < 1e-6,
+            {"slope_bound": float(np.min(-slopes / (math.pi - T))), "fd_rel_err": fd_rel})
+
+
+def _vanishing_order(_):
+    from . import nullform  # loaded here only: nothing else in this module needs it
+    T, R = math.pi - VANISHING_EPS, VANISHING_EPS / 8.0
+    p, q = geometry.frame_terms(*geometry.minkowski_coords(T, R))
+    a00 = [nullform.transformed_q0_coefficients(geometry.EinsteinEvent(T=Ti, R=Ri)).a[0, 0]
+           for Ti, Ri in zip(T, R)]
+    frame = vanishing_order_fit(zip(VANISHING_EPS, p + q)).exponent
+    a_block = vanishing_order_fit(zip(VANISHING_EPS, a00)).exponent
+    return VANISHING_EPS, min(frame, a_block), True, {"frame_slope": frame,
+                                                      "a_block_slope": a_block}
+
+
+def _decay(traj: Trajectory, sigma: float = DEFAULT_SIGMA, tail_from: float | None = None):
+    cert = decay_certificate(traj, sigma=sigma, tail_from=tail_from)
+    inputs = (traj.times, traj.u_frames, traj.ut_frames, solver.config_sections(traj.config))
+    return inputs, cert.plateau_ratio, math.isfinite(cert.C_sup), {"C_sup": cert.C_sup}
+
+
+def _morawetz(traj: Trajectory):
+    """Exponential decay rate of the local energy over MORAWETZ_WINDOW.  Where it is already
+    extinct there (at most 1e-20 of the initial energy: sharp Huygens propagation), the
+    "extinct" branch fits its collapse, which must end before the window, from half-way on."""
+    m = traj.monitors
+    series = Series(m.t, np.maximum(m.E_local, 1e-300))
+    fit = fit_exponential(series, window=MORAWETZ_WINDOW)
+    floor = 1e-20 * float(m.E_total[0])
+    ok, info = True, {"branch": "literal"}
+    if series.window(*MORAWETZ_WINDOW).y.max() <= floor < m.E_local.max():
+        t_peak = float(m.t[np.argmax(m.E_local)])
+        t_end = float(m.t[np.flatnonzero(m.E_local > floor)[-1]])
+        fit = fit_exponential(series, window=(t_peak + 0.5 * (t_end - t_peak), t_end))
+        ok, info = t_end < MORAWETZ_WINDOW[0], {"branch": "extinct", "t_extinct": t_end}
+    inputs = (m.t, m.E_total, m.E_local, solver.config_sections(traj.config))
+    return inputs, fit.exponent, ok and fit.r_squared >= 0.95, {**info, "r_squared": fit.r_squared}
+
+
+def _energy(field: cylinder.CylinderField):
+    rep = energy_inequality_check(field)
+    return tuple(vars(field).values()), rep.slack, True, {"headroom": rep.headroom}
+
+
+def _weighted_norms(field: cylinder.CylinderField, sigma: float = DEFAULT_SIGMA):
+    rep = weighted_norm_report(field, p=2, sigma=sigma)
+    return (tuple(vars(field).values()), rep.plateau_ratio, True,
+            {"last_row_T": float(rep.T[-1])})
+
+
+CHECKS = {check.name: check for check in (
+    Check("identity-omega", "conformal-factor-closed-forms", "nothing", 1e-12, "<",
+          _identity_omega),
+    Check("intertwining", "conformal-operator-interchange", "nothing", 1e-4, "<",
+          lambda _: _battery(cylinder.intertwining_residual, lambda q: 3.0 < q < 5.5)),
+    Check("commutator", "timelike-field-commutation", "nothing", 1e-5, "<",
+          lambda _: _battery(cylinder.commutator_residual, lambda q: 3.5 <= q <= 4.5)),
+    Check("boundary-geometry", "obstacle-curve-collapse", "nothing", 2.0, "<", _boundary_geometry),
+    Check("vanishing-order", "tip-degeneration-rate", "nothing", 1.9, ">=", _vanishing_order),
+    Check("decay", "weighted-supnorm-certificate", "trajectory", 2.0, "<=", _decay,
+          ("sigma", "tail_from")),
+    Check("morawetz", "local-energy-decay", "trajectory", 0.0, ">", _morawetz),
+    Check("energy", "conformal-energy-inequality", "field", 0.02, "<=", _energy),
+    Check("weighted-norms", "mixed-norm-boundedness", "field", 4.0, "<=", _weighted_norms,
+          ("sigma",)),
+)}

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, analysis, compat, cylinder, geometry, nullform, solver
+from . import __version__, analysis, compat, geometry, nullform, solver
 from .errors import (
     ConfigError,
     CoverageError,
@@ -234,28 +234,6 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
     return nullform.CubicFormSpec(k=karr)
 
 
-_WITNESS_CANDIDATES = [
-    np.array([s, *w])
-    for s in (1.0, -1.0)
-    for w in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-              (0.6, 0.8, 0.0), (0.0, 0.6, 0.8))
-]
-
-
-def _cone_witness(form) -> tuple[np.ndarray, float]:
-    """A light-cone direction where the symbol is largest (deterministic)."""
-    best_xi, best = _WITNESS_CANDIDATES[0], 0.0
-    for xi in _WITNESS_CANDIDATES:
-        if isinstance(form, nullform.QuadraticFormSpec):
-            vals = np.einsum("...jk,j,k->...", form.s.astype(float), xi, xi)
-        else:
-            vals = np.einsum("...ijk,i,j,k->...", form.k.astype(float), xi, xi, xi)
-        v = float(np.max(np.abs(vals)))
-        if v > best:
-            best, best_xi = v, xi
-    return best_xi, best
-
-
 def cmd_check_null(args) -> int:
     if args.builtin:
         dt2 = np.zeros((1, 1, 1, 4, 4), dtype=object)
@@ -280,7 +258,7 @@ def cmd_check_null(args) -> int:
         print(f"null, lambda={lam.ravel()[np.argmax(np.abs(lam))]:g}, "
               f"residual={decomp.residual:.3e}")
     else:
-        xi, value = _cone_witness(form)
+        xi, value = nullform.cone_witness(form)
         print(f"non-null, residual={decomp.residual:.3e}, "
               f"witness xi=({xi[0]:g},{xi[1]:g},{xi[2]:g},{xi[3]:g}) "
               f"symbol={value:.6g}")
@@ -366,148 +344,25 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _check_identity_omega(args):
-    t, r = np.random.default_rng(0).uniform(0.0, 50.0, size=(10_000, 2)).T
-    omega = geometry.omega_einstein(*geometry.einstein_coords(t, r))
-    worst = float(np.max(np.abs(geometry.omega_minkowski(t, r) - omega)))
-    return analysis.structured_report(
-        "identity-omega", "conformal-factor-closed-forms", (t, r),
-        worst, 1e-12, worst < 1e-12,
-    )
-
-
-def _check_intertwining(args):
-    points = cylinder.battery_points()
-    worst = max(
-        cylinder.intertwining_residual(fn, points, h=1e-3)
-        for _, fn in cylinder.TEST_BATTERY
-    )
-    return analysis.structured_report(
-        "intertwining", "conformal-operator-interchange", np.array([(p.T, p.R) for p in points]),
-        worst, 1e-4, worst < 1e-4,
-    )
-
-
-def _check_commutator(args):
-    points = cylinder.battery_points()
-    worst = max(
-        cylinder.commutator_residual(fn, points, h=1e-3)
-        for _, fn in cylinder.TEST_BATTERY
-    )
-    return analysis.structured_report(
-        "commutator", "timelike-field-commutation", np.array([(p.T, p.R) for p in points]),
-        worst, 1e-5, worst < 1e-5,
-    )
-
-
-BOUNDARY_T = np.linspace(1.0, math.pi - 1e-3, 200)
-VANISHING_EPS = math.pi * 0.5 ** np.arange(3, 13)
-
-
-def _check_boundary_geometry(args):
-    obs = geometry.ObstacleSpec(0.2)
-    T = BOUNDARY_T
-    phi = np.array([geometry.boundary_curve(obs, Tv) for Tv in T])
-    ratio = phi / (math.pi - T) ** 2
-    slopes = np.array([geometry.boundary_curve_slope(obs, Tv) for Tv in T])
-    fd = np.gradient(phi, T)
-    rel = np.max(np.abs(slopes - fd)[2:-2] / np.abs(fd[2:-2]))
-    ok = ratio.max() / ratio.min() < 10 and np.all(slopes < 0)
-    return analysis.structured_report(
-        "boundary-geometry", "obstacle-curve-collapse", (T, obs.r_b),
-        float(ratio.max() / ratio.min()), 10.0, bool(ok and rel < 1e-3),
-    )
-
-
-def _check_vanishing_order(args):
-    T, R = math.pi - VANISHING_EPS, VANISHING_EPS / 8.0
-    p, q = geometry.frame_terms(*geometry.minkowski_coords(T, R))
-    a00 = [nullform.transformed_q0_coefficients(geometry.EinsteinEvent(T=Ti, R=Ri)).a[0, 0]
-           for Ti, Ri in zip(T, R)]
-    s1 = analysis.vanishing_order_fit(zip(VANISHING_EPS, p + q)).exponent
-    s2 = analysis.vanishing_order_fit(zip(VANISHING_EPS, a00)).exponent
-    return analysis.structured_report(
-        "vanishing-order", "tip-degeneration-rate", VANISHING_EPS,
-        min(s1, s2), 1.9, min(s1, s2) >= 1.9,
-    )
-
-
-def _load_traj(args):
-    """The trajectory a check certifies, and what the report's digest covers:
-    the stored frames and the run's resolved configuration."""
-    if args.traj:
-        traj = solver.load_trajectory(args.traj)
-    elif args.config:
-        traj = solver.run(solver.solver_config_from(solver.read_config(args.config)))
-    else:
-        raise ParseError("this check needs --traj DIR or --config PATH")
-    return traj, (traj.times, traj.u_frames, traj.ut_frames,
-                  solver.config_sections(traj.config))
-
-
-def _check_decay(args):
-    traj, inputs = _load_traj(args)
-    cert = analysis.decay_certificate(traj, sigma=args.sigma)
-    ok = math.isfinite(cert.C_sup) and cert.plateau_ratio <= 2.0
-    return analysis.structured_report(
-        "decay", "weighted-supnorm-certificate", inputs,
-        cert.plateau_ratio, 2.0, ok,
-    )
-
-
-def _check_morawetz(args):
-    traj, inputs = _load_traj(args)
-    m = traj.monitors
-    fit = analysis.fit_exponential(analysis.Series(m.t, np.maximum(m.E_local, 1e-300)),
-                                   window=(5.0, 30.0))
-    ok = fit.rate > 0 and fit.r_squared >= 0.95
-    return analysis.structured_report(
-        "morawetz", "local-energy-decay", inputs,
-        fit.rate, 0.0, ok,
-    )
-
-
-def _check_energy(args):
-    traj, inputs = _load_traj(args)
-    field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
-    rep = analysis.energy_inequality_check(field)
-    return {**analysis.structured_report(
-        "energy", "conformal-energy-inequality", inputs,
-        rep.slack, 0.02, rep.passed,
-    ), "headroom": rep.headroom}
-
-
-def _check_weighted_norms(args):
-    traj, inputs = _load_traj(args)
-    field = solver.transform_to_cylinder(traj, solver.CylinderGrid())
-    rep = analysis.weighted_norm_report(field, p=2, sigma=args.sigma)
-    return analysis.structured_report(
-        "weighted-norms", "mixed-norm-boundedness", inputs,
-        rep.plateau_ratio, 4.0, rep.bounded,
-    )
-
-
-_CHECKS = {
-    "identity-omega": _check_identity_omega,
-    "intertwining": _check_intertwining,
-    "commutator": _check_commutator,
-    "boundary-geometry": _check_boundary_geometry,
-    "vanishing-order": _check_vanishing_order,
-    "decay": _check_decay,
-    "morawetz": _check_morawetz,
-    "energy": _check_energy,
-    "weighted-norms": _check_weighted_norms,
-}
-
-
 def cmd_verify(args) -> int:
-    if args.check not in _CHECKS:
-        raise ParseError(f"unknown check '{args.check}'; choose from {sorted(_CHECKS)}")
+    check = analysis.CHECKS.get(args.check)
+    if check is None:
+        raise ParseError(f"unknown check '{args.check}'; choose from {sorted(analysis.CHECKS)}")
     manifest = Manifest("verify")  # its clock covers the check
-    report = _CHECKS[args.check](args)
-    margin = f" headroom={report['headroom']:.6g}" if "headroom" in report else ""
-    print(f"{report['check']}: value={report['value']:.6g} "
-          f"threshold={report['threshold']:g}{margin} -> {report['verdict']}")
+    source = None
+    if check.reads != "nothing":
+        if args.traj:
+            source = solver.load_trajectory(args.traj)
+        elif args.config:
+            source = solver.run(solver.solver_config_from(solver.read_config(args.config)))
+        else:
+            raise ParseError("this check needs --traj DIR or --config PATH")
+    if check.reads == "field":
+        source = solver.transform_to_cylinder(source, solver.CylinderGrid())
+    report = check.run(source, **({"sigma": args.sigma} if "sigma" in check.params else {}))
+    shown = (f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in report.items()
+             if k not in ("check", "anchor", "inputs_digest", "verdict"))
+    print(f"{args.check}: {' '.join(shown)} -> {report['verdict']}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"verify_{args.check}.json")

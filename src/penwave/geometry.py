@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _NORTH = (0.0, 0.0, 1.0)
+_XTOL = 1e-13  # brentq's absolute tolerance on the root of boundary_curve
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def _boundary_residual(R: float, T: float, r_b: float) -> float:
     return math.sin(R) - r_b * (math.cos(T) + math.cos(R))
 
 
-def boundary_curve(obs: ObstacleSpec, T: float, xtol: float = 1e-13) -> float:
+def boundary_curve(obs: ObstacleSpec, T: float) -> float:
     """Radius Phi(T) of the compactified obstacle boundary at cylinder time T.
 
     Solves sin R / (cos T + cos R) = r_b for the unique R in (0, pi - T) by
@@ -281,7 +282,7 @@ def boundary_curve(obs: ObstacleSpec, T: float, xtol: float = 1e-13) -> float:
     lo = 1e-300
     hi = math.pi - T - 1e-14
     try:
-        root = brentq(_boundary_residual, lo, hi, args=(T, obs.r_b), xtol=xtol, rtol=1e-15)
+        root = brentq(_boundary_residual, lo, hi, args=(T, obs.r_b), xtol=_XTOL, rtol=1e-15)
     except ValueError as exc:  # pragma: no cover - bracket is sound for valid obs
         raise ConvergenceError(f"boundary root bracket failed at T={T}: {exc}") from exc
     return float(root)

@@ -33,6 +33,7 @@ __all__ = [
     "check_null_semilinear",
     "check_null_quasilinear",
     "cone_sample_oracle",
+    "cone_witness",
     "transformed_q0_coefficients",
     "q0_spec",
     "qij_spec",
@@ -263,14 +264,29 @@ def cone_sample_oracle(
         xi = np.empty(4)
         xi[0] = rng.choice([-1.0, 1.0])
         xi[1:] = w
-        if isinstance(q, QuadraticFormSpec):
-            s = q.s.astype(float)
-            vals = np.einsum("...jk,j,k->...", s, xi, xi)
-        else:
-            k = q.k.astype(float)
-            vals = np.einsum("...ijk,i,j,k->...", k, xi, xi, xi)
-        worst = max(worst, float(np.max(np.abs(vals))))
+        worst = max(worst, _cone_symbol(q, xi))
     return worst
+
+
+def _cone_symbol(q: QuadraticFormSpec | CubicFormSpec, xi: np.ndarray) -> float:
+    """max |symbol| over the slices of ``q`` at the covector ``xi``."""
+    if isinstance(q, QuadraticFormSpec):
+        return float(np.max(np.abs(np.einsum("...jk,j,k->...", q.s.astype(float), xi, xi))))
+    return float(np.max(np.abs(np.einsum("...ijk,i,j,k->...", q.k.astype(float), xi, xi, xi))))
+
+
+_WITNESS_CANDIDATES = [
+    np.array([s, *w])
+    for s in (1.0, -1.0)
+    for w in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+              (0.6, 0.8, 0.0), (0.0, 0.6, 0.8))
+]
+
+
+def cone_witness(form: QuadraticFormSpec | CubicFormSpec) -> tuple[np.ndarray, float]:
+    """A light-cone direction where the symbol is largest (deterministic)."""
+    values = [_cone_symbol(form, xi) for xi in _WITNESS_CANDIDATES]
+    return _WITNESS_CANDIDATES[int(np.argmax(values))], max(values)
 
 
 def q0_spec(n_components: int = 1, exact: bool = False) -> QuadraticFormSpec:

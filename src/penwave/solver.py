@@ -678,8 +678,12 @@ def load_trajectory(outdir) -> Trajectory:
     import glob
     import os
 
-    meta = read_config(os.path.join(outdir, "trajectory.ini"),
-                       {**_SCHEMA, "trajectory": ("completed",)})
+    meta_path = os.path.join(outdir, "trajectory.ini")
+    meta = read_config(meta_path, {**_SCHEMA, "trajectory": ("completed",)})
+    try:
+        completed = meta.getboolean("trajectory", "completed")
+    except (configparser.Error, ValueError) as exc:
+        raise ParseError(f"{meta_path}: [trajectory] completed: {exc}") from exc
     frame_paths = sorted(glob.glob(os.path.join(outdir, "frame_t*.csv")))
     if not frame_paths:
         raise ConfigError(f"no snapshot frames under {outdir}")
@@ -700,7 +704,7 @@ def load_trajectory(outdir) -> Trajectory:
     return Trajectory(
         r=r, times=np.asarray(times), u_frames=np.asarray(us),
         ut_frames=np.asarray(uts), monitors=monitors_, config=solver_config_from(meta),
-        completed=meta.getboolean("trajectory", "completed"),
+        completed=completed,
     )
 
 

@@ -1,7 +1,10 @@
 """Fits, decay certificates, energy inequality, and weighted-norm reports."""
 
+import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ class TestFits:
         t = np.linspace(0.0, 20.0, 200)
         y = 3.0 * np.exp(-rate * t) * (1.0 + 0.01 * rng.uniform(-1, 1, t.shape))
         fit = analysis.fit_exponential(analysis.Series(t, y))
-        assert fit.rate == pytest.approx(rate, rel=0.05)
+        assert fit.exponent == pytest.approx(rate, rel=0.05)
         assert fit.r_squared > 0.95
 
     def test_default_window_skips_the_transient(self):
@@ -216,9 +219,9 @@ class TestWeightedNormReport:
         # T_max stays away from pi so the envelope weights cannot mask the
         # exponential growth of the field itself
         field = flat_field(lambda T, R: math.sin(R) * math.exp(6.0 * T), T_max=2.0)
-        report = analysis.weighted_norm_report(field, p=2, plateau_tol=4.0)
+        report = analysis.weighted_norm_report(field, p=2)
         assert not report.bounded
-        assert report.plateau_ratio > 4.0
+        assert report.plateau_ratio > analysis.CHECKS["weighted-norms"].threshold
 
     def test_order_cap(self):
         field = flat_field(lambda T, R: math.sin(R))
@@ -282,6 +285,12 @@ class TestReports:
         assert loaded["value"] == 0.9
         assert len(loaded["inputs_digest"]) == 16
 
+    def test_margin_is_the_distance_signed_by_the_verdict(self):
+        assert analysis.structured_report("x", "a", 0, 0.9, 1.0, True)["margin"] == \
+            pytest.approx(0.1)
+        assert analysis.structured_report("x", "a", 0, 1.5, 1.0, False)["margin"] == \
+            pytest.approx(-0.5)
+
     def test_digest_depends_on_inputs(self):
         a = analysis.structured_report("x", "a", {"s": 1}, 0.0, 1.0, True)
         b = analysis.structured_report("x", "a", {"s": 2}, 0.0, 1.0, True)
@@ -293,3 +302,47 @@ class TestReports:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,y"
         assert len(lines) == 4
+
+
+class TestCheckTable:
+    def test_readme_lists_every_check_with_its_threshold(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `([a-z-]+)` \| (\w+) \| [^|]* \| `value (<=|<|>=|>) ([^`]+)` \|",
+                          readme.read_text(), flags=re.M)
+        assert len(rows) == len(analysis.CHECKS)
+        documented = {name: (reads, direction, float(threshold))
+                      for name, reads, direction, threshold in rows}
+        assert documented == {name: (check.reads, check.direction, check.threshold)
+                              for name, check in analysis.CHECKS.items()}
+
+    def test_morawetz_literal_branch_passes_an_exponential_decay(self, small_traj):
+        t = np.linspace(0.0, 40.0, 2001)
+        monitors = solver.MonitorSeries(t=t, E_total=np.ones_like(t), E_local=np.exp(-0.5 * t),
+                                        sup_u=np.ones_like(t), bands={})
+        report = analysis.CHECKS["morawetz"].run(dataclasses.replace(small_traj,
+                                                                    monitors=monitors))
+        assert report["branch"] == "literal" and report["verdict"] == "pass"
+        assert report["value"] == pytest.approx(0.5) and report["r_squared"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("late,verdict", [(0.0, "pass"), (1e-3, "fail")])
+    def test_morawetz_extinct_branch_needs_the_collapse_before_the_window(self, small_traj,
+                                                                          late, verdict):
+        # below 1e-20 of E_total from t = 4.61 on; ``late`` returns after the window
+        t = np.linspace(0.0, 40.0, 2001)
+        E_local = np.where(t <= 30.0, np.exp(-10.0 * t), late)
+        monitors = solver.MonitorSeries(t=t, E_total=np.ones_like(t), E_local=E_local,
+                                        sup_u=np.ones_like(t), bands={})
+        report = analysis.CHECKS["morawetz"].run(dataclasses.replace(small_traj,
+                                                                    monitors=monitors))
+        assert report["branch"] == "extinct" and report["verdict"] == verdict
+        if verdict == "pass":
+            assert report["t_extinct"] < 5.0 and report["value"] == pytest.approx(10.0)
+        else:
+            assert report["t_extinct"] == 40.0
+
+    def test_thresholds_are_the_ones_the_reports_apply(self):
+        field = flat_field(lambda T, R: math.sin(R) * math.exp(6.0 * T), T_max=2.0)
+        report = analysis.CHECKS["weighted-norms"].run(field)
+        assert report["verdict"] == "fail"
+        assert report["value"] == analysis.weighted_norm_report(field).plateau_ratio
+        assert report["margin"] == pytest.approx(report["threshold"] - report["value"])

@@ -32,10 +32,29 @@ snapshot_every = 2.0
 """
 
 
+# the short linear run of the agreement and morawetz tests (about 0.04 s)
+SHORT_LINEAR_CONFIG = """\
+[problem]
+nonlinearity = zero
+
+[grid]
+dr = 0.01
+t_max = 8.0
+r_max = 14.0
+"""
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_CONFIG)
+    return str(path)
+
+
+@pytest.fixture
+def short_linear(tmp_path):
+    path = tmp_path / "short.ini"
+    path.write_text(SHORT_LINEAR_CONFIG)
     return str(path)
 
 
@@ -416,20 +435,22 @@ class TestVerifyCommand:
                          "--out", str(out)]) == 0
         report = json.loads((out / "verify_energy.json").read_text())
         assert 0.0 < report["headroom"] < 1.0  # the linear field decays: rhs stays above lhs
-        assert f"headroom={report['headroom']:.6g} -> pass" in capsys.readouterr().out
+        assert report["margin"] == report["threshold"] - report["value"]
+        assert (f"margin={report['margin']:.6g} headroom={report['headroom']:.6g} -> pass"
+                in capsys.readouterr().out)
 
     def test_identity_checks_digest_their_evaluation_points(self, monkeypatch):
         def digest(inputs):
             return analysis.structured_report("", "", inputs, 0.0, 0.0, True)["inputs_digest"]
 
         def check_digest(name):
-            return cli._CHECKS[name](None)["inputs_digest"]
+            return analysis.CHECKS[name].run()["inputs_digest"]
 
         battery = cylinder.battery_points()
         points = {
             "intertwining": np.array([(p.T, p.R) for p in battery]),
             "commutator": np.array([(p.T, p.R) for p in battery]),
-            "boundary-geometry": (np.linspace(1.0, math.pi - 1e-3, 200), 0.2),
+            "boundary-geometry": (np.linspace(1.0, math.pi - 1e-3, 300), 0.2),
             "vanishing-order": math.pi * 0.5 ** np.arange(3, 13),
         }
         for name, inputs in points.items():
@@ -438,18 +459,18 @@ class TestVerifyCommand:
         moved = list(battery)
         moved[7] = geometry.EinsteinEvent(T=moved[7].T + 1e-3, R=moved[7].R)
         monkeypatch.setattr(cylinder, "battery_points", lambda: moved)
-        T, eps = cli.BOUNDARY_T.copy(), cli.VANISHING_EPS.copy()
+        T, eps = analysis.BOUNDARY_T.copy(), analysis.VANISHING_EPS.copy()
         T[50] += 1e-4
         eps[0] *= 1.01
-        monkeypatch.setattr(cli, "BOUNDARY_T", T)
-        monkeypatch.setattr(cli, "VANISHING_EPS", eps)
+        monkeypatch.setattr(analysis, "BOUNDARY_T", T)
+        monkeypatch.setattr(analysis, "VANISHING_EPS", eps)
         for name, inputs in points.items():
             assert check_digest(name) != digest(inputs), name
 
     def test_identity_omega_digests_its_evaluation_points(self):
         t, r = np.random.default_rng(0).uniform(0.0, 50.0, size=(10_000, 2)).T
         expected = analysis.structured_report("", "", (t, r), 0.0, 0.0, True)["inputs_digest"]
-        assert cli._CHECKS["identity-omega"](None)["inputs_digest"] == expected
+        assert analysis.CHECKS["identity-omega"].run()["inputs_digest"] == expected
 
     def test_seed_flag_rejected(self):
         with pytest.raises(SystemExit) as info:
@@ -457,11 +478,12 @@ class TestVerifyCommand:
         assert info.value.code == 2
 
     def test_manifest_clock_covers_the_check(self, tmp_path, monkeypatch):
-        def slow_check(args):
+        def slow_check(_):
             time.sleep(0.05)
-            return analysis.structured_report("slow", "sleep", 0, 0.0, 1.0, True)
+            return 0, 0.0, True, {}
 
-        monkeypatch.setitem(cli._CHECKS, "identity-omega", slow_check)
+        monkeypatch.setitem(analysis.CHECKS, "identity-omega", analysis.Check(
+            "identity-omega", "sleep", "nothing", 1.0, "<", slow_check))
         out = tmp_path / "v"
         assert cli.main(["verify", "--check", "identity-omega", "--out", str(out)]) == 0
         doc = configparser.ConfigParser()
@@ -470,6 +492,72 @@ class TestVerifyCommand:
 
     def test_trajectory_checks_need_a_source(self):
         assert cli.main(["verify", "--check", "decay"]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("name", sorted(analysis.CHECKS))
+    def test_report_equals_the_in_process_table_call(self, name, short_linear, tmp_path):
+        check = analysis.CHECKS[name]
+        argv = ["verify", "--check", name, "--out", str(tmp_path)]
+        source = None
+        if check.reads != "nothing":
+            argv += ["--config", short_linear]
+            source = solver.run(solver.solver_config_from(solver.read_config(short_linear)))
+        if check.reads == "field":
+            source = solver.transform_to_cylinder(source, solver.CylinderGrid())
+        code = cli.main(argv)
+        report = json.loads((tmp_path / f"verify_{name}.json").read_text())
+        assert report == check.run(source)
+        assert code == (cli.EXIT_OK if report["verdict"] == "pass" else cli.EXIT_VERDICT)
+        assert (report["margin"] >= 0) == (report["verdict"] == "pass")
+
+    def test_morawetz_passes_a_short_linear_run_on_its_extinct_branch(self, short_linear,
+                                                                       tmp_path, capsys):
+        argv = ["verify", "--check", "morawetz", "--config", short_linear, "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "branch=extinct" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_morawetz.json").read_text())
+        assert report["branch"] == "extinct" and report["t_extinct"] < 5.0
+        assert report["value"] > 0.0 and report["r_squared"] >= 0.95
+
+    def test_morawetz_fails_a_flat_local_energy(self, short_linear, tmp_path):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", short_linear, "--out", str(run_dir)]) == 0
+        monitors = run_dir / "monitors.csv"
+        header, *rows = monitors.read_text().splitlines()
+        flat = [row.split(",") for row in rows]
+        for cells in flat:
+            cells[2] = "1e-3"  # the E_local column
+        monitors.write_text("\n".join([header] + [",".join(c) for c in flat]) + "\n")
+        out = tmp_path / "v"
+        argv = ["verify", "--check", "morawetz", "--traj", str(run_dir), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VERDICT
+        report = json.loads((out / "verify_morawetz.json").read_text())
+        assert report["branch"] == "literal" and report["value"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_morawetz_needs_a_run_that_reaches_its_window(self, tmp_path, capsys):
+        path = tmp_path / "short.ini"
+        path.write_text(SHORT_LINEAR_CONFIG.replace("t_max = 8.0", "t_max = 4.0"))
+        code = cli.main(["verify", "--check", "morawetz", "--config", str(path)])
+        assert code == cli.EXIT_DOMAIN
+        assert "window (5.0, 30.0) holds 0 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text.replace("[trajectory]\ncompleted = True\n", ""),
+         "No section: 'trajectory'"),
+        (lambda text: text.replace("completed = True", "completed = maybe"),
+         "Not a boolean: maybe"),
+    ])
+    def test_store_without_a_completed_verdict_is_a_parse_error(self, config_path, tmp_path,
+                                                                capsys, edit, message):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config_path, "--out", str(run_dir)]) == 0
+        meta = run_dir / "trajectory.ini"
+        edited = edit(meta.read_text())
+        assert edited != meta.read_text()
+        meta.write_text(edited)
+        code = cli.main(["verify", "--check", "decay", "--traj", str(run_dir)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(meta) in err and message in err
 
 
 class TestExitCodeMapping:
