@@ -80,6 +80,10 @@ class FitResult:
     r_squared: float
     window: tuple[float, float]
 
+    @property
+    def rate(self) -> float:
+        return self.exponent
+
 
 def _r_squared(x, y, slope, intercept):
     resid = y - (slope * x + intercept)
@@ -257,6 +261,8 @@ class WeightedNormReport:
 
     T: np.ndarray
     m: np.ndarray
+    order: int
+    sigma: float
     plateau_ratio: float
     bounded: bool
 
@@ -289,7 +295,7 @@ def weighted_norm_report(
     head_max = float(m_vals[:-n_tail].max()) if len(rows) > n_tail else tail_max
     plateau = tail_max / head_max if head_max > 0 else (math.inf if tail_max > 0 else 1.0)
     return WeightedNormReport(
-        T=T, m=m_vals,
+        T=T, m=m_vals, order=p, sigma=sigma,
         plateau_ratio=plateau, bounded=CHECKS["weighted-norms"].passes(plateau),
     )
 
@@ -324,8 +330,8 @@ def structured_report(name: str, anchor: str, inputs, value: float,
                       threshold: float, verdict: bool) -> dict:
     """JSON-ready certificate record with a digest of the inputs: of each part
     of a tuple in turn, an array by dtype, shape and bytes, anything else by repr.
-    ``margin`` is the distance from the value to the threshold, positive when the
-    verdict passes and negative when it fails."""
+    ``margin`` is threshold - value, how far the value lies below a threshold that
+    bounds it from above; ``Check.run`` gives value - threshold for a lower bound."""
     digest = hashlib.sha256()
     for part in inputs if isinstance(inputs, tuple) else (inputs,):
         if isinstance(part, np.ndarray):
@@ -339,7 +345,7 @@ def structured_report(name: str, anchor: str, inputs, value: float,
         "inputs_digest": digest.hexdigest()[:16],
         "value": float(value),
         "threshold": float(threshold),
-        "margin": abs(float(threshold) - float(value)) * (1.0 if verdict else -1.0),
+        "margin": float(threshold) - float(value),
         "verdict": "pass" if verdict else "fail",
     }
 
@@ -365,8 +371,9 @@ _PASSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator
 @dataclass(frozen=True)
 class Check:
     """A named certificate.  ``reads`` names its source ("trajectory", "field" or "nothing")
-    and ``params`` what else a caller may pass to ``compute(source, **params)``, which gives
-    the inputs to digest, the value, whether side conditions hold and extra report fields."""
+    and ``compute(source, **params)`` gives the inputs to digest, the value, whether the
+    side conditions hold and extra report fields.  ``takes_sigma``: ``verify`` passes it
+    ``--sigma``.  The report's ``margin`` is positive on the passing side of the threshold."""
 
     name: str
     anchor: str
@@ -374,7 +381,7 @@ class Check:
     threshold: float
     direction: str
     compute: object
-    params: tuple[str, ...] = ()
+    takes_sigma: bool = False
 
     def passes(self, value: float) -> bool:
         return _PASSES[self.direction](value, self.threshold)
@@ -382,8 +389,10 @@ class Check:
     def run(self, source=None, **params) -> dict:
         inputs, value, side_ok, extra = self.compute(source, **params)
         verdict = bool(side_ok) and self.passes(value)
-        return {**structured_report(self.name, self.anchor, inputs, value, self.threshold,
-                                    verdict), **extra}
+        report = structured_report(self.name, self.anchor, inputs, value, self.threshold, verdict)
+        if self.direction.startswith(">"):
+            report["margin"] = report["value"] - report["threshold"]
+        return {**report, **extra}
 
 
 BOUNDARY_T = np.linspace(1.0, math.pi - 1e-3, 300)
@@ -404,22 +413,27 @@ def _battery(residual, in_band):
     fine = [residual(fn, points, h=1e-3) for _, fn in cylinder.TEST_BATTERY]
     ratios = [residual(fn, points, h=2e-3) / r1
               for (_, fn), r1 in zip(cylinder.TEST_BATTERY, fine)]
-    return (np.array([(p.T, p.R) for p in points]), max(fine), all(map(in_band, ratios)),
-            {"h_ratio_min": min(ratios), "h_ratio_max": max(ratios)})
+    inputs = np.array([(p.T, p.R) for p in points])
+    extra = {"h_ratio_min": min(ratios), "h_ratio_max": max(ratios)}
+    return inputs, max(fine), all(map(in_band, ratios)), extra
 
 
 def _boundary_geometry(_):
     """Band ratio of Phi(T) / (pi - T)^2; the closed-form slope must be negative and
     agree with central differences on well-conditioned points."""
-    obs, T, h, fd_rel = geometry.ObstacleSpec(0.2), BOUNDARY_T, 1e-5, 0.0
+    obs = geometry.ObstacleSpec(0.2)
+    T = BOUNDARY_T
     ratio = np.array([geometry.boundary_curve(obs, Tv) for Tv in T]) / (math.pi - T) ** 2
     slopes = np.array([geometry.boundary_curve_slope(obs, Tv) for Tv in T])
+    h = 1e-5
+    fd_rel = 0.0
     for Tv in np.linspace(1.0, 2.9, 20):
         fd = (geometry.boundary_curve(obs, Tv + h)
               - geometry.boundary_curve(obs, Tv - h)) / (2 * h)
         fd_rel = max(fd_rel, abs(geometry.boundary_curve_slope(obs, Tv) - fd) / abs(fd))
-    return ((T, obs.r_b), float(ratio.max() / ratio.min()), np.all(slopes < 0) and fd_rel < 1e-6,
-            {"slope_bound": float(np.min(-slopes / (math.pi - T))), "fd_rel_err": fd_rel})
+    side_ok = np.all(slopes < 0) and fd_rel < 1e-6
+    extra = {"slope_bound": float(np.min(-slopes / (math.pi - T))), "fd_rel_err": fd_rel}
+    return (T, obs.r_b), float(ratio.max() / ratio.min()), side_ok, extra
 
 
 def _vanishing_order(_):
@@ -479,9 +493,9 @@ CHECKS = {check.name: check for check in (
     Check("boundary-geometry", "obstacle-curve-collapse", "nothing", 2.0, "<", _boundary_geometry),
     Check("vanishing-order", "tip-degeneration-rate", "nothing", 1.9, ">=", _vanishing_order),
     Check("decay", "weighted-supnorm-certificate", "trajectory", 2.0, "<=", _decay,
-          ("sigma", "tail_from")),
+          takes_sigma=True),
     Check("morawetz", "local-energy-decay", "trajectory", 0.0, ">", _morawetz),
     Check("energy", "conformal-energy-inequality", "field", 0.02, "<=", _energy),
     Check("weighted-norms", "mixed-norm-boundedness", "field", 4.0, "<=", _weighted_norms,
-          ("sigma",)),
+          takes_sigma=True),
 )}

@@ -266,7 +266,7 @@ def cmd_check_null(args) -> int:
         manifest = Manifest("check-null")
         report = analysis.structured_report(
             "null-classifier", "light-cone-symbol", args.builtin or args.form,
-            decomp.residual, nullform.VERDICT_TOL, verdict,
+            decomp.residual, decomp.tol, verdict,
         )
         path = os.path.join(args.out, "null_report.json")
         os.makedirs(args.out, exist_ok=True)
@@ -359,7 +359,7 @@ def cmd_verify(args) -> int:
             raise ParseError("this check needs --traj DIR or --config PATH")
     if check.reads == "field":
         source = solver.transform_to_cylinder(source, solver.CylinderGrid())
-    report = check.run(source, **({"sigma": args.sigma} if "sigma" in check.params else {}))
+    report = check.run(source, **({"sigma": args.sigma} if check.takes_sigma else {}))
     shown = (f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in report.items()
              if k not in ("check", "anchor", "inputs_digest", "verdict"))
     print(f"{args.check}: {' '.join(shown)} -> {report['verdict']}")

@@ -96,6 +96,15 @@ class RadialProfile:
         r = np.arange(r0, r_max + 0.5 * dr, dr)
         return cls(r0=r0, dr=dr, values=fn(r))
 
+    @classmethod
+    def from_text(cls, path) -> "RadialProfile":
+        data = np.loadtxt(path)
+        r, v = data[:, 0], data[:, 1]
+        dr = r[1] - r[0]
+        if not np.allclose(np.diff(r), dr, rtol=1e-8):
+            raise DomainError(f"{path}: radial grid is not uniform")
+        return cls(r0=float(r[0]), dr=float(dr), values=v)
+
 
 def gaussian_bump(center: float, width: float, amplitude: float = 1.0):
     """Analytic bump family exp(-((r - center)/width)^2), numerically compactly supported."""

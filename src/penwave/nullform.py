@@ -116,12 +116,15 @@ class NullDecomposition:
     q_ij coefficients; ``linear_factor`` (cubic only) the linear form ell(xi)
     multiplying the quadric; ``trivially_null`` (cubic only) the part of the
     tensor whose fully symmetrized symbol is identically zero.  ``residual``
-    is the norm of what is left after subtracting the null pieces.
+    is the norm of what is left after subtracting the null pieces, and ``tol``
+    the bound on it that the verdict applies: ``tol`` times the tensor scale for
+    a float form, 0 for an exact one (null only when its defect is exactly zero).
     """
 
     lam: np.ndarray
     antisym: np.ndarray | None
     residual: float
+    tol: float
     linear_factor: np.ndarray | None = None
     trivially_null: np.ndarray | None = None
 
@@ -162,9 +165,9 @@ def check_null_semilinear(
             if any(v != 0 for v in defect.flat):
                 exact_zero = False
         residual = max(residual, _frobenius(defect))
-    scale = max(1.0, _frobenius(s))
-    verdict = exact_zero if exact else residual < tol * scale
-    return verdict, NullDecomposition(lam=lam, antisym=antisym, residual=residual)
+    bound = 0.0 if exact else tol * max(1.0, _frobenius(s))
+    verdict = exact_zero if exact else residual < bound
+    return verdict, NullDecomposition(lam=lam, antisym=antisym, residual=residual, tol=bound)
 
 
 def _sym_cubic_monomials():
@@ -234,12 +237,13 @@ def check_null_quasilinear(
         if exact and any(v != 0 for v in defect.flat):
             exact_zero = False
         residual = max(residual, _frobenius(defect))
-    scale = max(1.0, _frobenius(k))
-    verdict = exact_zero if exact else residual < tol * scale
+    bound = 0.0 if exact else tol * max(1.0, _frobenius(k))
+    verdict = exact_zero if exact else residual < bound
     return verdict, NullDecomposition(
         lam=np.zeros((n, n)),  # no q0 coefficient at the cubic level
         antisym=None,
         residual=residual,
+        tol=bound,
         linear_factor=lin,
         trivially_null=trivially_null,
     )

@@ -52,7 +52,7 @@ class TestFits:
         t = np.linspace(0.0, 20.0, 200)
         y = 3.0 * np.exp(-rate * t) * (1.0 + 0.01 * rng.uniform(-1, 1, t.shape))
         fit = analysis.fit_exponential(analysis.Series(t, y))
-        assert fit.exponent == pytest.approx(rate, rel=0.05)
+        assert fit.rate == pytest.approx(rate, rel=0.05)
         assert fit.r_squared > 0.95
 
     def test_default_window_skips_the_transient(self):
@@ -285,7 +285,7 @@ class TestReports:
         assert loaded["value"] == 0.9
         assert len(loaded["inputs_digest"]) == 16
 
-    def test_margin_is_the_distance_signed_by_the_verdict(self):
+    def test_margin_is_the_threshold_minus_the_value(self):
         assert analysis.structured_report("x", "a", 0, 0.9, 1.0, True)["margin"] == \
             pytest.approx(0.1)
         assert analysis.structured_report("x", "a", 0, 1.5, 1.0, False)["margin"] == \
@@ -339,6 +339,22 @@ class TestCheckTable:
             assert report["t_extinct"] < 5.0 and report["value"] == pytest.approx(10.0)
         else:
             assert report["t_extinct"] == 40.0
+
+    @pytest.mark.parametrize("direction,value,side_ok,margin,verdict", [
+        ("<", 0.5, True, 0.5, "pass"),
+        ("<", 1.0, True, 0.0, "fail"),  # on a strict bound: no margin left, and it fails
+        ("<", 0.5, False, 0.5, "fail"),  # a failed side condition leaves the margin as it is
+        ("<=", 1.0, True, 0.0, "pass"),
+        (">", 1.5, True, 0.5, "pass"),
+        (">=", 0.5, True, -0.5, "fail"),
+    ])
+    def test_margin_is_positive_on_the_passing_side_of_the_threshold(
+            self, direction, value, side_ok, margin, verdict):
+        check = analysis.Check("x", "a", "nothing", 1.0, direction,
+                               lambda _: (0, value, side_ok, {}))
+        report = check.run()
+        assert report["margin"] == margin and report["verdict"] == verdict
+        assert math.copysign(1.0, report["margin"]) == math.copysign(1.0, margin)
 
     def test_thresholds_are_the_ones_the_reports_apply(self):
         field = flat_field(lambda T, R: math.sin(R) * math.exp(6.0 * T), T_max=2.0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penwave import analysis, cli, cylinder, geometry, solver
+from penwave import analysis, cli, cylinder, geometry, nullform, solver
 
 SMALL_CONFIG = """\
 [problem]
@@ -321,7 +321,23 @@ class TestCheckNull:
         assert cli.main(["check-null", "--builtin", "q0", "--out", str(out)]) == 0
         report = json.loads((out / "null_report.json").read_text())
         assert report["verdict"] == "pass"
+        # an exact form is null only when its defect is exactly zero
+        assert report["threshold"] == 0.0 and report["value"] == 0.0 and report["margin"] == 0.0
         assert (out / "manifest.ini").exists()
+
+    def test_report_threshold_is_the_tolerance_the_verdict_applies(self, tmp_path, monkeypatch):
+        # a float q0 scaled by 1e3 with a 1e-8 symmetric defect: the residual exceeds
+        # VERDICT_TOL but not VERDICT_TOL times the tensor scale, so the form is null
+        s = np.zeros((1, 1, 1, 4, 4))
+        s[0, 0, 0] = 1e3 * np.diag([1.0, -1.0, -1.0, -1.0])
+        s[0, 0, 0, 1, 2] = s[0, 0, 0, 2, 1] = 1e-8
+        monkeypatch.setattr(cli, "parse_form_file", lambda path: nullform.QuadraticFormSpec(s=s))
+        out = tmp_path / "rep"
+        assert cli.main(["check-null", "--form", "scaled.form", "--out", str(out)]) == 0
+        report = json.loads((out / "null_report.json").read_text())
+        assert report["verdict"] == "pass" and report["value"] > nullform.VERDICT_TOL
+        assert report["threshold"] == pytest.approx(nullform.VERDICT_TOL * np.linalg.norm(s))
+        assert report["margin"] == report["threshold"] - report["value"] > 0.0
 
 
 class TestCompatCommand:
@@ -507,7 +523,9 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / f"verify_{name}.json").read_text())
         assert report == check.run(source)
         assert code == (cli.EXIT_OK if report["verdict"] == "pass" else cli.EXIT_VERDICT)
-        assert (report["margin"] >= 0) == (report["verdict"] == "pass")
+        below = report["threshold"] - report["value"]
+        assert report["margin"] == (below if check.direction.startswith("<") else -below)
+        assert report["margin"] >= 0 or report["verdict"] == "fail"
 
     def test_morawetz_passes_a_short_linear_run_on_its_extinct_branch(self, short_linear,
                                                                        tmp_path, capsys):

@@ -54,6 +54,21 @@ class TestRadialProfile:
         assert p.r[-1] == pytest.approx(2.5)
         assert np.allclose(p.values, p.r**2)
 
+    def test_from_text_round_trip(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        r = np.linspace(0.3, 1.3, 11)
+        np.savetxt(path, np.column_stack([r, np.cos(r)]))
+        p = compat.RadialProfile.from_text(path)
+        assert p.r0 == pytest.approx(0.3)
+        assert np.allclose(p.values, np.cos(r))
+
+    def test_from_text_rejects_nonuniform_grid(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        r = np.array([0.0, 0.1, 0.25, 0.4])
+        np.savetxt(path, np.column_stack([r, r]))
+        with pytest.raises(DomainError):
+            compat.RadialProfile.from_text(path)
+
     def test_rejects_nonfinite_values(self):
         with pytest.raises(DomainError):
             compat.RadialProfile(r0=0.0, dr=0.1, values=np.array([1.0, np.inf]))

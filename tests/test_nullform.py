@@ -51,6 +51,19 @@ class TestSemilinearClassifier:
         assert not verdict
         assert dec.residual > 0.1
 
+    def test_tol_is_the_bound_the_verdict_applies(self):
+        _, dec = nullform.check_null_semilinear(nullform.q0_spec(exact=True))
+        assert dec.tol == 0.0
+        s = np.zeros((1, 1, 1, 4, 4))
+        s[0, 0, 0] = 1e3 * np.diag([1.0, -1.0, -1.0, -1.0])
+        s[0, 0, 0, 1, 2] = s[0, 0, 0, 2, 1] = 1e-8
+        verdict, dec = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+        assert dec.tol == pytest.approx(nullform.VERDICT_TOL * 2e3)
+        assert verdict and nullform.VERDICT_TOL < dec.residual < dec.tol
+        s[0, 0, 0, 1, 2] = s[0, 0, 0, 2, 1] = 1e-6
+        verdict, dec = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+        assert not verdict and dec.residual > dec.tol
+
     def test_exact_near_miss_is_rejected(self):
         # a tiny symmetric defect that a float tolerance would wave through
         s = np.zeros((1, 1, 1, 4, 4), dtype=object)
