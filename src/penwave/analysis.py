@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cylinder, geometry, solver
 from .errors import DomainError, FitError
-from .solver import DEFAULT_BANDS, Trajectory
+from .solver import DEFAULT_BANDS, Trajectory, write_series_csv
 
 __all__ = [
     "Series",
@@ -354,11 +354,6 @@ def write_report(report: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_series_csv(path, header: list[str], columns) -> None:
-    data = np.column_stack(columns)
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,7 @@ def cmd_transform(args) -> int:
             mapped = (*geometry.einstein_coords(x, y), geometry.omega_minkowski(x, y))
             # |t| beyond ~1e16 rounds T to +-pi, which EinsteinEvent rejects
             valid = geometry.minkowski_valid(x, y) & (abs(mapped[0]) < math.pi)
-    rows = np.column_stack([x, y, *mapped])
-    rows[~valid, 2:] = np.nan
+    columns = [x, y, *(np.where(valid, m, np.nan) for m in mapped)]
     failed = np.flatnonzero(~valid)
     for i in failed:  # the scalar event types word the error of each rejected row
         try:
@@ -152,8 +151,8 @@ def cmd_transform(args) -> int:
     manifest = Manifest("transform")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "transformed.csv")
-    header = "T,R,t,r" if args.backward else "t,r,T,R,omega"
-    np.savetxt(out_path, rows, delimiter=",", header=header, comments="")
+    header = ["T", "R", "t", "r"] if args.backward else ["t", "r", "T", "R", "omega"]
+    solver.write_series_csv(out_path, header, columns)
     manifest.add_output(out_path)
     manifest.verdicts["rows_failed"] = str(len(failed))
     manifest.write(args.out)
@@ -296,7 +295,7 @@ def cmd_compat(args) -> int:
     manifest = Manifest("compat")
     os.makedirs(args.out, exist_ok=True)
     jet_path = os.path.join(args.out, "jet.csv")
-    analysis.write_series_csv(
+    solver.write_series_csv(
         jet_path,
         ["r"] + [f"psi_{k}" for k in range(order + 1)],
         [f.r] + [jet.psi[k].values for k in range(order + 1)],
@@ -348,18 +347,23 @@ def cmd_verify(args) -> int:
     check = analysis.CHECKS.get(args.check)
     if check is None:
         raise ParseError(f"unknown check '{args.check}'; choose from {sorted(analysis.CHECKS)}")
+    if args.sigma is not None:
+        if not check.takes_sigma:
+            raise ParseError(f"check '{args.check}' takes no --sigma")
+        if not 0.0 < args.sigma <= 1.0:
+            raise DomainError("sigma must lie in (0, 1]")
+    if (check.reads == "nothing") == (args.traj is not None or args.config is not None):
+        raise ParseError(f"check '{args.check}' " + ("reads no trajectory: drop --traj and --config"
+                         if check.reads == "nothing" else "needs --traj DIR or --config PATH"))
     manifest = Manifest("verify")  # its clock covers the check
     source = None
-    if check.reads != "nothing":
-        if args.traj:
-            source = solver.load_trajectory(args.traj)
-        elif args.config:
-            source = solver.run(solver.solver_config_from(solver.read_config(args.config)))
-        else:
-            raise ParseError("this check needs --traj DIR or --config PATH")
+    if args.traj is not None:
+        source = solver.load_trajectory(args.traj)
+    elif args.config is not None:
+        source = solver.run(solver.solver_config_from(solver.read_config(args.config)))
     if check.reads == "field":
         source = solver.transform_to_cylinder(source, solver.CylinderGrid())
-    report = check.run(source, **({"sigma": args.sigma} if check.takes_sigma else {}))
+    report = check.run(source, **({} if args.sigma is None else {"sigma": args.sigma}))
     shown = (f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in report.items()
              if k not in ("check", "anchor", "inputs_digest", "verdict"))
     print(f"{args.check}: {' '.join(shown)} -> {report['verdict']}")
@@ -409,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named certificate")
     p.add_argument("--check", required=True)
-    p.add_argument("--config")
-    p.add_argument("--traj", help="directory written by 'simulate'")
-    p.add_argument("--sigma", type=float, default=0.25)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config")
+    source.add_argument("--traj", help="directory written by 'simulate'")
+    p.add_argument("--sigma", type=float, help=f"in (0, 1]; default {analysis.DEFAULT_SIGMA}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -4,6 +4,7 @@ import configparser
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -378,6 +379,13 @@ class TestSimulateCommand:
         assert code == cli.EXIT_DOMAIN
 
 
+def _as_csv_store(run_dir):
+    """Turn a store into one of the layout before .npy frames: a CSV file per frame."""
+    for path in run_dir.glob("*.npy"):
+        path.unlink()
+    (run_dir / "frame_t0000.000000.csv").write_text("r,u,u_t\n0.2,0,0\n")
+
+
 class TestVerifyCommand:
     def test_identity_omega(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -576,6 +584,63 @@ class TestVerifyCommand:
         assert code == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert str(meta) in err and message in err
+
+    @pytest.mark.parametrize("name,edit", [
+        ("r.npy", _as_csv_store),
+        ("u.npy", lambda d: (d / "u.npy").write_bytes((d / "u.npy").read_bytes()[:-8])),
+        ("u_t.npy", lambda d: (d / "u_t.npy").write_bytes((d / "u_t.npy").read_bytes()[:40])),
+        ("times.npy", lambda d: np.save(d / "times.npy", np.array([0.0, "2"], dtype=object),
+                                        allow_pickle=True)),
+        ("r.npy", lambda d: (d / "r.npy").write_bytes(pickle.dumps([0.2, 0.21]))),
+        ("r.npy", lambda d: np.save(d / "r.npy", np.load(d / "r.npy").astype(np.float32))),
+        ("u.npy", lambda d: np.save(d / "u.npy", np.load(d / "u.npy")[:-1])),
+        ("u_t.npy", lambda d: np.save(d / "u_t.npy", np.load(d / "u_t.npy")[:, :-1])),
+        ("times.npy", lambda d: np.save(d / "times.npy", np.load(d / "times.npy")[::-1])),
+        ("times.npy", lambda d: np.save(d / "times.npy", [0.0, np.nan, 4.0])),
+        ("times.npy", lambda d: np.save(d / "times.npy", [0.0, 2.0, np.inf])),
+        ("monitors.csv", lambda d: (d / "monitors.csv").unlink()),
+        ("monitors.csv", lambda d: np.savetxt(d / "monitors.csv", np.ones((5, 9)), delimiter=",",
+                                              header="a column short", comments="")),
+    ])
+    def test_bad_store_is_a_parse_error_naming_the_file(self, config_path, tmp_path, capsys,
+                                                         name, edit):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config_path, "--out", str(run_dir)]) == 0
+        assert len(np.load(run_dir / "times.npy")) == 3  # t = 0, 2 and 4
+        edit(run_dir)
+        capsys.readouterr()
+        code = cli.main(["verify", "--check", "decay", "--traj", str(run_dir)])
+        assert code == cli.EXIT_PARSE
+        assert str(run_dir / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "identity-omega", "--config", "/nonexistent.ini"],
+        ["--check", "identity-omega", "--traj", "/nonexistent"],
+        ["--check", "commutator", "--sigma", "7"],
+        ["--check", "morawetz", "--sigma", "0.25", "--config", "{config}"],
+    ])
+    def test_flags_the_check_would_ignore_are_parse_errors(self, argv, config_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check ran")
+
+        monkeypatch.setattr(analysis.Check, "run", refuse)
+        argv = [arg.format(config=config_path) for arg in argv]
+        assert cli.main(["verify"] + argv) == cli.EXIT_PARSE
+
+    def test_traj_and_config_together_are_rejected(self, config_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--check", "decay", "--traj", "/nonexistent",
+                      "--config", config_path])
+        assert info.value.code == cli.EXIT_PARSE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["decay", "weighted-norms"])
+    @pytest.mark.parametrize("sigma", ["0", "7", "nan"])
+    def test_out_of_range_sigma_is_rejected_before_the_run_is_read(self, check, sigma, capsys):
+        code = cli.main(["verify", "--check", check, "--sigma", sigma,
+                         "--traj", "/nonexistent"])
+        assert code == cli.EXIT_DOMAIN
+        assert "sigma must lie in (0, 1]" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

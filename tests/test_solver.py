@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from penwave import compat, geometry, solver
+from penwave import analysis, compat, geometry, solver
 from penwave.errors import ConfigError, NaNError, RangeError, StabilityError
 
 
@@ -535,6 +535,37 @@ class TestOutputsRoundTrip:
         for p1 in sorted(d1.iterdir()):
             p2 = d2 / p1.name
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_store_holds_the_kept_frames_exactly(self, short_run, tmp_path):
+        solver.write_outputs(short_run, tmp_path, snapshot_every=2.0)
+        loaded = solver.load_trajectory(tmp_path)
+        kept, next_t = [], 0.0  # every frame 2 time units or more after the last kept one
+        for i, t in enumerate(short_run.times):
+            if t >= next_t - 1e-9 or i == len(short_run.times) - 1:
+                kept.append(i)
+                next_t = t + 2.0
+        assert 1 < len(kept) < len(short_run.times)
+        assert np.array_equal(loaded.r, short_run.r)
+        assert np.array_equal(loaded.times, short_run.times[kept])
+        assert np.array_equal(loaded.u_frames, short_run.u_frames[kept])
+        assert np.array_equal(loaded.ut_frames, short_run.ut_frames[kept])
+        in_memory = solver.Trajectory(
+            r=short_run.r, times=short_run.times[kept], u_frames=short_run.u_frames[kept],
+            ut_frames=short_run.ut_frames[kept], monitors=short_run.monitors,
+            config=short_run.config)
+        assert analysis.decay_certificate(loaded) == analysis.decay_certificate(in_memory)
+
+    @pytest.mark.parametrize("columns", [
+        [np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, -1e-310]),
+         np.array([1.0, -1.0, 1e300, -1e-300, 0.1, 1 / 3, 2.0 ** -1074])],
+        [np.array([-0.0]), np.array([np.nan]), np.array([4.9e-324])],  # one row
+    ])
+    def test_series_csv_matches_savetxt_byte_for_byte(self, tmp_path, columns):
+        header = ["a", "b", "c"][:len(columns)]
+        solver.write_series_csv(tmp_path / "ours.csv", header, columns)
+        np.savetxt(tmp_path / "savetxt.csv", np.column_stack(columns), delimiter=",",
+                   header=",".join(header), comments="")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 class TestReferenceSamples:
