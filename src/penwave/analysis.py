@@ -80,10 +80,6 @@ class FitResult:
     r_squared: float
     window: tuple[float, float]
 
-    @property
-    def rate(self) -> float:
-        return self.exponent
-
 
 def _r_squared(x, y, slope, intercept):
     resid = y - (slope * x + intercept)
@@ -277,13 +273,16 @@ def weighted_norm_report(
 
     Verdict "bounded" iff the plateau ratio of the m series over the last third
     of covered rows is within the threshold of the ``weighted-norms`` check.
-    Raises DomainError when no row has the 4 valid nodes a row needs.
+    Raises DomainError for sigma outside (0, 1], for p outside 0..3, and when
+    no row has the 4 valid nodes a row needs.
     """
+    if not 0.0 < sigma <= 1.0:
+        raise DomainError("sigma must lie in (0, 1]")
     rows = np.flatnonzero(field.mask.sum(axis=1) >= 4)
     if len(rows) == 0:
         raise DomainError("no row has 4 valid nodes")
     T = field.T[rows]
-    norms = cylinder.weighted_row_norms(field, cylinder.WeightedDerivativeSpec(order=p), rows)
+    norms = cylinder.weighted_row_norms(field, p, rows)
     envelope = (math.pi - T) ** sigma
     m_vals = np.zeros(len(rows))
     for order, (l2, l6, sup) in norms.items():

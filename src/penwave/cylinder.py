@@ -13,7 +13,7 @@ and their commutator satisfies the exact identity
     [box_g, X] = -2 cos R sin T box_g + 2 cos R cos T d_T + 2 sin T sin R d_R.
 
 Two evaluation styles coexist: closed-form callables differentiated by
-centered finite differences (for identity checks at chosen points), and
+centered finite differences on arrays of points (for identity checks), and
 masked (T, R) grid fields (for solver output).  All stencils are second
 order, with one-sided second-order fallbacks at mask boundaries.
 """
@@ -21,7 +21,7 @@ order, with one-sided second-order fallbacks at mask boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import DomainError, MaskError
 
 __all__ = [
     "CylinderField",
-    "WeightedDerivativeSpec",
     "a_coeff",
     "box_g_fn",
     "field_X_fn",
@@ -38,10 +37,7 @@ __all__ = [
     "field_X",
     "commutator_residual",
     "intertwining_residual",
-    "slice_L2",
-    "slice_Lp",
     "rows_Lp",
-    "weighted_norms",
     "weighted_row_norms",
     "grad_fields",
     "TEST_BATTERY",
@@ -64,29 +60,45 @@ def a_coeff(T: float, R: float) -> float:
     return (math.sin(T) * math.sin(R)) ** 2 / den ** 2
 
 
-def _x_coeffs(T: float, R: float) -> tuple[float, float]:
-    return 1.0 + math.cos(T) * math.cos(R), -math.sin(T) * math.sin(R)
+def _x_coeffs(T, R):
+    """The (d_T, d_R) components of X at (T, R), broadcast over arrays."""
+    return 1.0 + np.cos(T) * np.cos(R), -np.sin(T) * np.sin(R)
 
 
 # ---------------------------------------------------------------------------
-# function-based operators (centered differences of callables)
+# function-based operators (centered differences of callables on point arrays)
 
 
-def box_g_fn(f, T: float, R: float, h: float) -> float:
-    """box_g of a radial callable at a point, by centered differences."""
+def _centered_grad(f, T, R, h: float):
+    """Centered first differences (f_T, f_R) of a callable."""
+    return (f(T + h, R) - f(T - h, R)) / (2.0 * h), (f(T, R + h) - f(T, R - h)) / (2.0 * h)
+
+
+def box_g_fn(f, T, R, h: float):
+    """box_g of a radial callable at the points (T, R), by centered differences."""
     f0 = f(T, R)
     f_TT = (f(T + h, R) - 2.0 * f0 + f(T - h, R)) / h ** 2
     f_RR = (f(T, R + h) - 2.0 * f0 + f(T, R - h)) / h ** 2
     f_R = (f(T, R + h) - f(T, R - h)) / (2.0 * h)
-    return f_TT - f_RR - 2.0 * math.cos(R) / math.sin(R) * f_R
+    return f_TT - f_RR - 2.0 * np.cos(R) / np.sin(R) * f_R
 
 
-def field_X_fn(f, T: float, R: float, h: float) -> float:
-    """The pushforward time derivative X applied to a callable at a point."""
+def field_X_fn(f, T, R, h: float):
+    """The pushforward time derivative X applied to a callable at the points (T, R)."""
     cT, cR = _x_coeffs(T, R)
-    f_T = (f(T + h, R) - f(T - h, R)) / (2.0 * h)
-    f_R = (f(T, R + h) - f(T, R - h)) / (2.0 * h)
+    f_T, f_R = _centered_grad(f, T, R, h)
     return cT * f_T + cR * f_R
+
+
+def _coords(points) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, R) arrays of a list of EinsteinEvents."""
+    return np.array([p.T for p in points], float), np.array([p.R for p in points], float)
+
+
+def _reject_first(bad: np.ndarray, message) -> None:
+    """Raise DomainError(message(i)) for the first flagged point i."""
+    if bad.any():
+        raise DomainError(message(int(np.argmax(bad))))
 
 
 def commutator_residual(test, points, h: float) -> float:
@@ -96,23 +108,19 @@ def commutator_residual(test, points, h: float) -> float:
     differences, where RHS is the closed-form right side of the identity.
     Points must stay at least 4h away from R = 0 and from |T| + R = pi.
     """
-    worst = 0.0
+    T, R = _coords(points)
+    _reject_first((R < 4 * h) | (np.abs(T) + R > math.pi - 4 * h),
+                  lambda i: f"point (T={T[i]}, R={R[i]}) too close to the singular set")
     x_of_test = lambda T, R: field_X_fn(test, T, R, h)
     box_of_test = lambda T, R: box_g_fn(test, T, R, h)
-    for ev in points:
-        T, R = ev.T, ev.R
-        if R < 4 * h or abs(T) + R > math.pi - 4 * h:
-            raise DomainError(f"point (T={T}, R={R}) too close to the singular set")
-        lhs = box_g_fn(x_of_test, T, R, h) - field_X_fn(box_of_test, T, R, h)
-        f_T = (test(T + h, R) - test(T - h, R)) / (2.0 * h)
-        f_R = (test(T, R + h) - test(T, R - h)) / (2.0 * h)
-        rhs = (
-            -2.0 * math.cos(R) * math.sin(T) * box_g_fn(test, T, R, h)
-            + 2.0 * math.cos(R) * math.cos(T) * f_T
-            + 2.0 * math.sin(T) * math.sin(R) * f_R
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = box_g_fn(x_of_test, T, R, h) - field_X_fn(box_of_test, T, R, h)
+    f_T, f_R = _centered_grad(test, T, R, h)
+    rhs = (
+        -2.0 * np.cos(R) * np.sin(T) * box_of_test(T, R)
+        + 2.0 * np.cos(R) * np.cos(T) * f_T
+        + 2.0 * np.sin(T) * np.sin(R) * f_R
+    )
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def intertwining_residual(test, points, h: float) -> float:
@@ -122,25 +130,22 @@ def intertwining_residual(test, points, h: float) -> float:
     coordinates (u~ = Omega * v composed with the transform) and applying the
     flat radial wave operator u_tt - u_rr - (2/r) u_r by centered differences.
     """
+    T, R = _coords(points)
+    _reject_first(~geometry.in_diamond(T, R), lambda i: (
+        f"event (T={T[i]}, R={R[i]}) lies on or beyond null infinity (|T| + R >= pi)"))
+    t, r = geometry.minkowski_coords(T, R)
+    _reject_first(r < 4 * h, lambda i: f"Minkowski preimage r = {r[i]} too close to the origin")
 
     def u_tilde(t, r):
-        return geometry.omega_factor(t, r) * test(*geometry.einstein_coords(t, r))
+        return geometry.omega_minkowski(t, r) * test(*geometry.einstein_coords(t, r))
 
-    worst = 0.0
-    for ev in points:
-        lhs = box_g_fn(test, ev.T, ev.R, h) + test(ev.T, ev.R)
-        mk = geometry.to_minkowski(ev)
-        t, r = mk.t, mk.r
-        if r < 4 * h:
-            raise DomainError(f"Minkowski preimage r = {r} too close to the origin")
-        u0 = u_tilde(t, r)
-        u_tt = (u_tilde(t + h, r) - 2 * u0 + u_tilde(t - h, r)) / h ** 2
-        u_rr = (u_tilde(t, r + h) - 2 * u0 + u_tilde(t, r - h)) / h ** 2
-        u_r = (u_tilde(t, r + h) - u_tilde(t, r - h)) / (2 * h)
-        rhs = (u_tt - u_rr - 2.0 / r * u_r) / geometry.omega_factor(t, r) ** 3
-        scale = max(1.0, abs(lhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    lhs = box_g_fn(test, T, R, h) + test(T, R)
+    u0 = u_tilde(t, r)
+    u_tt = (u_tilde(t + h, r) - 2 * u0 + u_tilde(t - h, r)) / h ** 2
+    u_rr = (u_tilde(t, r + h) - 2 * u0 + u_tilde(t, r - h)) / h ** 2
+    u_r = (u_tilde(t, r + h) - u_tilde(t, r - h)) / (2 * h)
+    rhs = (u_tt - u_rr - 2.0 / r * u_r) / geometry.omega_minkowski(t, r) ** 3
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)), initial=0.0))
 
 
 def battery_points(n: int = 50, seed: int = 1) -> list[geometry.EinsteinEvent]:
@@ -159,14 +164,15 @@ def battery_points(n: int = 50, seed: int = 1) -> list[geometry.EinsteinEvent]:
     return points
 
 
-#: Closed-form battery for operator identity checks.  All entries are smooth
-#: on the closed cylinder.
+#: Closed-form battery for operator identity checks, as numpy ufuncs so that
+#: each entry evaluates a whole array of points at once.  All entries are
+#: smooth on the closed cylinder.
 TEST_BATTERY = (
-    ("cosT_cos2R", lambda T, R: math.cos(T) * math.cos(R) ** 2),
-    ("sinT_cosR", lambda T, R: math.sin(T) * math.cos(R)),
-    ("cosT_cosR", lambda T, R: math.cos(T) * math.cos(R)),
-    ("sin2T_cosR", lambda T, R: 0.5 * math.sin(2 * T) * math.cos(R)),
-    ("polyT_cosR", lambda T, R: (T / math.pi) ** 2 * math.cos(R)),
+    ("cosT_cos2R", lambda T, R: np.cos(T) * np.cos(R) ** 2),
+    ("sinT_cosR", lambda T, R: np.sin(T) * np.cos(R)),
+    ("cosT_cosR", lambda T, R: np.cos(T) * np.cos(R)),
+    ("sin2T_cosR", lambda T, R: 0.5 * np.sin(2 * T) * np.cos(R)),
+    ("polyT_cosR", lambda T, R: (T / math.pi) ** 2 * np.cos(R)),
 )
 
 
@@ -211,17 +217,6 @@ class CylinderField:
 
     def with_values(self, values: np.ndarray, mask: np.ndarray) -> "CylinderField":
         return CylinderField(T=self.T, R=self.R, values=values, mask=mask)
-
-
-@dataclass(frozen=True)
-class WeightedDerivativeSpec:
-    """Weighted-derivative request: envelope basis {(pi-T)^2 d_T, (pi-T)^2 d_R}."""
-
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise DomainError("order must be nonnegative")
 
 
 def _diff_axis(values: np.ndarray, mask: np.ndarray, spacing: float, axis: int):
@@ -322,8 +317,7 @@ def field_X(v: CylinderField) -> CylinderField:
     mask = m_T & m_R
     if not mask.any():
         raise MaskError("no node carries a full X stencil")
-    cT = 1.0 + np.cos(v.T)[:, None] * np.cos(v.R)[None, :]
-    cR = -np.sin(v.T)[:, None] * np.sin(v.R)[None, :]
+    cT, cR = _x_coeffs(v.T[:, None], v.R[None, :])
     out = np.where(mask, cT * np.where(mask, v_T, 0.0) + cR * np.where(mask, v_R, 0.0), np.nan)
     return v.with_values(out, mask)
 
@@ -344,19 +338,6 @@ def rows_Lp(values: np.ndarray, R: np.ndarray, sel: np.ndarray, p: float) -> np.
     return (0.5 * (R[1] - R[0]) * pairs.sum(axis=-1)) ** (1.0 / p)
 
 
-def slice_Lp(row: np.ndarray, R: np.ndarray, mask_row: np.ndarray, p: float,
-             region: np.ndarray | None = None) -> float:
-    """(integral |v|^p 4 pi sin^2 R dR)^(1/p) over valid, region-restricted nodes."""
-    sel = mask_row if region is None else mask_row & region
-    return float(rows_Lp(row, R, sel, p))
-
-
-def slice_L2(row: np.ndarray, R: np.ndarray, mask_row: np.ndarray,
-             region: np.ndarray | None = None) -> float:
-    """L^2 slice norm with the S^3 volume element, composite trapezoid rule."""
-    return slice_Lp(row, R, mask_row, 2.0, region)
-
-
 def _z_apply(values: np.ndarray, mask: np.ndarray, T: np.ndarray, spacing: float,
              axis: int) -> tuple[np.ndarray, np.ndarray]:
     d, m = _diff_axis(values, mask, spacing, axis)
@@ -365,58 +346,35 @@ def _z_apply(values: np.ndarray, mask: np.ndarray, T: np.ndarray, spacing: float
 
 
 def weighted_row_norms(
-    v: CylinderField,
-    spec: WeightedDerivativeSpec,
-    rows: np.ndarray,
-    region: np.ndarray | None = None,
+    v: CylinderField, order: int, rows: np.ndarray,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Slice norms of the weighted derivatives Z^alpha v on every given row.
+    """Slice norms of the weighted derivatives Z^alpha v, |alpha| <= order, on every given row.
 
     Z ranges over the envelope basis {(pi-T)^2 d_T, (pi-T)^2 d_R}, with the
     weight re-evaluated between applications; each Z^alpha v field is built
     once per call.  Returns, per derivative order, the arrays of (L^2, L^6,
     sup) slice norms over ``rows``, the first two summed over the order's
-    multi-indices and the sup maximised over them.  ``region`` may be a
-    boolean mask of shape (len(rows), len(v.R)) restricting the norms.
+    multi-indices and the sup maximised over them.  Raises DomainError for an
+    order outside 0..3 and MaskError for a row without valid nodes.
     """
-    if spec.order > 3:
-        raise DomainError("weighted derivative order capped at 3")
+    if not 0 <= order <= 3:
+        raise DomainError(f"weighted derivative order {order} outside 0..3")
+    empty = ~v.mask[rows].any(axis=-1)
+    if empty.any():
+        raise MaskError(f"row T={v.T[rows][np.argmax(empty)]} has no valid nodes")
     fields = [(v.values, v.mask)]
     out: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for order in range(spec.order + 1):
-        if order:
+    for k in range(order + 1):
+        if k:
             fields = [
                 _z_apply(vals, m, v.T, spacing, axis)
                 for vals, m in fields for spacing, axis in ((v.dT, 0), (v.dR, 1))
             ]
         l2 = l6 = sup = np.zeros(len(rows))
         for vals, m in fields:
-            row_vals = vals[rows]
-            sel = m[rows] if region is None else m[rows] & region
+            row_vals, sel = vals[rows], m[rows]
             l2 = l2 + rows_Lp(row_vals, v.R, sel, 2.0)
             l6 = l6 + rows_Lp(row_vals, v.R, sel, 6.0)
             sup = np.maximum(sup, np.max(np.where(sel, np.abs(row_vals), 0.0), axis=-1))
-        out[order] = (l2, l6, sup)
+        out[k] = (l2, l6, sup)
     return out
-
-
-def weighted_norms(
-    v: CylinderField,
-    spec: WeightedDerivativeSpec,
-    T: float,
-    region=None,
-) -> dict[int, tuple[float, float, float]]:
-    """Slice norms of the weighted derivatives Z^alpha v for |alpha| <= spec.order.
-
-    Returns, per derivative order, the (L^2, L^6, sup) slice norms of
-    ``weighted_row_norms`` at the grid row nearest to T.  ``region`` may be a
-    nodewise predicate region(T, R) -> bool restricting the norms.
-    """
-    row = int(np.argmin(np.abs(v.T - T)))
-    if not v.mask[row].any():
-        raise MaskError(f"row T={T} has no valid nodes")
-    region_row = None
-    if region is not None:
-        region_row = np.array([[bool(region(v.T[row], r)) for r in v.R]])
-    norms = weighted_row_norms(v, spec, np.array([row]), region_row)
-    return {order: tuple(float(x[0]) for x in n) for order, n in norms.items()}

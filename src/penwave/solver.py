@@ -50,7 +50,6 @@ __all__ = [
     "Trajectory",
     "CylinderGrid",
     "run",
-    "evaluate",
     "sample",
     "transform_to_cylinder",
     "reference_samples",
@@ -65,6 +64,7 @@ DEFAULT_BANDS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 _FRAME_SPACING = 0.05  # a frame every round(0.05 / dt) steps
 _MONITOR_STRIDE = 4  # monitors every 4 steps
 _STORE_ARRAYS = ("r", "times", "u", "u_t")  # the store's array files, each <name>.npy
+_COVERAGE_MARGIN = 2.0  # cylinder rows need preimages with t <= t_max - 2
 
 # the sections and keys a config file may hold, in the order the store writes them
 _SCHEMA = {
@@ -458,21 +458,14 @@ def sample(traj: Trajectory, t, r):
     return u, u_t, bilin(lambda i, j: _gradient_at(traj.u_frames, radii, i, j))
 
 
-def evaluate(traj: Trajectory, t: float, r: float):
-    """Pointwise (u, u_t, u_r); RangeError outside the stored domain."""
-    u, u_t, u_r = sample(traj, [t], [r])
-    return float(u[0]), float(u_t[0]), float(u_r[0])
-
-
 @dataclass(frozen=True)
 class CylinderGrid:
-    """Requested (T, R) lattice for the pushforward of a trajectory."""
+    """Requested (T, R) lattice for the pushforward of a trajectory: n_T rows from
+    T = 0 to T_max (default: the highest row the run covers), n_R nodes on [0, pi]."""
 
     n_T: int = 160
     n_R: int = 400
-    T_min: float = 0.0
     T_max: float | None = None
-    margin: float = 2.0
 
 
 def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.CylinderField:
@@ -486,7 +479,7 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     CoverageError when the stored t_max cannot support a requested row even
     at the boundary.
     """
-    t_cap = traj.times[-1] - grid.margin
+    t_cap = traj.times[-1] - _COVERAGE_MARGIN
     if t_cap <= 0:
         raise CoverageError("trajectory too short for any cylinder row")
     T_cap = 2.0 * math.atan(t_cap)
@@ -504,7 +497,7 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
         d = math.pi / (grid.n_R - 1)
         T_max = math.atan(t_cap) + math.asin(t_cap * math.cos(d) / math.sqrt(1.0 + t_cap ** 2))
         T_max = min(T_max - 1e-9, T_cap - 1e-6)
-    T = np.linspace(grid.T_min, T_max, grid.n_T)
+    T = np.linspace(0.0, T_max, grid.n_T)
     R = np.linspace(0.0, math.pi, grid.n_R)
 
     TT, RR = np.meshgrid(T, R, indexing="ij")
@@ -534,10 +527,9 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
         d_T[mask] = u_T / om - u * om_T / om ** 2
         d_R[mask] = u_R / om - u * om_R / om ** 2
 
-    # row-level coverage: every requested row must carry at least a few nodes
-    for i in range(len(T)):
-        if not mask[i].any():
-            raise CoverageError(f"row T = {T[i]:.4f} has no covered nodes")
+    empty = ~mask.any(axis=1)  # every requested row must carry a covered node
+    if empty.any():
+        raise CoverageError(f"row T = {T[np.argmax(empty)]:.4f} has no covered nodes")
 
     forcing = None
     if traj.config.forcing_fn is not None:

@@ -52,7 +52,7 @@ class TestFits:
         t = np.linspace(0.0, 20.0, 200)
         y = 3.0 * np.exp(-rate * t) * (1.0 + 0.01 * rng.uniform(-1, 1, t.shape))
         fit = analysis.fit_exponential(analysis.Series(t, y))
-        assert fit.rate == pytest.approx(rate, rel=0.05)
+        assert fit.exponent == pytest.approx(rate, rel=0.05)
         assert fit.r_squared > 0.95
 
     def test_default_window_skips_the_transient(self):
@@ -183,9 +183,8 @@ class TestEnergyInequality:
         dv_T, dv_R = cylinder.grad_fields(field)
         rows = [i for i in range(len(field.T)) if field.mask[i].any()]
         expected = [
-            math.sqrt(cylinder.slice_L2(field.values[i], field.R, field.mask[i]) ** 2
-                      + cylinder.slice_L2(dv_T.values[i], field.R, dv_T.mask[i]) ** 2
-                      + cylinder.slice_L2(dv_R.values[i], field.R, dv_R.mask[i]) ** 2)
+            math.sqrt(sum(cylinder.rows_Lp(f.values[i], field.R, f.mask[i], 2.0) ** 2
+                          for f in (field, dv_T, dv_R)))
             for i in rows
         ]
         np.testing.assert_allclose(report.lhs, expected, rtol=1e-13, atol=0.0)
@@ -228,6 +227,12 @@ class TestWeightedNormReport:
         with pytest.raises(DomainError):
             analysis.weighted_norm_report(field, p=4)
 
+    @pytest.mark.parametrize("sigma", [7.0, -1.0, math.nan])
+    def test_sigma_outside_unit_interval_rejected(self, sigma):
+        field = flat_field(lambda T, R: math.sin(R))
+        with pytest.raises(DomainError, match=r"sigma must lie in \(0, 1\]"):
+            analysis.weighted_norm_report(field, p=2, sigma=sigma)
+
     def test_no_row_with_four_valid_nodes_rejected(self):
         field = flat_field(lambda T, R: math.sin(R), n_T=10, n_R=20)
         mask = np.zeros_like(field.mask)
@@ -243,13 +248,12 @@ class TestWeightedNormReport:
         assert 20 not in rows and field.mask[20].sum() == 3
         expected = []
         for i in rows:
-            norms = cylinder.weighted_norms(
-                field, cylinder.WeightedDerivativeSpec(order=2), field.T[i])
+            norms = cylinder.weighted_row_norms(field, 2, np.array([i]))
             total = 0.0
             for order, (l2, l6, sup) in norms.items():
-                total += l2 + l6
+                total += l2[0] + l6[0]
                 if order <= 1:
-                    total += (math.pi - field.T[i]) ** 0.25 * sup
+                    total += (math.pi - field.T[i]) ** 0.25 * sup[0]
             expected.append(total)
         np.testing.assert_array_equal(report.T, field.T[rows])
         np.testing.assert_allclose(report.m, expected, rtol=1e-13, atol=0.0)

@@ -84,11 +84,41 @@ class TestIdentityBatteries:
         assert 3.5 <= r2 / r1 <= 4.5
 
     def test_singular_set_guard(self):
+        # the message names the first point that is too close
         test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
-        with pytest.raises(DomainError):
-            cylinder.commutator_residual(
-                test, [geometry.EinsteinEvent(T=0.5, R=1e-5)], h=1e-3
-            )
+        points = [geometry.EinsteinEvent(T=0.5, R=1.0), geometry.EinsteinEvent(T=2.1, R=1.04),
+                  geometry.EinsteinEvent(T=0.5, R=1e-5)]
+        with pytest.raises(DomainError, match=r"point \(T=2.1, R=1.04\) too close"):
+            cylinder.commutator_residual(test, points, h=1e-3)
+
+    def test_intertwining_guards(self):
+        test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
+        with pytest.raises(DomainError, match="too close to the origin"):
+            cylinder.intertwining_residual(
+                test, [geometry.EinsteinEvent(T=0.5, R=1.0), geometry.EinsteinEvent(T=0.5, R=1e-5)],
+                h=1e-3)
+        with pytest.raises(DomainError, match="beyond null infinity"):
+            cylinder.intertwining_residual(test, [geometry.EinsteinEvent(T=2.0, R=1.5)], h=1e-3)
+
+    def test_no_points_leave_no_residual(self):
+        test = dict(cylinder.TEST_BATTERY)["cosT_cosR"]
+        assert cylinder.commutator_residual(test, [], h=1e-3) == 0.0
+        assert cylinder.intertwining_residual(test, [], h=1e-3) == 0.0
+
+    def test_array_evaluation_matches_point_by_point(self):
+        points = cylinder.battery_points(12, seed=3)
+        T = np.array([p.T for p in points])
+        R = np.array([p.R for p in points])
+        for _, test in cylinder.TEST_BATTERY:
+            for op in (cylinder.box_g_fn, cylinder.field_X_fn):
+                batched = op(test, T, R, 1e-3)
+                single = [op(test, p.T, p.R, 1e-3) for p in points]
+                assert batched.tobytes() == np.array(single, dtype=float).tobytes()
+            each = [cylinder.commutator_residual(test, [p], h=1e-3) for p in points]
+            assert cylinder.commutator_residual(test, points, h=1e-3) == max(each)
+            each = [cylinder.intertwining_residual(test, [p], h=1e-3) for p in points]
+            assert cylinder.intertwining_residual(test, points, h=1e-3) == pytest.approx(
+                max(each), rel=1e-9)
 
     def test_battery_points_deterministic(self):
         a = cylinder.battery_points(15, seed=4)
@@ -144,18 +174,22 @@ class TestGridOperators:
             cylinder.CylinderField(T=T, R=R, values=bad, mask=np.ones((5, 7), bool))
 
 
+def L2(row, R, sel):
+    return float(cylinder.rows_Lp(row, R, sel, 2.0))
+
+
 class TestSliceNorms:
     def test_constant_L2_over_full_sphere(self):
         # integral of 4 pi sin^2 R over [0, pi] is 2 pi^2
         R = np.linspace(0.0, math.pi, 2001)
         row = np.full_like(R, 3.0)
-        got = cylinder.slice_L2(row, R, np.ones_like(R, bool))
+        got = L2(row, R, np.ones_like(R, bool))
         assert got == pytest.approx(3.0 * math.sqrt(2.0 * math.pi**2), rel=1e-6)
 
     def test_L6_of_constant(self):
         R = np.linspace(0.0, math.pi, 2001)
         row = np.full_like(R, 2.0)
-        got = cylinder.slice_Lp(row, R, np.ones_like(R, bool), 6.0)
+        got = cylinder.rows_Lp(row, R, np.ones_like(R, bool), 6.0)
         assert got == pytest.approx(2.0 * (2.0 * math.pi**2) ** (1.0 / 6.0), rel=1e-6)
 
     def test_masked_gap_splits_the_quadrature(self):
@@ -163,10 +197,10 @@ class TestSliceNorms:
         row = np.ones_like(R)
         mask = np.ones_like(R, bool)
         mask[400:600] = False
-        full = cylinder.slice_L2(row, R, np.ones_like(R, bool))
-        gapped = cylinder.slice_L2(row, R, mask)
-        left = cylinder.slice_L2(row, R, mask & (np.arange(1001) < 500))
-        right = cylinder.slice_L2(row, R, mask & (np.arange(1001) >= 500))
+        full = L2(row, R, np.ones_like(R, bool))
+        gapped = L2(row, R, mask)
+        left = L2(row, R, mask & (np.arange(1001) < 500))
+        right = L2(row, R, mask & (np.arange(1001) >= 500))
         assert gapped < full
         assert gapped**2 == pytest.approx(left**2 + right**2, rel=1e-12)
 
@@ -176,10 +210,8 @@ class TestSliceNorms:
         R = np.linspace(0.0, 2.0, 401)
         row = np.sin(3 * R) + 0.5
         mask = np.ones_like(R, bool)
-        base = cylinder.slice_L2(row, R, mask)
-        assert cylinder.slice_L2(c * row, R, mask) == pytest.approx(
-            abs(c) * base, rel=1e-10, abs=1e-12
-        )
+        base = L2(row, R, mask)
+        assert L2(c * row, R, mask) == pytest.approx(abs(c) * base, rel=1e-10, abs=1e-12)
 
     @given(
         sel=st.lists(st.booleans(), min_size=2, max_size=60),
@@ -198,18 +230,25 @@ class TestSliceNorms:
         idx = np.flatnonzero(sel)
         runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
         total = sum(np.trapezoid(integrand[run], dx=R[1] - R[0]) for run in runs if len(run))
-        got = cylinder.slice_Lp(row, R, sel, p)
+        got = cylinder.rows_Lp(row, R, sel, p)
         assert got == pytest.approx(total ** (1.0 / p), rel=1e-13, abs=0.0)
 
     def test_empty_selection_is_zero(self):
         R = np.linspace(0.0, 1.0, 11)
-        assert cylinder.slice_L2(np.ones_like(R), R, np.zeros_like(R, bool)) == 0.0
+        assert L2(np.ones_like(R), R, np.zeros_like(R, bool)) == 0.0
+
+
+def row_norms(v, order, T):
+    """weighted_row_norms at the grid row nearest to T, as floats per order."""
+    row = int(np.argmin(np.abs(v.T - T)))
+    norms = cylinder.weighted_row_norms(v, order, np.array([row]))
+    return {k: tuple(float(x[0]) for x in n) for k, n in norms.items()}
 
 
 class TestWeightedNorms:
     def test_constant_field_orders(self):
         v = make_field(lambda T, R: 5.0, T_max=2.5, R_max=math.pi - 0.01)
-        out = cylinder.weighted_norms(v, cylinder.WeightedDerivativeSpec(order=2), T=1.0)
+        out = row_norms(v, 2, T=1.0)
         l2, l6, sup = out[0]
         assert sup == pytest.approx(5.0)
         assert l2 > 0 and l6 > 0
@@ -220,31 +259,33 @@ class TestWeightedNorms:
     def test_first_order_weight_factor(self):
         # v = R: (pi-T)^2 d_R v = (pi-T)^2, and the T-derivative branch vanishes
         v = make_field(lambda T, R: R, T_max=2.5)
-        out = cylinder.weighted_norms(v, cylinder.WeightedDerivativeSpec(order=1), T=1.5)
+        out = row_norms(v, 1, T=1.5)
         row = int(np.argmin(np.abs(v.T - 1.5)))
         w = (math.pi - v.T[row]) ** 2
         assert out[1][2] == pytest.approx(w, rel=1e-6)
 
     def test_region_restriction(self):
+        # a region is a node mask combined with the validity mask
         v = make_field(lambda T, R: 1.0, T_max=2.0, R_max=3.0)
-        full = cylinder.weighted_norms(v, cylinder.WeightedDerivativeSpec(order=0), T=1.0)
-        halved = cylinder.weighted_norms(
-            v, cylinder.WeightedDerivativeSpec(order=0), T=1.0,
-            region=lambda T, R: R < 1.5,
-        )
-        assert halved[0][0] < full[0][0]
+        row = int(np.argmin(np.abs(v.T - 1.0)))
+        full = L2(v.values[row], v.R, v.mask[row])
+        halved = L2(v.values[row], v.R, v.mask[row] & (v.R < 1.5))
+        assert 0.0 < halved < full
 
     def test_order_cap(self):
         v = make_field(lambda T, R: 1.0)
         with pytest.raises(DomainError):
-            cylinder.weighted_norms(v, cylinder.WeightedDerivativeSpec(order=4), T=1.0)
+            cylinder.weighted_row_norms(v, 4, np.array([50]))
+
+    def test_negative_order_rejected(self):
+        v = make_field(lambda T, R: 1.0)
+        with pytest.raises(DomainError, match="outside 0..3"):
+            cylinder.weighted_row_norms(v, -1, np.array([50]))
 
     def test_empty_row_raises(self):
         v0 = make_field(lambda T, R: 1.0, n_T=11, n_R=11)
         mask = v0.mask.copy()
         mask[5, :] = False
         v = cylinder.CylinderField(T=v0.T, R=v0.R, values=v0.values, mask=mask)
-        with pytest.raises(MaskError):
-            cylinder.weighted_norms(
-                v, cylinder.WeightedDerivativeSpec(order=0), T=v0.T[5]
-            )
+        with pytest.raises(MaskError, match=f"row T={v0.T[5]} has no valid nodes"):
+            cylinder.weighted_row_norms(v, 0, np.array([4, 5, 6]))

@@ -346,15 +346,15 @@ class TestSampling:
     def test_bilinear_interpolation_consistency(self, short_run):
         traj = short_run
         i, j = len(traj.times) // 2, len(traj.r) // 3
-        u, u_t, _ = solver.evaluate(traj, float(traj.times[i]), float(traj.r[j]))
+        (u,), (u_t,), _ = solver.sample(traj, [traj.times[i]], [traj.r[j]])
         assert u == pytest.approx(traj.u_frames[i, j], rel=1e-12)
         assert u_t == pytest.approx(traj.ut_frames[i, j], rel=1e-12)
 
     def test_out_of_range_rejected(self, short_run):
         with pytest.raises(RangeError):
-            solver.evaluate(short_run, -1.0, 2.0)
+            solver.sample(short_run, [-1.0], [2.0])
         with pytest.raises(RangeError):
-            solver.evaluate(short_run, 1.0, 1e6)
+            solver.sample(short_run, [1.0], [1e6])
 
     def test_vectorized_sampling_matches_scalar(self, short_run):
         rng = np.random.default_rng(0)
@@ -362,7 +362,7 @@ class TestSampling:
         r = rng.uniform(0.5, 10.0, 20)
         u, u_t, u_r = solver.sample(short_run, t, r)
         for k in range(20):
-            su, sut, sur = solver.evaluate(short_run, float(t[k]), float(r[k]))
+            (su,), (sut,), (sur,) = solver.sample(short_run, [t[k]], [r[k]])
             assert u[k] == pytest.approx(su, rel=1e-12)
             assert u_t[k] == pytest.approx(sut, rel=1e-12)
             assert u_r[k] == pytest.approx(sur, rel=1e-12)
@@ -466,7 +466,7 @@ class TestCylinderTransform:
             ev = geometry.EinsteinEvent(T=float(field.T[i]), R=float(field.R[j]))
             mk = geometry.to_minkowski(ev)
             om = geometry.omega_factor(mk.t, mk.r)
-            u, _, _ = solver.evaluate(short_run, mk.t, mk.r)
+            (u,), _, _ = solver.sample(short_run, [mk.t], [mk.r])
             assert field.values[i, j] == pytest.approx(u / om, rel=1e-10, abs=1e-14)
 
     def test_default_top_row_is_found_in_closed_form(self, short_run, monkeypatch):
@@ -480,7 +480,7 @@ class TestCylinderTransform:
         field = solver.transform_to_cylinder(short_run, grid)
         # the top row's first off-pole node, 1e-9 later, lies at the last covered time
         t_top, _ = geometry.minkowski_coords(field.T[-1] + 1e-9, field.R[1])
-        assert t_top == pytest.approx(short_run.times[-1] - grid.margin, rel=1e-12)
+        assert t_top == pytest.approx(short_run.times[-1] - solver._COVERAGE_MARGIN, rel=1e-12)
 
     def test_mask_respects_boundary_curve_and_diamond(self, short_run):
         grid = solver.CylinderGrid(n_T=40, n_R=120)
