@@ -47,6 +47,12 @@ __all__ = [
 DEFAULT_SIGMA = 0.25
 
 
+def _check_sigma(sigma: float) -> None:
+    """Raise DomainError unless the decay exponent sigma lies in (0, 1] (NaN does not)."""
+    if not 0.0 < sigma <= 1.0:
+        raise DomainError("sigma must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class Series:
     """Monitor series (t_i, y_i): strictly increasing abscissae, finite y >= 0."""
@@ -146,8 +152,7 @@ class DecayCertificate:
     window: tuple[float, float]
 
     def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise DomainError("sigma must lie in (0, 1]")
+        _check_sigma(self.sigma)
         for b, val in self.band_table.items():
             if val > self.C_sup + 1e-12:
                 raise DomainError(f"band {b} exceeds the global sup")
@@ -162,8 +167,7 @@ def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
     which defaults to the last half of the stored times and can be widened
     via ``tail_from``.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise DomainError("sigma must lie in (0, 1]")
+    _check_sigma(sigma)
     r = traj.r
     band_max = {float(b): 0.0 for b in DEFAULT_BANDS}
     frame_sup = np.zeros(len(traj.times))
@@ -276,8 +280,7 @@ def weighted_norm_report(
     Raises DomainError for sigma outside (0, 1], for p outside 0..3, and when
     no row has the 4 valid nodes a row needs.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise DomainError("sigma must lie in (0, 1]")
+    _check_sigma(sigma)
     rows = np.flatnonzero(field.mask.sum(axis=1) >= 4)
     if len(rows) == 0:
         raise DomainError("no row has 4 valid nodes")

@@ -350,8 +350,7 @@ def cmd_verify(args) -> int:
     if args.sigma is not None:
         if not check.takes_sigma:
             raise ParseError(f"check '{args.check}' takes no --sigma")
-        if not 0.0 < args.sigma <= 1.0:
-            raise DomainError("sigma must lie in (0, 1]")
+        analysis._check_sigma(args.sigma)
     if (check.reads == "nothing") == (args.traj is not None or args.config is not None):
         raise ParseError(f"check '{args.check}' " + ("reads no trajectory: drop --traj and --config"
                          if check.reads == "nothing" else "needs --traj DIR or --config PATH"))

@@ -95,12 +95,6 @@ def _coords(points) -> tuple[np.ndarray, np.ndarray]:
     return np.array([p.T for p in points], float), np.array([p.R for p in points], float)
 
 
-def _reject_first(bad: np.ndarray, message) -> None:
-    """Raise DomainError(message(i)) for the first flagged point i."""
-    if bad.any():
-        raise DomainError(message(int(np.argmax(bad))))
-
-
 def commutator_residual(test, points, h: float) -> float:
     """Max defect of the commutator identity over the given points.
 
@@ -109,8 +103,10 @@ def commutator_residual(test, points, h: float) -> float:
     Points must stay at least 4h away from R = 0 and from |T| + R = pi.
     """
     T, R = _coords(points)
-    _reject_first((R < 4 * h) | (np.abs(T) + R > math.pi - 4 * h),
-                  lambda i: f"point (T={T[i]}, R={R[i]}) too close to the singular set")
+    bad = (R < 4 * h) | (np.abs(T) + R > math.pi - 4 * h)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"point (T={T[i]}, R={R[i]}) too close to the singular set")
     x_of_test = lambda T, R: field_X_fn(test, T, R, h)
     box_of_test = lambda T, R: box_g_fn(test, T, R, h)
     lhs = box_g_fn(x_of_test, T, R, h) - field_X_fn(box_of_test, T, R, h)
@@ -131,10 +127,13 @@ def intertwining_residual(test, points, h: float) -> float:
     flat radial wave operator u_tt - u_rr - (2/r) u_r by centered differences.
     """
     T, R = _coords(points)
-    _reject_first(~geometry.in_diamond(T, R), lambda i: (
-        f"event (T={T[i]}, R={R[i]}) lies on or beyond null infinity (|T| + R >= pi)"))
-    t, r = geometry.minkowski_coords(T, R)
-    _reject_first(r < 4 * h, lambda i: f"Minkowski preimage r = {r[i]} too close to the origin")
+    inside = geometry.in_diamond(T, R)
+    t, r = geometry.minkowski_coords(np.where(inside, T, 0.0), np.where(inside, R, 0.0))
+    bad = ~inside | (r < 4 * h)
+    if bad.any():
+        i = int(np.argmax(bad))
+        geometry.to_minkowski(points[i])  # raises for a point on or beyond null infinity
+        raise DomainError(f"Minkowski preimage r = {r[i]} too close to the origin")
 
     def u_tilde(t, r):
         return geometry.omega_minkowski(t, r) * test(*geometry.einstein_coords(t, r))

@@ -84,21 +84,36 @@ class TestIdentityBatteries:
         assert 3.5 <= r2 / r1 <= 4.5
 
     def test_singular_set_guard(self):
-        # the message names the first point that is too close
         test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
-        points = [geometry.EinsteinEvent(T=0.5, R=1.0), geometry.EinsteinEvent(T=2.1, R=1.04),
-                  geometry.EinsteinEvent(T=0.5, R=1e-5)]
+        with pytest.raises(DomainError, match="too close to the singular set"):
+            cylinder.commutator_residual(test, [geometry.EinsteinEvent(T=0.5, R=1e-5)], h=1e-3)
+        with pytest.raises(DomainError, match="too close to the singular set"):
+            cylinder.commutator_residual(test, [geometry.EinsteinEvent(T=2.1, R=1.04)], h=1e-3)
+
+    def test_singular_set_guard_names_the_first_bad_point(self):
+        test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
+        near_origin = geometry.EinsteinEvent(T=0.5, R=1e-5)
+        near_scri = geometry.EinsteinEvent(T=2.1, R=1.04)
+        fine = geometry.EinsteinEvent(T=0.5, R=1.0)
+        with pytest.raises(DomainError, match=r"point \(T=0.5, R=1e-05\) too close"):
+            cylinder.commutator_residual(test, [fine, near_origin, near_scri], h=1e-3)
         with pytest.raises(DomainError, match=r"point \(T=2.1, R=1.04\) too close"):
-            cylinder.commutator_residual(test, points, h=1e-3)
+            cylinder.commutator_residual(test, [fine, near_scri, near_origin], h=1e-3)
 
     def test_intertwining_guards(self):
         test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
+        near_origin = geometry.EinsteinEvent(T=0.5, R=1e-5)
+        beyond_scri = geometry.EinsteinEvent(T=2.0, R=1.5)
+        fine = geometry.EinsteinEvent(T=0.5, R=1.0)
         with pytest.raises(DomainError, match="too close to the origin"):
-            cylinder.intertwining_residual(
-                test, [geometry.EinsteinEvent(T=0.5, R=1.0), geometry.EinsteinEvent(T=0.5, R=1e-5)],
-                h=1e-3)
+            cylinder.intertwining_residual(test, [fine, near_origin], h=1e-3)
         with pytest.raises(DomainError, match="beyond null infinity"):
-            cylinder.intertwining_residual(test, [geometry.EinsteinEvent(T=2.0, R=1.5)], h=1e-3)
+            cylinder.intertwining_residual(test, [beyond_scri], h=1e-3)
+        # with both kinds present, the first bad point decides the message
+        with pytest.raises(DomainError, match="too close to the origin"):
+            cylinder.intertwining_residual(test, [near_origin, beyond_scri], h=1e-3)
+        with pytest.raises(DomainError, match=r"event \(T=2.0, R=1.5\) lies on or beyond"):
+            cylinder.intertwining_residual(test, [beyond_scri, near_origin], h=1e-3)
 
     def test_no_points_leave_no_residual(self):
         test = dict(cylinder.TEST_BATTERY)["cosT_cosR"]
@@ -106,6 +121,9 @@ class TestIdentityBatteries:
         assert cylinder.intertwining_residual(test, [], h=1e-3) == 0.0
 
     def test_array_evaluation_matches_point_by_point(self):
+        # numpy may dispatch array and scalar ufunc calls to different kernels,
+        # which differ by an ulp or so; the stencils divide that by h^2 (h^3
+        # when nested), hence the tolerances.
         points = cylinder.battery_points(12, seed=3)
         T = np.array([p.T for p in points])
         R = np.array([p.R for p in points])
@@ -113,9 +131,10 @@ class TestIdentityBatteries:
             for op in (cylinder.box_g_fn, cylinder.field_X_fn):
                 batched = op(test, T, R, 1e-3)
                 single = [op(test, p.T, p.R, 1e-3) for p in points]
-                assert batched.tobytes() == np.array(single, dtype=float).tobytes()
+                np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-9)
             each = [cylinder.commutator_residual(test, [p], h=1e-3) for p in points]
-            assert cylinder.commutator_residual(test, points, h=1e-3) == max(each)
+            assert cylinder.commutator_residual(test, points, h=1e-3) == pytest.approx(
+                max(each), abs=5e-7)
             each = [cylinder.intertwining_residual(test, [p], h=1e-3) for p in points]
             assert cylinder.intertwining_residual(test, points, h=1e-3) == pytest.approx(
                 max(each), rel=1e-9)
