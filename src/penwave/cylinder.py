@@ -30,11 +30,8 @@ from .errors import DomainError, MaskError
 
 __all__ = [
     "CylinderField",
-    "a_coeff",
     "box_g_fn",
     "field_X_fn",
-    "box_g_radial",
-    "field_X",
     "commutator_residual",
     "intertwining_residual",
     "rows_Lp",
@@ -47,17 +44,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # closed-form coefficient functions
-
-
-def a_coeff(T: float, R: float) -> float:
-    """The degenerate-direction coefficient sin^2 T sin^2 R / (1 + cos T cos R)^2.
-
-    Raises DomainError when the denominator vanishes (corner points only).
-    """
-    den = 1.0 + math.cos(T) * math.cos(R)
-    if den <= 0.0:
-        raise DomainError(f"1 + cos T cos R = {den} <= 0 at (T={T}, R={R})")
-    return (math.sin(T) * math.sin(R)) ** 2 / den ** 2
 
 
 def _x_coeffs(T, R):
@@ -227,51 +213,18 @@ def _diff_axis(values: np.ndarray, mask: np.ndarray, spacing: float, axis: int):
     """
     v = np.moveaxis(values, axis, 0)
     m = np.moveaxis(mask, axis, 0)
-    n = v.shape[0]
+    if v.shape[0] < 3:
+        raise MaskError("grid too small for a second-order stencil")
     out = np.full_like(v, np.nan, dtype=float)
     ok = np.zeros_like(m)
-    if n < 3:
-        raise MaskError("grid too small for a second-order stencil")
-    vp = np.roll(v, -1, axis=0)
-    vm = np.roll(v, 1, axis=0)
-    mp = np.roll(m, -1, axis=0)
-    mm = np.roll(m, 1, axis=0)
-    center = m & mp & mm
-    center[0] = center[-1] = False
-    out[center] = ((vp - vm) / (2 * spacing))[center]
-    ok |= center
-    # one-sided: forward  (-3 v0 + 4 v1 - v2) / 2h
-    v1 = np.roll(v, -1, axis=0)
-    v2 = np.roll(v, -2, axis=0)
-    m1 = np.roll(m, -1, axis=0)
-    m2 = np.roll(m, -2, axis=0)
-    fwd = m & m1 & m2 & ~ok
-    fwd[-2:] = False
-    out[fwd] = ((-3 * v + 4 * v1 - v2) / (2 * spacing))[fwd]
-    ok |= fwd
-    v1 = np.roll(v, 1, axis=0)
-    v2 = np.roll(v, 2, axis=0)
-    m1 = np.roll(m, 1, axis=0)
-    m2 = np.roll(m, 2, axis=0)
-    bwd = m & m1 & m2 & ~ok
-    bwd[:2] = False
-    out[bwd] = ((3 * v - 4 * v1 + v2) / (2 * spacing))[bwd]
-    ok |= bwd
-    return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
-
-
-def _second_diff_axis(values: np.ndarray, mask: np.ndarray, spacing: float, axis: int):
-    """Centered second derivative; nodes lacking a full centered stencil are masked."""
-    v = np.moveaxis(values, axis, 0)
-    m = np.moveaxis(mask, axis, 0)
-    out = np.full_like(v, np.nan, dtype=float)
-    vp = np.roll(v, -1, axis=0)
-    vm = np.roll(v, 1, axis=0)
-    mp = np.roll(m, -1, axis=0)
-    mm = np.roll(m, 1, axis=0)
-    ok = m & mp & mm
-    ok[0] = ok[-1] = False
-    out[ok] = ((vp - 2 * v + vm) / spacing ** 2)[ok]
+    for at, d, neighbors in (
+        (slice(1, -1), (v[2:] - v[:-2]) / (2 * spacing), m[2:] & m[:-2]),
+        (slice(0, -2), (-3 * v[:-2] + 4 * v[1:-1] - v[2:]) / (2 * spacing), m[1:-1] & m[2:]),
+        (slice(2, None), (3 * v[2:] - 4 * v[1:-1] + v[:-2]) / (2 * spacing), m[1:-1] & m[:-2]),
+    ):  # centered, then forward and backward where the centered stencil is missing
+        use = m[at] & neighbors & ~ok[at]
+        out[at][use] = d[use]
+        ok[at] |= use
     return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
 
 
@@ -285,40 +238,6 @@ def grad_fields(v: CylinderField) -> tuple[CylinderField, CylinderField]:
     dT, mT = _diff_axis(v.values, v.mask, v.dT, axis=0)
     dR, mR = _diff_axis(v.values, v.mask, v.dR, axis=1)
     return v.with_values(dT, mT), v.with_values(dR, mR)
-
-
-def box_g_radial(v: CylinderField) -> CylinderField:
-    """box_g by centered differences on the grid.
-
-    Nodes with R < 2 dR are excluded (coordinate singularity at the pole);
-    nodes lacking a full centered stencil are masked in the result.  Raises
-    MaskError if no valid node remains.
-    """
-    v_TT, m_TT = _second_diff_axis(v.values, v.mask, v.dT, axis=0)
-    v_RR, m_RR = _second_diff_axis(v.values, v.mask, v.dR, axis=1)
-    v_R, m_R = _diff_axis(v.values, v.mask, v.dR, axis=1)
-    mask = m_TT & m_RR & m_R & (v.R[None, :] >= 2 * v.dR)
-    if not mask.any():
-        raise MaskError("no node carries a full box_g stencil")
-    cot = np.zeros_like(v.values)
-    np.divide(
-        2 * np.cos(v.R)[None, :], np.sin(v.R)[None, :], out=cot,
-        where=np.sin(v.R)[None, :] > 0,
-    )
-    out = np.where(mask, v_TT - v_RR - cot * np.where(mask, v_R, 0.0), np.nan)
-    return v.with_values(out, mask)
-
-
-def field_X(v: CylinderField) -> CylinderField:
-    """The vector field X applied on the grid by centered differences."""
-    v_T, m_T = _diff_axis(v.values, v.mask, v.dT, axis=0)
-    v_R, m_R = _diff_axis(v.values, v.mask, v.dR, axis=1)
-    mask = m_T & m_R
-    if not mask.any():
-        raise MaskError("no node carries a full X stencil")
-    cT, cR = _x_coeffs(v.T[:, None], v.R[None, :])
-    out = np.where(mask, cT * np.where(mask, v_T, 0.0) + cR * np.where(mask, v_R, 0.0), np.nan)
-    return v.with_values(out, mask)
 
 
 # ---------------------------------------------------------------------------

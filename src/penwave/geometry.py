@@ -32,7 +32,6 @@ __all__ = [
     "MinkowskiEvent",
     "EinsteinEvent",
     "TransformResult",
-    "StereoPoint",
     "ObstacleSpec",
     "FrameCoefficients",
     "einstein_coords",
@@ -44,15 +43,12 @@ __all__ = [
     "in_diamond",
     "to_einstein",
     "to_minkowski",
-    "stereo_south",
-    "kelvin",
     "frame_at",
     "omega_factor",
     "boundary_curve",
     "boundary_curve_slope",
 ]
 
-_NORTH = (0.0, 0.0, 1.0)
 _XTOL = 1e-13  # brentq's absolute tolerance on the root of boundary_curve
 
 
@@ -62,7 +58,7 @@ class MinkowskiEvent:
 
     t: float
     r: float
-    omega: tuple[float, float, float] = _NORTH
+    omega: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         for name, value in (("t", self.t), ("r", self.r)):
@@ -95,18 +91,6 @@ class EinsteinEvent:
 class TransformResult:
     einstein: EinsteinEvent
     omega_factor: float
-
-
-@dataclass(frozen=True)
-class StereoPoint:
-    """Stereographic chart coordinates on S^3, tagged by which pole projects."""
-
-    u: tuple[float, float, float]
-    chart: str = "south"
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.u))
 
 
 @dataclass(frozen=True)
@@ -211,37 +195,6 @@ def to_minkowski(ev: EinsteinEvent) -> MinkowskiEvent:
         )
     t, r = minkowski_coords(ev.T, ev.R)
     return MinkowskiEvent(t=float(t), r=float(r))
-
-
-def stereo_south(ev: EinsteinEvent, omega: tuple[float, float, float] = _NORTH) -> StereoPoint:
-    """South-pole stereographic chart: u = tan(R/2) * omega.
-
-    Raises
-    ------
-    DomainError
-        At R = pi (the south pole is not in this chart).
-    """
-    if ev.R >= math.pi:
-        raise DomainError("south pole (R = pi) is not covered by the south chart")
-    s = math.tan(0.5 * ev.R)
-    return StereoPoint(u=tuple(s * c for c in omega), chart="south")
-
-
-def kelvin(p: StereoPoint) -> StereoPoint:
-    """Kelvin transform u -> u/|u|^2, swapping the chart tag.
-
-    An involution: applying it twice returns the original point.
-
-    Raises
-    ------
-    DomainError
-        At u = 0 (the opposite pole has no image).
-    """
-    n2 = sum(c * c for c in p.u)
-    if n2 == 0.0:
-        raise DomainError("Kelvin transform undefined at the chart origin")
-    other = "north" if p.chart == "south" else "south"
-    return StereoPoint(u=tuple(c / n2 for c in p.u), chart=other)
 
 
 def frame_at(ev: MinkowskiEvent) -> FrameCoefficients:

@@ -164,6 +164,8 @@ class Trajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("frame times must be strictly increasing")
+        if np.any(np.diff(self.r) <= 0):
+            raise ConfigError("radial grid must be strictly increasing")
 
     @property
     def ur_frames(self) -> np.ndarray:
@@ -665,8 +667,8 @@ def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list
 def load_trajectory(outdir) -> Trajectory:
     """Rebuild the Trajectory of the frames ``write_outputs`` kept, bit for bit, with the
     config that ``trajectory.ini`` records.  A store file that is missing or unreadable, an
-    array not float64 or not of its written shape (frames are len(times) x len(r)), and
-    times not finite and strictly increasing are ParseErrors that name the file."""
+    array not float64 or not of its written shape (frames are len(times) x len(r)), a value
+    not finite, and r or times not strictly increasing are ParseErrors that name the file."""
     meta_path = os.path.join(outdir, "trajectory.ini")
     meta = read_config(meta_path, {**_SCHEMA, "trajectory": ("completed",)})
     try:
@@ -689,8 +691,11 @@ def load_trajectory(outdir) -> Trajectory:
         if array.dtype != np.float64 or array.shape != shape:
             raise ParseError(f"{path}: expected float64 values shaped {shape}, "
                              f"got {array.dtype} {array.shape}")
-    if not (n_t and np.isfinite(times).all() and (np.diff(times) > 0).all()):
-        raise ParseError(f"{paths[1]}: frame times must be finite and strictly increasing")
+        if not np.isfinite(array).all():
+            raise ParseError(f"{path}: values must be finite")
+    for path, array in zip(paths, (r, times)):
+        if not (array.size and (np.diff(array) > 0).all()):
+            raise ParseError(f"{path}: values must be strictly increasing")
     monitors_ = MonitorSeries(
         t=mon[:, 0], E_total=mon[:, 1], E_local=mon[:, 2], sup_u=mon[:, 3],
         bands={b: mon[:, 4 + i] for i, b in enumerate(DEFAULT_BANDS)},

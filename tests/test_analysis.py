@@ -117,6 +117,102 @@ class TestDecayCertificate:
         cert = analysis.decay_certificate(small_traj, sigma=0.25, tail_from=10.0)
         assert cert.window[0] == 10.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_frame_is_rejected_naming_its_time(self, small_traj, value):
+        u = small_traj.u_frames.copy()
+        u[7, 123] = value
+        bad = dataclasses.replace(small_traj, u_frames=u)
+        with pytest.raises(DomainError, match=re.escape(f"frame at t={small_traj.times[7]}")):
+            analysis.decay_certificate(bad)
+
+
+def reference_decay_certificate(traj, sigma, tail_from):
+    """The decay certificate as one full-grid mask sweep per band and frame."""
+    r = traj.r
+    band_max = {float(b): 0.0 for b in solver.DEFAULT_BANDS}
+    frame_sup = np.zeros(len(traj.times))
+    for i, t in enumerate(traj.times):
+        dist = np.abs(t - r)
+        weight = (1.0 + t) * (1.0 + dist) ** (1.0 - sigma)
+        weighted = np.abs(traj.u_frames[i]) * weight
+        frame_sup[i] = float(weighted.max())
+        for b in solver.DEFAULT_BANDS:
+            sel = np.abs(dist - b) <= 0.5
+            if sel.any():
+                band_max[float(b)] = max(band_max[float(b)], float(weighted[sel].max()))
+    t0, t1 = float(traj.times[0]), float(traj.times[-1])
+    lo = 0.5 * (t0 + t1) if tail_from is None else float(tail_from)
+    tail = frame_sup[traj.times >= lo]
+    plateau = float(tail.max() / tail.min()) if tail.min() > 0 else math.inf
+    return float(frame_sup.max()), band_max, plateau
+
+
+def assert_equals_reference(traj, sigma=0.25, tail_from=None):
+    cert = analysis.decay_certificate(traj, sigma=sigma, tail_from=tail_from)
+    c_sup, band_table, plateau = reference_decay_certificate(traj, sigma, tail_from)
+    assert cert.C_sup == c_sup
+    assert cert.band_table == band_table
+    assert list(cert.band_table) == list(band_table)
+    assert cert.plateau_ratio == plateau
+
+
+def frames_on(traj, r, times, seed=0):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((len(times), len(r))) * rng.uniform(0.0, 2.0, (len(times), 1))
+    return dataclasses.replace(traj, r=np.asarray(r, float), times=np.asarray(times, float),
+                               u_frames=u, ut_frames=u)
+
+
+class TestDecayCertificateEqualsTheFullSweep:
+    """The windowed band maxima equal a sweep of every node of every frame, bit for bit."""
+
+    def test_solver_run(self, small_traj):
+        assert_equals_reference(small_traj)
+        assert_equals_reference(small_traj, sigma=0.9, tail_from=3.0)
+
+    @pytest.mark.parametrize("dec", [1, 2, 5, 13])
+    @pytest.mark.parametrize("sigma", [0.01, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("tail_from", [None, 3.0])
+    def test_random_frames_on_decimated_grids(self, small_traj, dec, sigma, tail_from):
+        r = small_traj.r[::dec]
+        times = np.sort(np.random.default_rng(dec).uniform(0.0, 30.0, 150))
+        assert_equals_reference(frames_on(small_traj, r, times, seed=dec), sigma, tail_from)
+
+    @pytest.mark.parametrize("step,r0,dt", [(0.25, 0.25, 0.125), (0.125, 0.375, 0.125),
+                                            (0.1, 0.2, 0.1), (0.01, 0.2, 0.05)])
+    def test_nodes_on_the_band_edges(self, small_traj, step, r0, dt):
+        r = r0 + step * np.arange(int(30.0 / step))
+        times = dt * np.arange(200)
+        edges = np.abs(np.abs(times[:, None] - r) - np.array(solver.DEFAULT_BANDS)[:, None, None])
+        assert np.count_nonzero(edges == 0.5) > 1000  # nodes the band test admits on its edge
+        assert_equals_reference(frames_on(small_traj, r, times))
+        # one frame at a time, peaked at one end of the grid: each band's max then sits on
+        # the edge of its window on that side
+        for profile in (np.exp(-r), np.exp(r - r[-1])):
+            for t in times[::3]:
+                assert_equals_reference(dataclasses.replace(
+                    small_traj, r=r, times=np.array([t]), u_frames=profile[None]))
+
+    def test_node_past_the_window_edge_admitted_by_rounding(self, small_traj):
+        t = 9.224172938446443
+        lo = t + (-8.0 - 0.5)  # the lower edge of band 8 on the side r < t
+        past = np.nextafter(lo + 1.0, np.inf)
+        r = np.concatenate([[lo - 0.6, lo, lo + 0.5], past + 0.6 * np.arange(40)])
+        assert past > lo + 1.0 and abs(abs(t - past) - 8.0) <= 0.5
+        u = np.where(r == past, 1.0, 1e-3)[None]
+        traj = dataclasses.replace(small_traj, r=r, times=np.array([t]), u_frames=u)
+        assert_equals_reference(traj)
+        assert analysis.decay_certificate(traj).band_table[8.0] > 1.0  # read from past alone
+
+    def test_far_bands_empty_on_a_short_grid(self, small_traj):
+        traj = frames_on(small_traj, 0.2 + 0.01 * np.arange(50), np.linspace(0.0, 2.0, 70))
+        assert_equals_reference(traj)
+        assert analysis.decay_certificate(traj).band_table[16.0] == 0.0
+
+    def test_single_frame_of_three_nodes(self, small_traj):
+        assert_equals_reference(frames_on(small_traj, [0.2, 0.21, 0.22], [0.0]))
+        assert_equals_reference(frames_on(small_traj, [0.2, 0.7, 5.0], [1.0]))
+
 
 def flat_field(fn, n_T=60, n_R=200, T_max=2.5, R_max=3.0, forcing=None):
     T = np.linspace(0.0, T_max, n_T)

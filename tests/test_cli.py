@@ -386,6 +386,19 @@ def _as_csv_store(run_dir):
     (run_dir / "frame_t0000.000000.csv").write_text("r,u,u_t\n0.2,0,0\n")
 
 
+def _with_value(path, index, value):
+    """Write one value into a stored array: a .npy file or a CSV file under one header line."""
+    if path.suffix == ".csv":
+        header = path.read_text().splitlines()[0]
+        array = np.loadtxt(path, delimiter=",", skiprows=1)
+        array[index] = value
+        np.savetxt(path, array, delimiter=",", header=header, comments="")
+    else:
+        array = np.load(path)
+        array[index] = value
+        np.save(path, array)
+
+
 class TestVerifyCommand:
     def test_identity_omega(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -598,7 +611,12 @@ class TestVerifyCommand:
         ("times.npy", lambda d: np.save(d / "times.npy", np.load(d / "times.npy")[::-1])),
         ("times.npy", lambda d: np.save(d / "times.npy", [0.0, np.nan, 4.0])),
         ("times.npy", lambda d: np.save(d / "times.npy", [0.0, 2.0, np.inf])),
+        ("u.npy", lambda d: _with_value(d / "u.npy", (1, 40), np.nan)),
+        ("u_t.npy", lambda d: _with_value(d / "u_t.npy", (2, 0), -np.inf)),
+        ("r.npy", lambda d: _with_value(d / "r.npy", (-1,), np.inf)),
+        ("r.npy", lambda d: np.save(d / "r.npy", np.load(d / "r.npy")[::-1])),
         ("monitors.csv", lambda d: (d / "monitors.csv").unlink()),
+        ("monitors.csv", lambda d: _with_value(d / "monitors.csv", (3, 2), np.nan)),
         ("monitors.csv", lambda d: np.savetxt(d / "monitors.csv", np.ones((5, 9)), delimiter=",",
                                               header="a column short", comments="")),
     ])

@@ -157,7 +157,7 @@ class TestArrayClosedForms:
 
     @pytest.mark.parametrize("T", [10.0, -10.0, math.pi, -math.pi, 4.0])
     def test_einstein_event_rejects_time_outside_the_cylinder_range(self, T):
-        # T = 10 used to construct, and stereo_south mapped it to a chart point
+        # T = 10 used to construct
         with pytest.raises(DomainError, match=re.escape(f"T must lie in (-pi, pi), got {T}")):
             geometry.EinsteinEvent(T=T, R=0.5)
 
@@ -182,30 +182,6 @@ class TestRegionPredicates:
         assert not geometry.in_diamond(np.array([T]), np.array([R]))[0]
         with pytest.raises(DomainError):
             geometry.to_minkowski(geometry.EinsteinEvent(T=T, R=R))
-
-
-class TestKelvinAndCharts:
-    @given(u1=st.floats(-3, 3), u2=st.floats(-3, 3), u3=st.floats(-3, 3))
-    @settings(max_examples=150, deadline=None)
-    def test_kelvin_is_an_involution(self, u1, u2, u3):
-        p = geometry.StereoPoint(u=(u1, u2, u3), chart="north")
-        if p.norm < 1e-6:
-            return
-        once = geometry.kelvin(p)
-        assert once.chart == "south"
-        twice = geometry.kelvin(once)
-        assert twice.chart == p.chart
-        assert np.allclose(twice.u, p.u, rtol=1e-10, atol=1e-12)
-
-    def test_kelvin_swaps_hemispheres(self):
-        # tan(R/2) -> 1/tan(R/2) = tan((pi - R)/2): inversion reflects R
-        for r in (0.3, 1.0, 4.0):
-            ev = geometry.to_einstein(geometry.MinkowskiEvent(t=0.0, r=r)).einstein
-            p = geometry.stereo_south(ev)
-            assert p.norm == pytest.approx(math.tan(ev.R / 2.0), rel=1e-10)
-            assert geometry.kelvin(p).norm == pytest.approx(
-                math.tan((math.pi - ev.R) / 2.0), rel=1e-10
-            )
 
 
 class TestFrame:

@@ -224,6 +224,11 @@ def run_recording_sweeps(monkeypatch, config):
 
 
 class TestGuards:
+    def test_trajectory_needs_an_increasing_grid(self, short_run):
+        for r in (short_run.r[::-1], np.full_like(short_run.r, 0.5)):
+            with pytest.raises(ConfigError, match="radial grid must be strictly increasing"):
+                replace(short_run, r=r)
+
     def test_fixed_point_divergence_raises(self):
         config = short_config(nonlinearity=compat.DT_SQUARED, epsilon=1.0, dr=0.01,
                               t_max=4.0, r_max=10.0)
