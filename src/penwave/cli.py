@@ -170,11 +170,12 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
     (N = number of components); each further line holds five indices and a
     value: ``I J K j k value`` for quadratic entries s[I,J,K,j,k] or
     ``I J i j k value`` for cubic entries k[I,J,i,j,k].  Values may be
-    integers, fractions ``a/b`` (kept exact), or floats.
+    integers, fractions ``a/b`` (kept exact), or floats.  An index given twice is
+    a ParseError naming both lines.
     """
     kind = None
     n = 0
-    entries = []
+    entries = {}
     exact = True
     with open(path) as fh:
         lines = fh.readlines()
@@ -195,42 +196,41 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
                 raise ParseError(f"bad component count: {parts[1]}", line=lineno) from exc
             if n < 1:
                 raise ParseError("component count must be positive", line=lineno)
+            shape = (n, n, n, 4, 4) if kind == "quadratic" else (n, n, 4, 4, 4)
             continue
         parts = line.split()
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}", line=lineno)
         try:
-            idx = [int(p) for p in parts[:5]]
+            idx = tuple(int(p) for p in parts[:5])
         except ValueError as exc:
             raise ParseError(f"bad index in '{line}'", line=lineno) from exc
         val_str = parts[5]
         try:
             value = Fraction(val_str)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in value '{val_str}'", line=lineno) from exc
         except ValueError:
             try:
                 value = float(val_str)
                 exact = False
             except ValueError as exc:
                 raise ParseError(f"bad value '{val_str}'", line=lineno) from exc
-        comp_bound = (n, n, n) if kind == "quadratic" else (n, n)
-        deriv_bound = (4, 4) if kind == "quadratic" else (4, 4, 4)
-        bounds = comp_bound + deriv_bound
-        for k, (i, b) in enumerate(zip(idx, bounds)):
+        for k, (i, b) in enumerate(zip(idx, shape)):
             if not 0 <= i < b:
                 raise ParseError(f"index {k} out of range (0..{b - 1})", line=lineno)
-        entries.append((idx, value))
+        if idx in entries:
+            raise ParseError(f"entry {' '.join(map(str, idx))} repeats line {entries[idx][0]}",
+                             line=lineno)
+        entries[idx] = (lineno, value)
     if kind is None:
         raise ParseError("empty form file", line=len(lines) or 1)
-    dtype = object if exact else float
+    arr = np.zeros(shape, dtype=object if exact else float)
+    for idx, (_, value) in entries.items():
+        arr[idx] = value if exact else float(value)
     if kind == "quadratic":
-        s = np.zeros((n, n, n, 4, 4), dtype=dtype)
-        for idx, value in entries:
-            s[tuple(idx)] = value if exact else float(value)
-        return nullform.QuadraticFormSpec(s=s)
-    karr = np.zeros((n, n, 4, 4, 4), dtype=dtype)
-    for idx, value in entries:
-        karr[tuple(idx)] = value if exact else float(value)
-    return nullform.CubicFormSpec(k=karr)
+        return nullform.QuadraticFormSpec(s=arr)
+    return nullform.CubicFormSpec(k=arr)
 
 
 def cmd_check_null(args) -> int:

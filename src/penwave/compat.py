@@ -18,7 +18,7 @@ the obstacle boundary for all j <= s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np

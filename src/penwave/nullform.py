@@ -16,9 +16,10 @@ the cone is kept only as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -40,7 +41,15 @@ __all__ = [
 ]
 
 #: Minkowski quadric coefficients diag(1, -1, -1, -1).
-_QUADRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+_QUADRIC = np.diag([1, -1, -1, -1])
+
+#: The 20 cubic monomials xi_i xi_j xi_k (i <= j <= k) as index arrays (i, j, k), how
+#: many of the 64 ordered index triples give each, and the monomial vectors of
+#: (xi_0^2 - xi_1^2 - xi_2^2 - xi_3^2) * xi_m, m = 0..3.
+_MONOMIALS = tuple(np.array(list(combinations_with_replacement(range(4), 3))).T)
+_MULTIPLICITY = np.array([len(set(permutations(mon))) for mon in zip(*_MONOMIALS)])
+_QUADRIC_XI = np.array([[sum(_QUADRIC[j, j] for j in range(4) if sorted((j, j, m)) == list(mon))
+                         for mon in zip(*_MONOMIALS)] for m in range(4)])
 
 VERDICT_TOL = 1e-10
 
@@ -134,80 +143,77 @@ def _frobenius(arr) -> float:
     return float(np.sqrt(np.dot(flat, flat)))
 
 
+def _scaled(arr: np.ndarray, exact: bool, factor: int) -> tuple[np.ndarray, int]:
+    """The tensor the classifiers compute on, and its scale.
+
+    An exact tensor becomes Python ints over ``factor`` times the least common
+    multiple of its denominators, a scale at which every quotient the classifier
+    takes is whole; a float tensor is used as it is, at scale 1.
+    """
+    if not exact:
+        return arr, 1
+    values = arr.ravel().tolist()
+    scale = factor * math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    return np.array(ints, dtype=object).reshape(arr.shape), scale
+
+
+def _div(x, d: int, exact: bool):
+    """x / d: a whole quotient on scaled ints, true division on floats (exact for d = 2
+    and 4 away from underflow), taken at the step where the formula divides."""
+    return x // d if exact else x / float(d)
+
+
+def _fractions(ints: np.ndarray, scale: int) -> np.ndarray:
+    return np.array([Fraction(v, scale) for v in ints.flat], dtype=object).reshape(ints.shape)
+
+
+def _verdict(tensor, defect: np.ndarray, scale: int, exact: bool, tol: float):
+    """(verdict, residual, bound) of the per-slice defects, the rows of ``defect``.
+
+    The residual is the largest ``_frobenius`` of a row; an exact defect is read
+    as floats by int / int division, which rounds correctly as ``float(Fraction)``
+    does.  An exact form is null only when its defect is exactly zero.
+    """
+    rows = np.array([v / scale for v in defect.flat], dtype=float) if exact else defect
+    residual = max([0.0] + [_frobenius(row) for row in rows.reshape(defect.shape)])
+    if exact:
+        return not any(defect.flat), residual, 0.0
+    bound = tol * max(1.0, _frobenius(tensor))
+    return residual < bound, residual, bound
+
+
 def check_null_semilinear(
     q: QuadraticFormSpec, tol: float = VERDICT_TOL
 ) -> tuple[bool, NullDecomposition]:
-    """Classify a quadratic form slice by slice.
+    """Classify a quadratic form, all (I, J, K) slices in one array pass.
 
-    Each (I, J, K) slice is split into its symmetric and antisymmetric parts
-    in (j, k).  The slice is null iff the symmetric part is lam * quadric;
-    the antisymmetric part is always null.  The residual is the Frobenius
-    norm of the symmetric part minus its best quadric fit, maximized over
-    slices; the verdict applies ``tol`` relative to the tensor scale.
+    Each slice is split into its symmetric and antisymmetric parts in (j, k).
+    The slice is null iff the symmetric part is lam * quadric; the antisymmetric
+    part is always null.  The residual is the Frobenius norm of the symmetric
+    part minus its best quadric fit, maximized over slices; the verdict applies
+    ``tol`` relative to the tensor scale.  An exact form is classified on
+    integers over a common denominator and returns its ``lam`` and ``antisym``
+    as Fractions.
     """
-    s = q.s
-    n = q.n_components
     exact = q.is_exact
-    half = Fraction(1, 2) if exact else 0.5
-    quarter = Fraction(1, 4) if exact else 0.25
-    lam = np.zeros((n, n, n), dtype=object if exact else float)
-    antisym = np.zeros_like(s)
-    residual = 0.0
-    exact_zero = True
-    for idx in np.ndindex(n, n, n):
-        m = s[idx]
-        sym = (m + m.T) * half
-        antisym[idx] = (m - m.T) * half
-        lam_i = (sym[0, 0] - sym[1, 1] - sym[2, 2] - sym[3, 3]) * quarter
-        lam[idx] = lam_i
-        defect = sym - lam_i * (np.diag([1, -1, -1, -1]) if exact else _QUADRIC)
-        if exact:
-            if any(v != 0 for v in defect.flat):
-                exact_zero = False
-        residual = max(residual, _frobenius(defect))
-    bound = 0.0 if exact else tol * max(1.0, _frobenius(s))
-    verdict = exact_zero if exact else residual < bound
-    return verdict, NullDecomposition(lam=lam, antisym=antisym, residual=residual, tol=bound)
-
-
-def _sym_cubic_monomials():
-    return list(combinations_with_replacement(range(4), 3))
-
-
-def _symmetrize_cubic(m: np.ndarray):
-    """Fully symmetric part of a (4,4,4) tensor (average over the 6 orderings)."""
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    if m.dtype == object:
-        return sum(m.transpose(p) for p in perms) / Fraction(6)
-    return sum(m.transpose(p) for p in perms) / 6.0
-
-
-def _cubic_to_monomial_vector(sym: np.ndarray, monomials) -> np.ndarray:
-    """Coefficients of the symmetric cubic polynomial in the 20 monomials xi^a."""
-    out = np.empty(len(monomials), dtype=sym.dtype)
-    for pos, (i, j, k) in enumerate(monomials):
-        # multiplicity of the monomial among the 64 ordered index triples
-        mult = len({(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)})
-        out[pos] = sym[i, j, k] * mult
-    return out
-
-
-def _quadric_times_xi_basis(monomials, exact: bool) -> np.ndarray:
-    """Monomial vectors of (xi_0^2 - xi_1^2 - xi_2^2 - xi_3^2) * xi_m, m = 0..3."""
-    diag = [1, -1, -1, -1]
-    basis = np.zeros((4, len(monomials)), dtype=object if exact else float)
-    index = {mon: pos for pos, mon in enumerate(monomials)}
-    for m in range(4):
-        for j in range(4):
-            mon = tuple(sorted((j, j, m)))
-            basis[m, index[mon]] += diag[j]
-    return basis
+    x, scale = _scaled(q.s, exact, 4)  # 4: the halving, then lam's quarter
+    xt = x.swapaxes(-1, -2)
+    sym = _div(x + xt, 2, exact)
+    antisym = _div(x - xt, 2, exact)
+    lam = _div(sym[..., 0, 0] - sym[..., 1, 1] - sym[..., 2, 2] - sym[..., 3, 3], 4, exact)
+    defect = sym - lam[..., None, None] * _QUADRIC.astype(x.dtype)
+    verdict, residual, bound = _verdict(q.s, defect.reshape(-1, 16), scale, exact, tol)
+    if exact:
+        lam, antisym = _fractions(lam, scale), _fractions(antisym, scale)
+    return verdict, NullDecomposition(lam=lam if exact else lam.astype(float),
+                                      antisym=antisym, residual=residual, tol=bound)
 
 
 def check_null_quasilinear(
     q: CubicFormSpec, tol: float = VERDICT_TOL
 ) -> tuple[bool, NullDecomposition]:
-    """Classify a cubic form slice by slice.
+    """Classify a cubic form, all (I, J) slices in one array pass.
 
     For each (I, J) slice the symbol P(xi) = sum k[i,j,k] xi_i xi_j xi_k is
     fully symmetrized and tested for membership in the span of
@@ -216,31 +222,24 @@ def check_null_quasilinear(
     least-squares coefficients are basis @ vec / 4.  The part of the slice
     that symmetrizes to zero (the q_ij-type combinations whose symbols vanish
     identically) is reported separately in ``trivially_null`` and never
-    affects the verdict.
+    affects the verdict.  An exact form is classified on integers over a
+    common denominator and returns both parts as Fractions.
     """
-    k = q.k
-    n = q.n_components
     exact = q.is_exact
-    monomials = _sym_cubic_monomials()
-    basis = _quadric_times_xi_basis(monomials, exact)
-    quarter = Fraction(1, 4) if exact else 0.25
-    lin = np.zeros((n, n, 4), dtype=object if exact else float)
-    trivially_null = np.zeros_like(k)
-    residual = 0.0
-    exact_zero = True
-    for idx in np.ndindex(n, n):
-        sym = _symmetrize_cubic(k[idx])
-        trivially_null[idx] = k[idx] - sym
-        vec = _cubic_to_monomial_vector(sym, monomials)
-        lin[idx] = basis @ vec * quarter
-        defect = vec - basis.T @ lin[idx]
-        if exact and any(v != 0 for v in defect.flat):
-            exact_zero = False
-        residual = max(residual, _frobenius(defect))
-    bound = 0.0 if exact else tol * max(1.0, _frobenius(k))
-    verdict = exact_zero if exact else residual < bound
+    x, scale = _scaled(q.k, exact, 24)  # 24: the symmetrization's sixth, then a quarter
+    basis = _QUADRIC_XI.astype(object if exact else float)
+    # fully symmetric part: the average over the 6 orderings of (i, j, k)
+    sym = _div(sum(x.transpose(0, 1, *p) for p in permutations((2, 3, 4))), 6, exact)
+    vec = sym[(Ellipsis, *_MONOMIALS)] * _MULTIPLICITY.astype(sym.dtype)
+    lin = _div(basis @ vec[..., None], 4, exact)[..., 0]
+    lin = lin if exact else lin.astype(float)
+    defect = vec - (basis.T @ lin[..., None])[..., 0]
+    verdict, residual, bound = _verdict(q.k, defect.reshape(-1, 20), scale, exact, tol)
+    trivially_null = x - sym
+    if exact:
+        lin, trivially_null = _fractions(lin, scale), _fractions(trivially_null, scale)
     return verdict, NullDecomposition(
-        lam=np.zeros((n, n)),  # no q0 coefficient at the cubic level
+        lam=np.zeros((q.n_components,) * 2),  # no q0 coefficient at the cubic level
         antisym=None,
         residual=residual,
         tol=bound,

@@ -306,6 +306,22 @@ class TestCheckNull:
         assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
         assert "line 3" in capsys.readouterr().err
 
+    def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys):
+        form = tmp_path / "bad.form"
+        form.write_text("quadratic 1\n0 0 0 0 0 1/0\n")
+        assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
+        assert "line 2: zero denominator in value '1/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, deriv", [("quadratic", "{j} {j}"), ("cubic", "{j} {j} 0")])
+    def test_repeated_entry_is_a_parse_error(self, tmp_path, capsys, kind, deriv):
+        # a q0-type file whose last line would silently replace the entry of line 2
+        comps = "0 0 0" if kind == "quadratic" else "0 0"
+        lines = [f"{comps} {deriv.format(j=j)} {d}" for j, d in enumerate((1, -1, -1, -1))]
+        form = tmp_path / "repeat.form"
+        form.write_text("\n".join([f"{kind} 1", *lines, lines[0][:-1] + "5"]) + "\n")
+        assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
+        assert f"line 6: entry {lines[0][:-2]} repeats line 2" in capsys.readouterr().err
+
     def test_bad_header_line_number(self, tmp_path, capsys):
         form = tmp_path / "bad.form"
         form.write_text("# comment\nquartic 1\n")

@@ -1,7 +1,5 @@
 """Jet recursion, numerical differentiation, and compatibility checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings

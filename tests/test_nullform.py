@@ -1,5 +1,6 @@
 """Algebraic null-condition classifier and pushforward-coefficient tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -170,8 +171,179 @@ class TestQuasilinearClassifier:
     @pytest.mark.parametrize("exact", [True, False])
     def test_quadric_basis_is_orthogonal_with_squared_norm_four(self, exact):
         # the classifier's coefficients are basis @ vec / 4 because of this
-        basis = nullform._quadric_times_xi_basis(nullform._sym_cubic_monomials(), exact)
+        basis = nullform._QUADRIC_XI.astype(object if exact else float)
         assert np.array_equal(basis @ basis.T, 4 * np.eye(4))
+
+
+def _reference_frobenius(arr) -> float:
+    flat = np.asarray(arr).astype(float).ravel()
+    return float(np.sqrt(np.dot(flat, flat)))
+
+
+def reference_semilinear(q, tol=nullform.VERDICT_TOL):
+    """The slice-by-slice quadratic classifier: the reference for the array pass."""
+    s = q.s
+    n = q.n_components
+    exact = q.is_exact
+    half = Fraction(1, 2) if exact else 0.5
+    quarter = Fraction(1, 4) if exact else 0.25
+    lam = np.zeros((n, n, n), dtype=object if exact else float)
+    antisym = np.zeros_like(s)
+    residual = 0.0
+    exact_zero = True
+    for idx in np.ndindex(n, n, n):
+        m = s[idx]
+        sym = (m + m.T) * half
+        antisym[idx] = (m - m.T) * half
+        lam_i = (sym[0, 0] - sym[1, 1] - sym[2, 2] - sym[3, 3]) * quarter
+        lam[idx] = lam_i
+        defect = sym - lam_i * (np.diag([1, -1, -1, -1]) if exact
+                                else np.diag([1.0, -1.0, -1.0, -1.0]))
+        if exact:
+            if any(v != 0 for v in defect.flat):
+                exact_zero = False
+        residual = max(residual, _reference_frobenius(defect))
+    bound = 0.0 if exact else tol * max(1.0, _reference_frobenius(s))
+    verdict = exact_zero if exact else residual < bound
+    return verdict, nullform.NullDecomposition(lam=lam, antisym=antisym, residual=residual,
+                                               tol=bound)
+
+
+def reference_quasilinear(q, tol=nullform.VERDICT_TOL):
+    """The slice-by-slice cubic classifier: the reference for the array pass."""
+    k = q.k
+    n = q.n_components
+    exact = q.is_exact
+    monomials = list(itertools.combinations_with_replacement(range(4), 3))
+    basis = np.zeros((4, len(monomials)), dtype=object if exact else float)
+    index = {mon: pos for pos, mon in enumerate(monomials)}
+    for m in range(4):
+        for j in range(4):
+            basis[m, index[tuple(sorted((j, j, m)))]] += [1, -1, -1, -1][j]
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    quarter = Fraction(1, 4) if exact else 0.25
+    lin = np.zeros((n, n, 4), dtype=object if exact else float)
+    trivially_null = np.zeros_like(k)
+    residual = 0.0
+    exact_zero = True
+    for idx in np.ndindex(n, n):
+        total = sum(k[idx].transpose(p) for p in perms)
+        sym = total / Fraction(6) if k.dtype == object else total / 6.0
+        trivially_null[idx] = k[idx] - sym
+        vec = np.empty(len(monomials), dtype=sym.dtype)
+        for pos, (i, j, l) in enumerate(monomials):
+            vec[pos] = sym[i, j, l] * len(set(itertools.permutations((i, j, l))))
+        lin[idx] = basis @ vec * quarter
+        defect = vec - basis.T @ lin[idx]
+        if exact and any(v != 0 for v in defect.flat):
+            exact_zero = False
+        residual = max(residual, _reference_frobenius(defect))
+    bound = 0.0 if exact else tol * max(1.0, _reference_frobenius(k))
+    verdict = exact_zero if exact else residual < bound
+    return verdict, nullform.NullDecomposition(
+        lam=np.zeros((n, n)), antisym=None, residual=residual, tol=bound,
+        linear_factor=lin, trivially_null=trivially_null)
+
+
+def _identical(a, b) -> bool:
+    """Same shape and dtype, and per entry the same type and value (nan equal to nan)."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and all(
+        type(u) is type(v) and (u == v or (u != u and v != v)) for u, v in zip(a.flat, b.flat))
+
+
+def _seeded_form(seed: int, kind: str, exact: bool, null: bool):
+    """A random form of 1-3 components: quadric part plus a null remainder, and a defect
+    when not ``null``; exact entries are Fractions with denominators up to 10**6."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    shape = (n,) * (3 if kind == "quadratic" else 2) + (4,) * (2 if kind == "quadratic" else 3)
+
+    def draw(size):
+        if not exact:
+            return rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+        num, den = rng.integers(-10**6, 10**6, size=size), rng.integers(1, 10**6, size=size)
+        return np.array([Fraction(int(a), int(b)) for a, b in zip(num.flat, den.flat)],
+                        dtype=object).reshape(size)
+
+    if kind == "quadratic":
+        a = draw(shape)
+        t = a - a.swapaxes(-1, -2) + draw(shape[:3])[..., None, None] * np.diag([1, -1, -1, -1])
+    else:  # quadric * ell(xi) plus a part antisymmetric in (i, j), whose symbol vanishes
+        b = draw(shape)
+        t = b - b.swapaxes(2, 3)
+        ell = draw(shape[:2] + (4,))
+        for j, d in enumerate((1, -1, -1, -1)):
+            t[..., j, j, :] += d * ell
+    if not null:
+        t[(0,) * (len(shape) - 2) + (1, 1)] += draw(())
+    return nullform.QuadraticFormSpec(s=t) if kind == "quadratic" else nullform.CubicFormSpec(k=t)
+
+
+def _extreme_forms():
+    """Floats at both ends of the range, object arrays holding floats, special shapes."""
+    rng = np.random.default_rng(17)
+    scales = (5e-324, 1e-310, 1e307)
+    quadratics = [4e307 * nullform.q0_spec().s, 1e-320 * nullform.q0_spec().s,
+                  np.diag([4e307, -4e307, -4e307, 3e307])[None, None, None],
+                  rng.normal(size=(2, 2, 2, 4, 4)).astype(object), np.zeros((0, 0, 0, 4, 4)),
+                  np.array(rng.integers(-9, 9, (1, 1, 1, 4, 4)).tolist(), dtype=object)]
+    quadratics += [scale * rng.uniform(-1, 1, size=(2, 2, 2, 4, 4)) for scale in scales]
+    cubics = [scale * rng.uniform(-1, 1, size=(2, 2, 4, 4, 4)) for scale in scales]
+    cubics += [rng.normal(size=(1, 1, 4, 4, 4)).astype(object), np.zeros((0, 0, 4, 4, 4)),
+               np.array(rng.integers(-9, 9, (1, 1, 4, 4, 4)).tolist(), dtype=object)]
+    return ([nullform.QuadraticFormSpec(s=s) for s in quadratics]
+            + [nullform.CubicFormSpec(k=k) for k in cubics])
+
+
+class TestArrayPassMatchesSliceLoop:
+    """The one-pass classifiers return what the slice-by-slice reference returns: the
+    verdict, every field with its dtype and entry types (Fractions for an exact form),
+    residual and tol."""
+
+    @staticmethod
+    def assert_same(form):
+        if isinstance(form, nullform.QuadraticFormSpec):
+            got, want = nullform.check_null_semilinear(form), reference_semilinear(form)
+        else:
+            got, want = nullform.check_null_quasilinear(form), reference_quasilinear(form)
+        (verdict, dec), (ref_verdict, ref) = got, want
+        assert verdict == ref_verdict
+        for name in ("residual", "tol"):
+            value, ref_value = getattr(dec, name), getattr(ref, name)
+            assert type(value) is type(ref_value) is float
+            assert value == ref_value or (value != value and ref_value != ref_value)
+        for name in ("lam", "antisym", "linear_factor", "trivially_null"):
+            assert _identical(getattr(dec, name), getattr(ref, name)), name
+        return verdict
+
+    @pytest.mark.parametrize("kind", ["quadratic", "cubic"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_seeded_forms(self, kind, exact):
+        for seed in range(40):
+            null = seed % 2 == 0
+            assert self.assert_same(_seeded_form(seed, kind, exact, null)) == null
+
+    def test_basic_forms(self):
+        for exact in (True, False):
+            for n in (1, 2):
+                self.assert_same(nullform.q0_spec(n, exact=exact))
+                for i, j in itertools.permutations(range(4), 2):
+                    self.assert_same(nullform.qij_spec(i, j, n, exact=exact))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_extreme_and_odd_inputs(self):
+        for form in _extreme_forms():
+            self.assert_same(form)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_huge_null_form_keeps_its_finite_lambda(self):
+        # halved at the step the formula halves: 4e307 * q0 has lam 4e307, not the inf
+        # that summing the unhalved diagonal (8e307 each) would overflow to
+        q = nullform.QuadraticFormSpec(s=4e307 * nullform.q0_spec().s)
+        assert nullform.check_null_semilinear(q)[1].lam[0, 0, 0] == 4e307
 
 
 class TestConeOracle:

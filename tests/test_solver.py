@@ -511,7 +511,12 @@ class TestOutputsRoundTrip:
         for k, t_snap in enumerate(loaded.times):
             src = int(np.argmin(np.abs(short_run.times - t_snap)))
             assert np.allclose(loaded.u_frames[k], short_run.u_frames[src], atol=1e-12)
-        assert np.allclose(loaded.monitors.E_total, short_run.monitors.E_total)
+        m, back = short_run.monitors, loaded.monitors  # monitors.csv reads back bit for bit
+        for column in ("t", "E_total", "E_local", "sup_u"):
+            assert np.array_equal(getattr(back, column).view(np.int64),
+                                  getattr(m, column).view(np.int64))
+        for b in solver.DEFAULT_BANDS:
+            assert np.array_equal(back.bands[b].view(np.int64), m.bands[b].view(np.int64))
 
     def test_store_records_the_run_config(self, tmp_path):
         # every setting a config file holds, none at its default
@@ -560,17 +565,29 @@ class TestOutputsRoundTrip:
             config=short_run.config)
         assert analysis.decay_certificate(loaded) == analysis.decay_certificate(in_memory)
 
-    @pytest.mark.parametrize("columns", [
+    SERIES = [
         [np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, -1e-310]),
          np.array([1.0, -1.0, 1e300, -1e-300, 0.1, 1 / 3, 2.0 ** -1074])],
         [np.array([-0.0]), np.array([np.nan]), np.array([4.9e-324])],  # one row
-    ])
+    ]
+
+    @pytest.mark.parametrize("columns", SERIES)
     def test_series_csv_matches_savetxt_byte_for_byte(self, tmp_path, columns):
         header = ["a", "b", "c"][:len(columns)]
         solver.write_series_csv(tmp_path / "ours.csv", header, columns)
-        np.savetxt(tmp_path / "savetxt.csv", np.column_stack(columns), delimiter=",",
-                   header=",".join(header), comments="")
+        np.savetxt(tmp_path / "savetxt.csv", np.column_stack(columns), fmt="%.17g",
+                   delimiter=",", header=",".join(header), comments="")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", SERIES + [[
+        np.random.default_rng(3).normal(size=1000) * 10.0 ** np.arange(-300, 300, 0.6),
+        np.nextafter(np.linspace(0.0, 1.0, 1000), 2.0),
+        np.random.default_rng(4).integers(1, 2 ** 52, 1000) * 2.0 ** -1074]])
+    def test_series_csv_reads_back_bit_for_bit(self, tmp_path, columns):
+        solver.write_series_csv(tmp_path / "s.csv", ["a", "b", "c"][:len(columns)], columns)
+        back = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert back.shape == (len(columns[0]), len(columns))
+        assert np.array_equal(back.view(np.int64), np.column_stack(columns).view(np.int64))
 
 
 class TestReferenceSamples:
