@@ -436,7 +436,7 @@ def _battery(residual, in_band):
     fine = [residual(fn, points, h=1e-3) for _, fn in cylinder.TEST_BATTERY]
     ratios = [residual(fn, points, h=2e-3) / r1
               for (_, fn), r1 in zip(cylinder.TEST_BATTERY, fine)]
-    inputs = np.array([(p.T, p.R) for p in points])
+    inputs = np.column_stack(points)
     extra = {"h_ratio_min": min(ratios), "h_ratio_max": max(ratios)}
     return inputs, max(fine), all(map(in_band, ratios)), extra
 
@@ -463,8 +463,7 @@ def _vanishing_order(_):
     from . import nullform  # loaded here only: nothing else in this module needs it
     T, R = math.pi - VANISHING_EPS, VANISHING_EPS / 8.0
     p, q = geometry.frame_terms(*geometry.minkowski_coords(T, R))
-    a00 = [nullform.transformed_q0_coefficients(geometry.EinsteinEvent(T=Ti, R=Ri)).a[0, 0]
-           for Ti, Ri in zip(T, R)]
+    a00 = nullform.transformed_q0_coefficients(T, R).a[..., 0, 0]
     frame = vanishing_order_fit(zip(VANISHING_EPS, p + q)).exponent
     a_block = vanishing_order_fit(zip(VANISHING_EPS, a00)).exponent
     return VANISHING_EPS, min(frame, a_block), True, {"frame_slope": frame,

@@ -76,19 +76,14 @@ def field_X_fn(f, T, R, h: float):
     return cT * f_T + cR * f_R
 
 
-def _coords(points) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, R) arrays of a list of EinsteinEvents."""
-    return np.array([p.T for p in points], float), np.array([p.R for p in points], float)
-
-
 def commutator_residual(test, points, h: float) -> float:
-    """Max defect of the commutator identity over the given points.
+    """Max defect of the commutator identity over the points, a (T, R) pair of arrays.
 
     Evaluates box_g(X test) - X(box_g test) - RHS by nested centered
     differences, where RHS is the closed-form right side of the identity.
     Points must stay at least 4h away from R = 0 and from |T| + R = pi.
     """
-    T, R = _coords(points)
+    T, R = points
     bad = (R < 4 * h) | (np.abs(T) + R > math.pi - 4 * h)
     if bad.any():
         i = int(np.argmax(bad))
@@ -106,19 +101,21 @@ def commutator_residual(test, points, h: float) -> float:
 
 
 def intertwining_residual(test, points, h: float) -> float:
-    """Max relative defect of (box_g + 1)v = Omega^-3 box~(Omega v~) at the points.
+    """Max relative defect of (box_g + 1)v = Omega^-3 box~(Omega v~) at the points, a
+    (T, R) pair of arrays.
 
     The right side is evaluated by pulling the field back to Minkowski
     coordinates (u~ = Omega * v composed with the transform) and applying the
     flat radial wave operator u_tt - u_rr - (2/r) u_r by centered differences.
     """
-    T, R = _coords(points)
+    T, R = points
     inside = geometry.in_diamond(T, R)
     t, r = geometry.minkowski_coords(np.where(inside, T, 0.0), np.where(inside, R, 0.0))
     bad = ~inside | (r < 4 * h)
     if bad.any():
         i = int(np.argmax(bad))
-        geometry.to_minkowski(points[i])  # raises for a point on or beyond null infinity
+        if not inside[i]:
+            raise geometry._outside_diamond_error(T[i], R[i])
         raise DomainError(f"Minkowski preimage r = {r[i]} too close to the origin")
 
     def u_tilde(t, r):
@@ -133,8 +130,8 @@ def intertwining_residual(test, points, h: float) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)), initial=0.0))
 
 
-def battery_points(n: int = 50, seed: int = 1) -> list[geometry.EinsteinEvent]:
-    """Deterministic interior sample points for the identity batteries.
+def battery_points(n: int = 50, seed: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic interior sample points for the identity batteries, as (T, R) arrays.
 
     Points stay well inside the diamond (away from R = 0 and |T| + R = pi)
     so that all nested stencils remain valid.
@@ -142,11 +139,11 @@ def battery_points(n: int = 50, seed: int = 1) -> list[geometry.EinsteinEvent]:
     rng = np.random.default_rng(seed)
     points = []
     while len(points) < n:
-        T = rng.uniform(0.2, 2.6)
-        R = rng.uniform(0.2, 2.0)
+        T, R = rng.uniform(0.2, 2.6), rng.uniform(0.2, 2.0)
         if T + R < math.pi - 0.1:
-            points.append(geometry.EinsteinEvent(T=float(T), R=float(R)))
-    return points
+            points.append((T, R))
+    T, R = np.array(points, float).reshape(-1, 2).T
+    return T, R
 
 
 #: Closed-form battery for operator identity checks, as numpy ufuncs so that

@@ -54,6 +54,19 @@ _QUADRIC_XI = np.array([[sum(_QUADRIC[j, j] for j in range(4) if sorted((j, j, m
 VERDICT_TOL = 1e-10
 
 
+def _is_exact(arr: np.ndarray) -> bool:
+    """True when every entry is an int or Fraction (exact arithmetic path)."""
+    return arr.dtype == object and all(isinstance(v, (int, Fraction)) for v in arr.flat)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise DomainError unless every coefficient is finite; ints and Fractions are."""
+    if arr.dtype == object:
+        arr = np.array([v for v in arr.flat if not isinstance(v, (int, Fraction))], float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("coefficients must be finite")
+
+
 @dataclass(frozen=True)
 class QuadraticFormSpec:
     """Coefficient tensor s[I, J, K, j, k] of a semilinear quadratic form."""
@@ -66,8 +79,7 @@ class QuadraticFormSpec:
             raise DomainError(f"expected shape (N, N, N, 4, 4), got {arr.shape}")
         if not (arr.shape[0] == arr.shape[1] == arr.shape[2]):
             raise DomainError(f"component axes must agree, got {arr.shape}")
-        if arr.dtype != object and not np.all(np.isfinite(arr.astype(float))):
-            raise DomainError("coefficients must be finite")
+        _check_finite(arr)
         object.__setattr__(self, "s", arr)
 
     @property
@@ -76,10 +88,7 @@ class QuadraticFormSpec:
 
     @property
     def is_exact(self) -> bool:
-        """True when every entry is an int or Fraction (exact arithmetic path)."""
-        return self.s.dtype == object and all(
-            isinstance(v, (int, Fraction)) for v in self.s.flat
-        )
+        return _is_exact(self.s)
 
 
 @dataclass(frozen=True)
@@ -98,11 +107,10 @@ class CubicFormSpec:
             raise DomainError(f"expected shape (N, N, 4, 4, 4), got {arr.shape}")
         if arr.shape[0] != arr.shape[1]:
             raise DomainError(f"component axes must agree, got {arr.shape}")
+        _check_finite(arr)
         if arr.dtype == object:
             arr = (arr + arr.transpose(0, 1, 2, 4, 3)) / Fraction(2)
         else:
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("coefficients must be finite")
             arr = 0.5 * (arr + arr.transpose(0, 1, 2, 4, 3))
         object.__setattr__(self, "k", arr)
 
@@ -112,9 +120,7 @@ class CubicFormSpec:
 
     @property
     def is_exact(self) -> bool:
-        return self.k.dtype == object and all(
-            isinstance(v, (int, Fraction)) for v in self.k.flat
-        )
+        return _is_exact(self.k)
 
 
 @dataclass(frozen=True)
@@ -168,15 +174,29 @@ def _fractions(ints: np.ndarray, scale: int) -> np.ndarray:
     return np.array([Fraction(v, scale) for v in ints.flat], dtype=object).reshape(ints.shape)
 
 
+def _quotient(n: int, d: int) -> float:
+    """n / d for ints, d > 0, rounded as ``float(Fraction(n, d))``; a quotient past the
+    float range reads as +-inf instead of raising OverflowError."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _verdict(tensor, defect: np.ndarray, scale: int, exact: bool, tol: float):
     """(verdict, residual, bound) of the per-slice defects, the rows of ``defect``.
 
     The residual is the largest ``_frobenius`` of a row; an exact defect is read
-    as floats by int / int division, which rounds correctly as ``float(Fraction)``
-    does.  An exact form is null only when its defect is exactly zero.
+    as floats by ``_quotient``, so a row past the float range reads inf.  An exact
+    form is null only when its defect is exactly zero.  Raises DomainError when a
+    row's residual is NaN: a float form so large that its arithmetic overflowed to
+    inf - inf, which no verdict can be read from.
     """
-    rows = np.array([v / scale for v in defect.flat], dtype=float) if exact else defect
-    residual = max([0.0] + [_frobenius(row) for row in rows.reshape(defect.shape)])
+    rows = np.array([_quotient(v, scale) for v in defect.flat], dtype=float) if exact else defect
+    residual = float(np.max([_frobenius(row) for row in rows.reshape(defect.shape)],
+                            initial=0.0))
+    if math.isnan(residual):
+        raise DomainError("the classifier's arithmetic overflowed: the residual is NaN")
     if exact:
         return not any(defect.flat), residual, 0.0
     bound = tol * max(1.0, _frobenius(tensor))
@@ -272,10 +292,13 @@ def cone_sample_oracle(
 
 
 def _cone_symbol(q: QuadraticFormSpec | CubicFormSpec, xi: np.ndarray) -> float:
-    """max |symbol| over the slices of ``q`` at the covector ``xi``."""
-    if isinstance(q, QuadraticFormSpec):
-        return float(np.max(np.abs(np.einsum("...jk,j,k->...", q.s.astype(float), xi, xi))))
-    return float(np.max(np.abs(np.einsum("...ijk,i,j,k->...", q.k.astype(float), xi, xi, xi))))
+    """max |symbol| over the slices of ``q`` at the covector ``xi``; an exact form's is
+    taken on Fractions and read by ``_quotient``, so past the float range it reads inf."""
+    quadratic, exact = isinstance(q, QuadraticFormSpec), q.is_exact
+    arr, subscripts = (q.s, "...jk,j,k->...") if quadratic else (q.k, "...ijk,i,j,k->...")
+    arr, xi = (arr, np.array([Fraction(x) for x in xi])) if exact else (arr.astype(float), xi)
+    top = np.max(np.abs(np.einsum(subscripts, arr, *[xi] * (2 if quadratic else 3))))
+    return _quotient(*top.as_integer_ratio()) if exact else float(top)
 
 
 _WITNESS_CANDIDATES = [
@@ -315,36 +338,42 @@ def qij_spec(i: int, j: int, n_components: int = 1, exact: bool = False) -> Quad
 class BilinearCoeffs:
     """Radial bilinear form on the cylinder: gradient block, lower-order terms.
 
-    Represents a(u_T v_T, u_T v_R; u_R v_T, u_R v_R) + b1 . (du) v + b2 . (dv) u + c u v.
+    Represents a(u_T v_T, u_T v_R; u_R v_T, u_R v_R) + b1 . (du) v + b2 . (dv) u + c u v,
+    per point: ``a`` holds the 2 x 2 block in its last two axes, ``b1`` and ``b2`` the
+    (d_T, d_R) coefficients in their last axis.
     """
 
     a: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-    c: float
+    c: np.ndarray
 
 
-def transformed_q0_coefficients(ev: geometry.EinsteinEvent) -> BilinearCoeffs:
-    """Coefficients of the pushforward of q0 through the compactifying map.
+def transformed_q0_coefficients(T, R) -> BilinearCoeffs:
+    """Coefficients of the pushforward of q0 through the compactifying map at the
+    points (T, R), broadcast over arrays.
 
     For cylinder functions u, v the bilinear form
 
         Q(u, du; v, dv) = Omega^{-3} q0(d(Omega u~), d(Omega v~))
 
-    (tilde denoting the Minkowski pullback) is assembled by the chain rule
-    from the analytic Jacobian and Omega gradient of the frame at the
-    Minkowski preimage.  Raises DomainError outside the diamond, the
-    finite-radius region.
+    (tilde denoting the Minkowski pullback) is assembled by the chain rule from
+    the Jacobian of (t, r) -> (T, R) at the Minkowski preimage, whose rows push
+    d_t to (p + q) d_T + (p - q) d_R and d_r to (p - q) d_T + (p + q) d_R, and the
+    Omega gradient (d_t Omega, d_r Omega) = (-Omega sin T cos R, -Omega cos T sin R).
+    Raises DomainError outside the diamond, the finite-radius region.
     """
-    mk = geometry.to_minkowski(ev)
-    fr = geometry.frame_at(mk)
-    (t_T, t_R), (r_T, r_R) = fr.jac[0], fr.jac[1]
-    # rows of jac are pushforwards: d_t -> t_T d_T + t_R d_R, d_r likewise
-    om = geometry.omega_factor(mk.t, mk.r)
-    om_t, om_r = fr.omega_grad
-    grad_u_t = np.array([t_T, t_R])   # (d_T, d_R) coefficients of d_t acting on u
-    grad_u_r = np.array([r_T, r_R])
-    a = (np.outer(grad_u_t, grad_u_t) - np.outer(grad_u_r, grad_u_r)) / om
-    b = (om_t * grad_u_t - om_r * grad_u_r) / om ** 2
+    T, R = np.broadcast_arrays(np.asarray(T, float), np.asarray(R, float))
+    if not geometry.in_diamond(T, R).all():
+        raise geometry._outside_diamond_error(T, R)
+    t, r = geometry.minkowski_coords(T, R)
+    p, q = geometry.frame_terms(t, r)
+    om = geometry.omega_minkowski(t, r)
+    om_t, om_r = -om * np.sin(T) * np.cos(R), -om * np.cos(T) * np.sin(R)
+    grad_t = np.stack([p + q, p - q], axis=-1)  # (d_T, d_R) coefficients of d_t acting on u
+    grad_r = np.stack([p - q, p + q], axis=-1)
+    a = (grad_t[..., :, None] * grad_t[..., None, :]
+         - grad_r[..., :, None] * grad_r[..., None, :]) / om[..., None, None]
+    b = (om_t[..., None] * grad_t - om_r[..., None] * grad_r) / om[..., None] ** 2
     c = (om_t ** 2 - om_r ** 2) / om ** 3
-    return BilinearCoeffs(a=a, b1=b.copy(), b2=b.copy(), c=float(c))
+    return BilinearCoeffs(a=a, b1=b, b2=b.copy(), c=c)

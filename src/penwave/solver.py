@@ -71,7 +71,7 @@ _SCHEMA = {
     "problem": ("nonlinearity", "epsilon", "r_b"),
     "grid": ("dr", "cfl", "t_max", "r_max"),
     "data": ("center", "width", "f_amp", "g_amp"),
-    "output": ("snapshot_every", "frame_decimation"),
+    "output": ("snapshot_every",),
     "verify": ("order", "boundary_order", "tol"),
 }
 
@@ -108,7 +108,6 @@ class SolverConfig:
     cfl: float = 0.9
     t_max: float = 80.0
     r_max: float = 90.0
-    frame_decimation: int = 1
     forcing_fn: object = None
 
     @property
@@ -125,9 +124,6 @@ class SolverConfig:
                             ("data.width", self.data.width)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        dec = self.frame_decimation
-        if not isinstance(dec, (int, np.integer)) or dec < 1:
-            raise ConfigError(f"frame_decimation must be a positive integer, got {dec!r}")
         r_b = self.obs.r_b
         if not self.dr <= r_b:
             raise ConfigError(f"dr = {self.dr} must not exceed r_b = {r_b}, or E_local, "
@@ -151,7 +147,7 @@ class MonitorSeries:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Stored evolution: frames on a (possibly decimated) radial grid plus monitors."""
+    """Stored evolution: frames on the radial grid plus monitors."""
 
     r: np.ndarray
     times: np.ndarray
@@ -193,7 +189,6 @@ def run(config: SolverConfig) -> Trajectory:
 
     n_steps = int(round(config.t_max / dt))
     stride = max(1, int(round(_FRAME_SPACING / dt)))
-    dec = config.frame_decimation
     n_local = int(np.count_nonzero(r <= 2.0 * r_b))  # E_local is taken out to 2 r_b
     inv_r = 1.0 / r
     r2 = r ** 2
@@ -204,7 +199,7 @@ def run(config: SolverConfig) -> Trajectory:
         psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
 
     frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
-    frames_u, frames_ut = np.zeros((2, n_steps // stride + 2, len(r[::dec])))
+    frames_u, frames_ut = np.zeros((2, n_steps // stride + 2, len(r)))
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
     mon_bands = []  # one row per monitor level, one column per band offset
     offsets = np.asarray(DEFAULT_BANDS)
@@ -230,13 +225,13 @@ def run(config: SolverConfig) -> Trajectory:
             bands[(points < r[0]) | (points > r[-1])] = 0.0
             mon_bands.append(bands)
         if level % stride == 0 or level == n_steps:
-            row = (len(frames_t), slice(0, len(u[::dec])))
-            frames_u[row], frames_ut[row] = u[::dec], u_t[::dec]
+            row = np.s_[len(frames_t), :len(u)]
+            frames_u[row], frames_ut[row] = u, u_t
             frames_t.append(t)
 
     def partial_trajectory(completed):
         return Trajectory(
-            r=r[::dec].copy(),
+            r=r.copy(),
             times=np.asarray(frames_t),
             u_frames=frames_u[:len(frames_t)],
             ut_frames=frames_ut[:len(frames_t)],
@@ -595,7 +590,6 @@ def solver_config_from(cfg: configparser.ConfigParser) -> SolverConfig:
                          for key in _SCHEMA["data"]}),
         epsilon=getfloat(cfg, "problem", "epsilon", base.epsilon),
         **{key: getfloat(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
-        frame_decimation=getint(cfg, "output", "frame_decimation", base.frame_decimation),
     )
 
 
@@ -615,7 +609,6 @@ def config_sections(cfg: SolverConfig) -> dict[str, dict[str, str]]:
                     "r_b": repr(float(cfg.obs.r_b))},
         "grid": {key: repr(float(getattr(cfg, key))) for key in _SCHEMA["grid"]},
         "data": {key: repr(float(getattr(cfg.data, key))) for key in _SCHEMA["data"]},
-        "output": {"frame_decimation": str(cfg.frame_decimation)},
     }
 
 

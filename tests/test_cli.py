@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, file formats, manifests."""
 
 import configparser
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penwave import analysis, cli, cylinder, geometry, nullform, solver
+from penwave import analysis, cli, cylinder, errors, geometry, nullform, solver
 
 SMALL_CONFIG = """\
 [problem]
@@ -83,7 +85,7 @@ class TestConfigParsing:
             solver.read_config(str(tmp_path / "absent.ini"))
 
     @pytest.mark.parametrize("section,key", [
-        ("grid", "n_t"), ("grid", "n_r"), ("output", "dir"),
+        ("grid", "n_t"), ("grid", "n_r"), ("output", "dir"), ("output", "frame_decimation"),
         ("verify", "sigma"), ("verify", "seed"), ("verify", "require_null"),
     ])
     def test_unread_keys_exit_with_parse_error(self, tmp_path, capsys, section, key):
@@ -100,8 +102,7 @@ class TestConfigParsing:
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,section,key", [
-        ("simulate", "output", "frame_decimation"), ("compat", "verify", "order"),
-        ("compat", "verify", "boundary_order"),
+        ("compat", "verify", "order"), ("compat", "verify", "boundary_order"),
     ])
     def test_fractional_integer_key_is_a_parse_error(self, tmp_path, capsys, command,
                                                      section, key):
@@ -117,13 +118,6 @@ class TestConfigParsing:
         code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_PARSE
         assert f"[{section}] {key}:" in capsys.readouterr().err
-
-    def test_out_of_range_frame_decimation_is_a_domain_error(self, tmp_path, capsys):
-        path = tmp_path / "run.ini"
-        path.write_text(SMALL_CONFIG + "frame_decimation = 0\n")
-        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_DOMAIN
-        assert "frame_decimation must be a positive integer, got 0" in capsys.readouterr().err
 
     def test_unknown_nonlinearity_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -146,11 +140,9 @@ class TestTransform:
         code = cli.main(["transform", "--input", str(inp), "--out", str(out)])
         assert code == 0
         rows = np.loadtxt(out / "transformed.csv", delimiter=",", skiprows=1)
-        for (t, r), row in zip(pts, rows):
-            ev = geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
-            assert row[2] == pytest.approx(ev.einstein.T, abs=1e-12)
-            assert row[3] == pytest.approx(ev.einstein.R, abs=1e-12)
-            assert row[4] == pytest.approx(ev.omega_factor, abs=1e-12)
+        t, r = pts.T
+        want = np.column_stack([*geometry.einstein_coords(t, r), geometry.omega_minkowski(t, r)])
+        assert np.allclose(rows[:, 2:], want, rtol=0, atol=1e-12)
 
     def test_backward_failures_marked_nan(self, tmp_path, capsys):
         inp = tmp_path / "points.csv"
@@ -188,6 +180,17 @@ class TestTransform:
                               equal_nan=True)
         assert np.all(np.isnan(rows[2:, 2:]))
 
+    def test_forward_rows_name_t_before_r(self, tmp_path, capsys):
+        code, rows, err, failed = self._mixed(
+            tmp_path, capsys, ["3,inf", "1,nan", "nan,inf", "-inf,-1", "2,-inf"], backward=False)
+        assert code == cli.EXIT_DOMAIN and failed == "5"
+        assert err == ["row 0: r must be finite, got inf",
+                       "row 1: r must be finite, got nan",
+                       "row 2: t must be finite, got nan",
+                       "row 3: t must be finite, got -inf",
+                       "row 4: r must be finite, got -inf"]
+        assert np.all(np.isnan(rows[:, 2:]))
+
     def test_forward_row_whose_time_rounds_to_pi_is_flagged(self, tmp_path, capsys):
         # arctan(t +- r) both round to pi/2 beyond t ~ 1e16: T = pi, outside (-pi, pi)
         code, rows, err, failed = self._mixed(
@@ -209,37 +212,61 @@ class TestTransform:
         assert np.allclose(rows[:2, 2:], [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-15)
         assert np.all(np.isnan(rows[2:, 2:]))
 
+    @pytest.mark.parametrize("T", [10.0, -10.0, math.pi, -math.pi, 4.0])
+    def test_backward_row_outside_the_cylinder_time_range(self, tmp_path, capsys, T):
+        code, rows, err, failed = self._mixed(tmp_path, capsys, [f"{T!r},0.5"], backward=True)
+        assert code == cli.EXIT_DOMAIN and failed == "1"
+        assert err == [f"row 0: T must lie in (-pi, pi), got {T}"]
+        assert np.all(np.isnan(rows[:, 2:]))
+
     @given(cells=st.lists(st.tuples(*[st.one_of(
         st.floats(-4.0, 4.0), st.sampled_from([np.nan, np.inf, -np.inf, 0.0, math.pi]))] * 2),
         min_size=1, max_size=12), backward=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_flags_exactly_the_rows_the_scalar_types_reject(self, tmp_path_factory, cells,
+    def test_flags_exactly_the_rows_outside_each_maps_domain(self, tmp_path_factory, cells,
                                                              backward):
         tmp = tmp_path_factory.mktemp("rows")
         np.savetxt(tmp / "in.csv", np.array(cells), delimiter=",", fmt="%.17g")
         argv = ["transform", "--input", str(tmp / "in.csv"), "--out", str(tmp)]
-        rejected = []
-        for i, (x, y) in enumerate(cells):
-            try:
-                if backward:
-                    geometry.to_minkowski(geometry.EinsteinEvent(T=x, R=y))
-                else:
-                    geometry.to_einstein(geometry.MinkowskiEvent(t=x, r=y))
-            except cli.DomainError:
-                rejected.append(i)
-        code = cli.main(argv + (["--backward"] if backward else []))
+
+        def first_broken_rule(x, y):
+            """The error of a rejected row, or None for a row the map takes."""
+            if backward:  # the open diamond
+                if not math.isfinite(x):
+                    return f"T must be finite, got {x}"
+                if not -math.pi < x < math.pi:
+                    return f"T must lie in (-pi, pi), got {x}"
+                if not 0.0 <= y <= math.pi:
+                    return f"R must lie in [0, pi], got {y}"
+                if abs(x) + y >= math.pi:
+                    return f"event (T={x}, R={y}) lies on or beyond null infinity (|T| + R >= pi)"
+                return None
+            if not math.isfinite(x):
+                return f"t must be finite, got {x}"
+            if not math.isfinite(y):
+                return f"r must be finite, got {y}"
+            if y < 0:
+                return f"radial coordinate must be nonnegative, got {y}"
+            T = math.atan(x + y) + math.atan(x - y)
+            return f"T must lie in (-pi, pi), got {T}" if abs(T) >= math.pi else None
+
+        errors = [(i, first_broken_rule(x, y)) for i, (x, y) in enumerate(cells)]
+        rejected = [i for i, e in errors if e is not None]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv + (["--backward"] if backward else []))
+        assert err.getvalue().splitlines() == [f"row {i}: {e}" for i in rejected
+                                               for e in [errors[i][1]]]
         rows = np.loadtxt(tmp / "transformed.csv", delimiter=",", skiprows=1, ndmin=2)
         assert list(np.flatnonzero(np.isnan(rows[:, 2]))) == rejected
         assert np.all(np.isfinite(np.delete(rows[:, 2:], rejected, axis=0)))
         assert code == (cli.EXIT_DOMAIN if rejected else cli.EXIT_OK)
 
     @pytest.mark.parametrize("backward", [False, True])
-    def test_valid_rows_never_take_the_scalar_path(self, tmp_path, monkeypatch, backward):
-        def refuse(ev):
-            raise AssertionError("scalar transform called for a valid row")
+    def test_valid_rows_never_take_the_per_row_path(self, tmp_path, monkeypatch, backward):
+        def refuse(*args):
+            raise AssertionError("per-row wording called for a valid row")
 
-        monkeypatch.setattr(geometry, "to_einstein", refuse)
-        monkeypatch.setattr(geometry, "to_minkowski", refuse)
+        monkeypatch.setattr(cli, "_broken_rule", refuse)
         rng = np.random.default_rng(5)
         if backward:
             R = rng.uniform(1e-2, 3.0, 10_000)
@@ -327,6 +354,28 @@ class TestCheckNull:
         form.write_text("# comment\nquartic 1\n")
         assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, huge, other", [
+        ("quadratic", "0 0 0 0 0 1e309", "0 0 0 1 2 1"),
+        ("cubic", "0 0 0 0 0 1e400", "0 0 1 2 3 1")])
+    def test_non_null_form_past_the_float_range_reads_inf(self, tmp_path, capsys, kind, huge,
+                                                           other):
+        # the exact defect and witness symbol pass the float range: they read inf
+        form = tmp_path / "huge.form"
+        form.write_text(f"{kind} 1\n{huge}\n{other}\n")
+        code = cli.main(["check-null", "--form", str(form), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out == ("non-null, residual=inf, witness xi=(1,1,0,0) "
+                                           "symbol=inf\n")
+        report = json.loads((tmp_path / "o" / "null_report.json").read_text())
+        assert report["value"] == math.inf and report["verdict"] == "fail"
+
+    def test_null_form_whose_lambda_passes_the_float_range(self, tmp_path, capsys):
+        form = tmp_path / "huge_q0.form"
+        form.write_text("quadratic 1\n" + "".join(
+            f"0 0 0 {j} {j} {d}{'0' * 400}\n" for j, d in enumerate((1, -1, -1, -1))))
+        assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "null, lambda=inf, residual=0.000e+00\n"
 
     def test_seed_flag_rejected(self):
         with pytest.raises(SystemExit) as info:
@@ -499,19 +548,19 @@ class TestVerifyCommand:
         def check_digest(name):
             return analysis.CHECKS[name].run()["inputs_digest"]
 
-        battery = cylinder.battery_points()
+        T, R = cylinder.battery_points()
         points = {
-            "intertwining": np.array([(p.T, p.R) for p in battery]),
-            "commutator": np.array([(p.T, p.R) for p in battery]),
+            "intertwining": np.column_stack([T, R]),
+            "commutator": np.column_stack([T, R]),
             "boundary-geometry": (np.linspace(1.0, math.pi - 1e-3, 300), 0.2),
             "vanishing-order": math.pi * 0.5 ** np.arange(3, 13),
         }
         for name, inputs in points.items():
             assert check_digest(name) == digest(inputs), name
         # move one evaluation point of each check
-        moved = list(battery)
-        moved[7] = geometry.EinsteinEvent(T=moved[7].T + 1e-3, R=moved[7].R)
-        monkeypatch.setattr(cylinder, "battery_points", lambda: moved)
+        moved = T.copy()
+        moved[7] += 1e-3
+        monkeypatch.setattr(cylinder, "battery_points", lambda: (moved, R))
         T, eps = analysis.BOUNDARY_T.copy(), analysis.VANISHING_EPS.copy()
         T[50] += 1e-4
         eps[0] *= 1.01
@@ -683,5 +732,5 @@ class TestExitCodeMapping:
         assert cli._exit_code(cli.StabilityError("x")) == cli.EXIT_STABILITY
         assert cli._exit_code(cli.NaNError("x")) == cli.EXIT_NAN
         assert cli._exit_code(cli.CoverageError("x")) == cli.EXIT_COVERAGE
-        assert cli._exit_code(cli.ConfigError("x")) == cli.EXIT_DOMAIN
-        assert cli._exit_code(cli.FitError("x")) == cli.EXIT_DOMAIN
+        assert cli._exit_code(errors.ConfigError("x")) == cli.EXIT_DOMAIN
+        assert cli._exit_code(errors.FitError("x")) == cli.EXIT_DOMAIN

@@ -1,14 +1,21 @@
 """Cylinder operators, identity batteries, quadrature, and weighted norms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from penwave import cylinder, geometry
+from penwave import cylinder
 from penwave.errors import DomainError, MaskError
+
+
+def _points(*pairs):
+    """The (T, R) arrays of the given (T, R) pairs."""
+    T, R = np.array(pairs, float).reshape(-1, 2).T
+    return T, R
 
 
 def make_field(fn, n_T=101, n_R=201, T_max=2.0, R_max=3.0):
@@ -61,64 +68,70 @@ class TestIdentityBatteries:
 
     def test_singular_set_guard(self):
         test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
-        with pytest.raises(DomainError, match="too close to the singular set"):
-            cylinder.commutator_residual(test, [geometry.EinsteinEvent(T=0.5, R=1e-5)], h=1e-3)
-        with pytest.raises(DomainError, match="too close to the singular set"):
-            cylinder.commutator_residual(test, [geometry.EinsteinEvent(T=2.1, R=1.04)], h=1e-3)
+        for T, R in ((0.5, 1e-5), (2.1, 1.04)):
+            with pytest.raises(DomainError, match="too close to the singular set"):
+                cylinder.commutator_residual(test, _points((T, R)), h=1e-3)
 
     def test_singular_set_guard_names_the_first_bad_point(self):
         test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
-        near_origin = geometry.EinsteinEvent(T=0.5, R=1e-5)
-        near_scri = geometry.EinsteinEvent(T=2.1, R=1.04)
-        fine = geometry.EinsteinEvent(T=0.5, R=1.0)
+        fine, near_origin, near_scri = (0.5, 1.0), (0.5, 1e-5), (2.1, 1.04)
         with pytest.raises(DomainError, match=r"point \(T=0.5, R=1e-05\) too close"):
-            cylinder.commutator_residual(test, [fine, near_origin, near_scri], h=1e-3)
+            cylinder.commutator_residual(test, _points(fine, near_origin, near_scri), h=1e-3)
         with pytest.raises(DomainError, match=r"point \(T=2.1, R=1.04\) too close"):
-            cylinder.commutator_residual(test, [fine, near_scri, near_origin], h=1e-3)
+            cylinder.commutator_residual(test, _points(fine, near_scri, near_origin), h=1e-3)
 
     def test_intertwining_guards(self):
         test = dict(cylinder.TEST_BATTERY)["sinT_cosR"]
-        near_origin = geometry.EinsteinEvent(T=0.5, R=1e-5)
-        beyond_scri = geometry.EinsteinEvent(T=2.0, R=1.5)
-        fine = geometry.EinsteinEvent(T=0.5, R=1.0)
+        fine, near_origin, beyond_scri = (0.5, 1.0), (0.5, 1e-5), (2.0, 1.5)
         with pytest.raises(DomainError, match="too close to the origin"):
-            cylinder.intertwining_residual(test, [fine, near_origin], h=1e-3)
+            cylinder.intertwining_residual(test, _points(fine, near_origin), h=1e-3)
         with pytest.raises(DomainError, match="beyond null infinity"):
-            cylinder.intertwining_residual(test, [beyond_scri], h=1e-3)
+            cylinder.intertwining_residual(test, _points(beyond_scri), h=1e-3)
         # with both kinds present, the first bad point decides the message
         with pytest.raises(DomainError, match="too close to the origin"):
-            cylinder.intertwining_residual(test, [near_origin, beyond_scri], h=1e-3)
-        with pytest.raises(DomainError, match=r"event \(T=2.0, R=1.5\) lies on or beyond"):
-            cylinder.intertwining_residual(test, [beyond_scri, near_origin], h=1e-3)
+            cylinder.intertwining_residual(test, _points(near_origin, beyond_scri), h=1e-3)
+        with pytest.raises(DomainError, match=re.escape(
+                "event (T=2.0, R=1.5) lies on or beyond null infinity (|T| + R >= pi)")):
+            cylinder.intertwining_residual(test, _points(beyond_scri, near_origin), h=1e-3)
 
     def test_no_points_leave_no_residual(self):
         test = dict(cylinder.TEST_BATTERY)["cosT_cosR"]
-        assert cylinder.commutator_residual(test, [], h=1e-3) == 0.0
-        assert cylinder.intertwining_residual(test, [], h=1e-3) == 0.0
+        assert cylinder.commutator_residual(test, _points(), h=1e-3) == 0.0
+        assert cylinder.intertwining_residual(test, _points(), h=1e-3) == 0.0
 
     def test_array_evaluation_matches_point_by_point(self):
         # numpy may dispatch array and scalar ufunc calls to different kernels,
         # which differ by an ulp or so; the stencils divide that by h^2 (h^3
         # when nested), hence the tolerances.
-        points = cylinder.battery_points(12, seed=3)
-        T = np.array([p.T for p in points])
-        R = np.array([p.R for p in points])
+        points = T, R = cylinder.battery_points(12, seed=3)
+        singles = [_points(p) for p in zip(T, R)]
         for _, test in cylinder.TEST_BATTERY:
             for op in (cylinder.box_g_fn, cylinder.field_X_fn):
                 batched = op(test, T, R, 1e-3)
-                single = [op(test, p.T, p.R, 1e-3) for p in points]
+                single = [op(test, Ti, Ri, 1e-3) for Ti, Ri in zip(T, R)]
                 np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-9)
-            each = [cylinder.commutator_residual(test, [p], h=1e-3) for p in points]
+            each = [cylinder.commutator_residual(test, p, h=1e-3) for p in singles]
             assert cylinder.commutator_residual(test, points, h=1e-3) == pytest.approx(
                 max(each), abs=5e-7)
-            each = [cylinder.intertwining_residual(test, [p], h=1e-3) for p in points]
+            each = [cylinder.intertwining_residual(test, p, h=1e-3) for p in singles]
             assert cylinder.intertwining_residual(test, points, h=1e-3) == pytest.approx(
                 max(each), rel=1e-9)
 
     def test_battery_points_deterministic(self):
         a = cylinder.battery_points(15, seed=4)
         b = cylinder.battery_points(15, seed=4)
-        assert all(p.T == q.T and p.R == q.R for p, q in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_battery_points_draw_T_then_R_and_keep_the_interior(self):
+        # the stream the batteries' inputs digest pins: one (T, R) draw per candidate
+        rng, want = np.random.default_rng(4), []
+        while len(want) < 15:
+            T, R = rng.uniform(0.2, 2.6), rng.uniform(0.2, 2.0)
+            if T + R < math.pi - 0.1:
+                want.append((T, R))
+        T, R = cylinder.battery_points(15, seed=4)
+        assert T.dtype == R.dtype == float
+        assert np.array_equal(np.column_stack([T, R]), want)
 
 
 class TestGridOperators:

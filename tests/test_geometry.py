@@ -1,7 +1,6 @@
-"""Coordinate map, conformal factor, frames, and boundary-curve tests."""
+"""Coordinate map, conformal factor, frames, and boundary-curve tests, on the array closed forms."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,48 +19,34 @@ any_float = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 
 class TestConformalFactor:
     def test_origin_value(self):
-        assert geometry.omega_factor(0.0, 0.0) == pytest.approx(2.0, abs=1e-15)
+        assert geometry.omega_minkowski(0.0, 0.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_closed_forms_agree_on_grid(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0.0, 50.0, size=(500, 2))
-        for t, r in pts:
-            res = geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
-            trig = math.cos(res.einstein.T) + math.cos(res.einstein.R)
-            assert abs(res.omega_factor - trig) < 1e-12
+        t, r = np.random.default_rng(3).uniform(0.0, 50.0, size=(500, 2)).T
+        T, R = geometry.einstein_coords(t, r)
+        trig = [math.cos(Ti) + math.cos(Ri) for Ti, Ri in zip(T, R)]
+        assert np.all(np.abs(geometry.omega_minkowski(t, r) - trig) < 1e-12)
 
     @given(t=times, r=finite_coords)
     @settings(max_examples=200, deadline=None)
     def test_positive_inside_diamond(self, t, r):
-        assert geometry.omega_factor(t, r) > 0.0
+        assert geometry.omega_minkowski(t, r) > 0.0
 
 
 class TestCompactification:
     def test_null_ray_maps_to_null_line(self):
-        # outgoing ray t = r + 1: T + R = pi - 2 arctan'ish constant offset
-        for r in (0.5, 5.0, 50.0):
-            res = geometry.to_einstein(geometry.MinkowskiEvent(t=r + 1.0, r=r))
-            ev = res.einstein
-            assert ev.T - ev.R == pytest.approx(2.0 * math.atan(1.0), abs=1e-12)
+        # outgoing ray t = r + 1: T - R = 2 arctan 1 all along it
+        r = np.array([0.5, 5.0, 50.0])
+        T, R = geometry.einstein_coords(r + 1.0, r)
+        assert np.allclose(T - R, 2.0 * math.atan(1.0), rtol=0, atol=1e-12)
 
-    @given(t=times, r=finite_coords)
-    @settings(max_examples=300, deadline=None)
-    def test_round_trip(self, t, r):
-        ev = geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r)).einstein
-        assert abs(ev.T) + ev.R < math.pi
-        back = geometry.to_minkowski(ev)
-        scale = 1.0 + abs(t) + r
-        assert abs(back.t - t) / scale < 1e-9
-        assert abs(back.r - r) / scale < 1e-9
-
-    def test_to_minkowski_rejects_diamond_boundary(self):
-        with pytest.raises(DomainError):
-            geometry.to_minkowski(geometry.EinsteinEvent(T=math.pi / 2, R=math.pi / 2))
+    def test_diamond_boundary_is_outside_the_mask(self):
+        assert not geometry.in_diamond(math.pi / 2, math.pi / 2)
 
     def test_spatial_infinity_limit(self):
-        ev = geometry.to_einstein(geometry.MinkowskiEvent(t=0.0, r=1e8)).einstein
-        assert ev.R == pytest.approx(math.pi, abs=1e-6)
-        assert ev.T == pytest.approx(0.0, abs=1e-12)
+        T, R = geometry.einstein_coords(0.0, 1e8)
+        assert R == pytest.approx(math.pi, abs=1e-6)
+        assert T == pytest.approx(0.0, abs=1e-12)
 
 
 def _events(n):
@@ -71,31 +56,6 @@ def _events(n):
 
 
 class TestArrayClosedForms:
-    @given(tr=_events(40))
-    @settings(max_examples=100, deadline=None)
-    def test_arrays_equal_the_scalar_wrappers(self, tr):
-        t, r = tr
-        T, R = geometry.einstein_coords(t, r)
-        om = geometry.omega_minkowski(t, r)
-        p, q = geometry.frame_terms(t, r)
-        for i in range(len(t)):
-            res = geometry.to_einstein(geometry.MinkowskiEvent(t=float(t[i]), r=float(r[i])))
-            fr = geometry.frame_at(geometry.MinkowskiEvent(t=float(t[i]), r=float(r[i])))
-            assert type(res.einstein.T) is float and type(res.omega_factor) is float
-            # a scalar squares with pow, an array by multiplying: p - q may differ
-            # by the round-off of p + q, which it cancels
-            for array_value, scalar, scale in (
-                    (T[i], res.einstein.T, res.einstein.T), (R[i], res.einstein.R, res.einstein.R),
-                    (om[i], res.omega_factor, res.omega_factor),
-                    (p[i] + q[i], fr.jac[0, 0], fr.jac[0, 0]),
-                    (p[i] - q[i], fr.jac[0, 1], fr.jac[0, 0])):
-                assert abs(array_value - scalar) <= 1e-15 * abs(scale)
-            if abs(T[i]) + R[i] < math.pi:
-                back = geometry.to_minkowski(res.einstein)
-                bt, br = geometry.minkowski_coords(T[i], R[i])
-                assert abs(bt - back.t) <= 1e-15 * abs(back.t)
-                assert abs(br - back.r) <= 1e-15 * abs(back.r)
-
     @given(tr=_events(40))
     @settings(max_examples=100, deadline=None)
     def test_arrays_match_the_math_module_forms(self, tr):
@@ -130,48 +90,27 @@ class TestArrayClosedForms:
 
     @given(t=any_float, r=any_float)
     @settings(max_examples=300, deadline=None)
-    def test_minkowski_mask_is_what_the_event_accepts(self, t, r):
-        try:
-            geometry.MinkowskiEvent(t=t, r=r)
-            accepted = True
-        except DomainError as exc:
-            accepted = False
-            if not math.isfinite(t):
-                assert str(exc) == f"t must be finite, got {t}"
-            elif not math.isfinite(r):
-                assert str(exc) == f"r must be finite, got {r}"
+    def test_minkowski_mask_is_finite_nonnegative_radius(self, t, r):
+        accepted = math.isfinite(t) and math.isfinite(r) and r >= 0
         assert geometry.minkowski_valid(np.array([t]), np.array([r]))[0] == accepted
 
     @given(T=any_float, R=any_float)
     @settings(max_examples=300, deadline=None)
-    def test_diamond_mask_is_what_to_minkowski_accepts(self, T, R):
-        try:
-            geometry.to_minkowski(geometry.EinsteinEvent(T=T, R=R))
-            accepted = True
-        except DomainError as exc:
-            accepted = False
-            if not math.isfinite(T):
-                assert str(exc) == f"T must be finite, got {T}"
+    def test_diamond_mask_is_the_open_diamond(self, T, R):
+        accepted = math.isfinite(T) and math.isfinite(R) and R >= 0 and abs(T) + R < math.pi
         with np.errstate(invalid="ignore", over="ignore"):  # |inf| + -inf, 1e308 + 1e308
             assert geometry.in_diamond(np.array([T]), np.array([R]))[0] == accepted
 
-    @pytest.mark.parametrize("T", [10.0, -10.0, math.pi, -math.pi, 4.0])
-    def test_einstein_event_rejects_time_outside_the_cylinder_range(self, T):
-        # T = 10 used to construct
-        with pytest.raises(DomainError, match=re.escape(f"T must lie in (-pi, pi), got {T}")):
-            geometry.EinsteinEvent(T=T, R=0.5)
+    def test_time_rounds_to_pi_only_beyond_1e16(self):
+        # both arctans round to +-pi/2 there, so T leaves the open cylinder (-pi, pi)
+        assert geometry.einstein_coords(1e15, 0.0)[0] < math.pi
+        T, _ = geometry.einstein_coords(np.array([1e17, -1e17]), 1.0)
+        assert np.array_equal(T, [math.pi, -math.pi])
 
-    def test_time_rounding_to_pi_is_rejected_not_mapped_to_the_boundary(self):
-        assert geometry.to_einstein(geometry.MinkowskiEvent(t=1e15, r=0.0)).einstein.T < math.pi
-        for t in (1e17, -1e17):
-            with pytest.raises(DomainError, match=r"T must lie in \(-pi, pi\)"):
-                geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=1.0))
-
-    def test_infinite_time_is_rejected_not_mapped_to_the_boundary(self):
+    def test_infinite_coordinates_are_outside_the_mask(self):
         # arctan(inf) would place (inf, 0) at T = pi, R = 0 with Omega = 0
-        for t, r in ((math.inf, 0.0), (-math.inf, 2.0), (3.0, math.inf)):
-            with pytest.raises(DomainError, match="must be finite"):
-                geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
+        t, r = np.array([math.inf, -math.inf, 3.0]), np.array([0.0, 2.0, math.inf])
+        assert not geometry.minkowski_valid(t, r).any()
 
 
 class TestRegionPredicates:
@@ -180,48 +119,30 @@ class TestRegionPredicates:
         T, R = math.pi - 0.1, 3.0
         assert math.cos(T) + math.cos(R) < 0
         assert not geometry.in_diamond(np.array([T]), np.array([R]))[0]
-        with pytest.raises(DomainError):
-            geometry.to_minkowski(geometry.EinsteinEvent(T=T, R=R))
 
 
 class TestFrame:
     def test_jacobian_matches_finite_differences(self):
         h = 1e-6
-        for t, r in ((0.7, 1.3), (3.0, 0.5), (10.0, 12.0)):
-            fr = geometry.frame_at(geometry.MinkowskiEvent(t=t, r=r))
+        t, r = np.array([0.7, 3.0, 10.0]), np.array([1.3, 0.5, 12.0])
+        p, q = geometry.frame_terms(t, r)
+        jac = np.array([[p + q, p - q], [p - q, p + q]])
+        dt = (np.array(geometry.einstein_coords(t + h, r))
+              - np.array(geometry.einstein_coords(t - h, r))) / (2 * h)
+        dr = (np.array(geometry.einstein_coords(t, r + h))
+              - np.array(geometry.einstein_coords(t, r - h))) / (2 * h)
+        # jac[i, j]: the d_T (j = 0) or d_R (j = 1) component of d_t (i = 0) or d_r (i = 1)
+        fd = np.array([[dt[0], dt[1]], [dr[0], dr[1]]])
+        assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
-            def T_of(tt, rr):
-                return geometry.to_einstein(geometry.MinkowskiEvent(t=tt, r=rr)).einstein.T
-
-            def R_of(tt, rr):
-                return geometry.to_einstein(geometry.MinkowskiEvent(t=tt, r=rr)).einstein.R
-
-            fd = np.array([
-                [(T_of(t + h, r) - T_of(t - h, r)) / (2 * h),
-                 (T_of(t, r + h) - T_of(t, r - h)) / (2 * h)],
-                [(R_of(t + h, r) - R_of(t - h, r)) / (2 * h),
-                 (R_of(t, r + h) - R_of(t, r - h)) / (2 * h)],
-            ])
-            assert np.allclose(fr.jac, fd, rtol=1e-6, atol=1e-8)
-
-    @given(t=st.floats(0, 30), r=st.floats(0.1, 30))
+    @given(tr=_events(40))
     @settings(max_examples=100, deadline=None)
-    def test_time_coefficient_identity(self, t, r):
-        # dT/dt = 1 + cos R cos T in the conformal normalization Omega^2
-        fr = geometry.frame_at(geometry.MinkowskiEvent(t=t, r=r))
-        ev = geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r)).einstein
-        assert fr.jac[0, 0] * 1.0 == pytest.approx(
-            1.0 + math.cos(ev.R) * math.cos(ev.T), rel=1e-9, abs=1e-12
-        )
-
-    def test_omega_gradient_matches_finite_differences(self):
-        h = 1e-6
-        t, r = 1.7, 0.9
-        fr = geometry.frame_at(geometry.MinkowskiEvent(t=t, r=r))
-        g_t = (geometry.omega_factor(t + h, r) - geometry.omega_factor(t - h, r)) / (2 * h)
-        g_r = (geometry.omega_factor(t, r + h) - geometry.omega_factor(t, r - h)) / (2 * h)
-        assert fr.omega_grad[0] == pytest.approx(g_t, rel=1e-6)
-        assert fr.omega_grad[1] == pytest.approx(g_r, rel=1e-6)
+    def test_time_coefficient_identity(self, tr):
+        # dT/dt = p + q = 1 + cos R cos T in the conformal normalization Omega^2
+        t, r = tr
+        p, q = geometry.frame_terms(t, r)
+        T, R = geometry.einstein_coords(t, r)
+        assert np.allclose(p + q, 1.0 + np.cos(R) * np.cos(T), rtol=1e-9, atol=1e-12)
 
 
 class TestBoundaryCurve:
@@ -234,10 +155,10 @@ class TestBoundaryCurve:
         assert phi0 == pytest.approx(2.0 * math.atan(0.2), abs=1e-12)
 
     def test_preimage_is_the_obstacle_radius(self):
-        for T in (0.5, 1.5, 2.8, 3.1):
-            phi = geometry.boundary_curve(self.obs, T)
-            mk = geometry.to_minkowski(geometry.EinsteinEvent(T=T, R=phi))
-            assert mk.r == pytest.approx(0.2, rel=1e-10)
+        T = np.array([0.5, 1.5, 2.8, 3.1])
+        phi = np.array([geometry.boundary_curve(self.obs, Tv) for Tv in T])
+        _, r = geometry.minkowski_coords(T, phi)
+        assert np.allclose(r, 0.2, rtol=1e-10, atol=0)
 
     def test_collapse_rate(self):
         # Phi(T) / (pi - T)^2 stays in a fixed band as T -> pi

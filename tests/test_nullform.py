@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -361,62 +362,110 @@ class TestConeOracle:
             nullform.cone_sample_oracle(nullform.q0_spec(), 0)
 
 
+class TestOverflowAndNonFiniteInputs:
+    """A form the classifier cannot read a verdict from is a DomainError (exit 3 in
+    check-null), not a null verdict with residual 0."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_float_form_whose_arithmetic_overflows_to_nan(self):
+        s = np.zeros((1, 1, 1, 4, 4))
+        s[0, 0, 0, 0, 0], s[0, 0, 0, 1, 2] = 1e308, 1.0  # 2e308 overflows in sym, then inf - inf
+        with pytest.raises(DomainError, match="residual is NaN"):
+            nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+        k = np.zeros((1, 1, 4, 4, 4))
+        k[0, 0, 0, 0, 0], k[0, 0, 1, 2, 3] = 1e308, 1.0
+        with pytest.raises(DomainError, match="residual is NaN"):
+            nullform.check_null_quasilinear(nullform.CubicFormSpec(k=k))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(-np.inf)])
+    def test_object_tensor_with_a_non_finite_entry(self, value):
+        s = np.zeros((1, 1, 1, 4, 4), dtype=object)
+        s[...] = Fraction(0)
+        s[0, 0, 0, 1, 1] = value
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            nullform.QuadraticFormSpec(s=s)
+        k = np.zeros((1, 1, 4, 4, 4), dtype=object)
+        k[...] = 0
+        k[0, 0, 2, 1, 1] = value
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            nullform.CubicFormSpec(k=k)
+
+    def test_object_tensor_of_huge_exact_entries_stays_exact(self):
+        # ints and Fractions beyond float range are finite: no float conversion to check them
+        s = nullform.q0_spec(exact=True).s * 10 ** 400
+        verdict, dec = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+        assert verdict and dec.lam[0, 0, 0] == 10 ** 400
+        s[0, 0, 0, 1, 1] *= 2  # its defect passes the float range: residual inf, non-null
+        verdict, dec = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+        assert not verdict and dec.residual == math.inf
+        assert nullform.cone_witness(nullform.QuadraticFormSpec(s=s))[1] == math.inf
+
+
 class TestTransformedCoefficients:
     @staticmethod
-    def _direct_q0(ev, u_fn, v_fn, h=1e-5):
+    def _direct_q0(T, R, u_fn, v_fn, h=1e-5):
         """Chain-rule-free oracle: finite differences straight in (t, r)."""
 
         def mink(fn):
-            def wrapped(t, r):
-                res = geometry.to_einstein(geometry.MinkowskiEvent(t=t, r=r))
-                return res.omega_factor * fn(res.einstein.T, res.einstein.R)
-
-            return wrapped
+            return lambda t, r: geometry.omega_minkowski(t, r) * fn(*geometry.einstein_coords(t, r))
 
         U, V = mink(u_fn), mink(v_fn)
-        mk = geometry.to_minkowski(ev)
-        t, r = mk.t, mk.r
+        t, r = geometry.minkowski_coords(T, R)
         u_t = (U(t + h, r) - U(t - h, r)) / (2 * h)
         u_r = (U(t, r + h) - U(t, r - h)) / (2 * h)
         v_t = (V(t + h, r) - V(t - h, r)) / (2 * h)
         v_r = (V(t, r + h) - V(t, r - h)) / (2 * h)
-        om = geometry.omega_factor(t, r)
-        return (u_t * v_t - u_r * v_r) / om**3
+        return (u_t * v_t - u_r * v_r) / geometry.omega_minkowski(t, r) ** 3
 
     def test_bilinear_form_matches_direct_computation(self):
-        rng = np.random.default_rng(2)
-        u_fn = lambda T, R: math.cos(T) * math.cos(2 * R)
-        v_fn = lambda T, R: math.sin(T) + 0.3 * math.cos(R)
+        T, R = np.random.default_rng(2).uniform([0.2, 0.3], [1.8, 1.2], size=(10, 2)).T
+        u_fn = lambda T, R: np.cos(T) * np.cos(2 * R)
+        v_fn = lambda T, R: np.sin(T) + 0.3 * np.cos(R)
         h = 1e-5
-        for _ in range(10):
-            T = rng.uniform(0.2, 1.8)
-            R = rng.uniform(0.3, 1.2)
-            ev = geometry.EinsteinEvent(T=T, R=R)
-            co = nullform.transformed_q0_coefficients(ev)
-            du = np.array([
-                (u_fn(T + h, R) - u_fn(T - h, R)) / (2 * h),
-                (u_fn(T, R + h) - u_fn(T, R - h)) / (2 * h),
-            ])
-            dv = np.array([
-                (v_fn(T + h, R) - v_fn(T - h, R)) / (2 * h),
-                (v_fn(T, R + h) - v_fn(T, R - h)) / (2 * h),
-            ])
-            u, v = u_fn(T, R), v_fn(T, R)
-            bilinear = (
-                du @ co.a @ dv + (co.b1 @ du) * v + (co.b2 @ dv) * u + co.c * u * v
-            )
-            direct = self._direct_q0(ev, u_fn, v_fn, h=h)
-            assert bilinear == pytest.approx(direct, rel=2e-4, abs=1e-8)
+        co = nullform.transformed_q0_coefficients(T, R)
+        assert co.a.shape == (10, 2, 2) and co.b1.shape == co.b2.shape == (10, 2)
+        du = np.stack([(u_fn(T + h, R) - u_fn(T - h, R)) / (2 * h),
+                       (u_fn(T, R + h) - u_fn(T, R - h)) / (2 * h)], axis=-1)
+        dv = np.stack([(v_fn(T + h, R) - v_fn(T - h, R)) / (2 * h),
+                       (v_fn(T, R + h) - v_fn(T, R - h)) / (2 * h)], axis=-1)
+        u, v = u_fn(T, R), v_fn(T, R)
+        bilinear = (np.einsum("ni,nij,nj->n", du, co.a, dv) + np.sum(co.b1 * du, -1) * v
+                    + np.sum(co.b2 * dv, -1) * u + co.c * u * v)
+        direct = self._direct_q0(T, R, u_fn, v_fn, h=h)
+        assert np.allclose(bilinear, direct, rtol=2e-4, atol=1e-8)
+
+    def test_omega_gradient_matches_finite_differences(self):
+        # b and c carry (d_t Omega, d_r Omega); rebuild them from a centered-difference
+        # gradient of the rational closed form
+        h = 1e-6
+        t, r = np.array([1.7, 0.4, 6.0]), np.array([0.9, 2.2, 3.5])
+        co = nullform.transformed_q0_coefficients(*geometry.einstein_coords(t, r))
+        om = geometry.omega_minkowski(t, r)
+        g_t = (geometry.omega_minkowski(t + h, r) - geometry.omega_minkowski(t - h, r)) / (2 * h)
+        g_r = (geometry.omega_minkowski(t, r + h) - geometry.omega_minkowski(t, r - h)) / (2 * h)
+        p, q = geometry.frame_terms(t, r)
+        grad_t, grad_r = np.stack([p + q, p - q], -1), np.stack([p - q, p + q], -1)
+        b = (g_t[:, None] * grad_t - g_r[:, None] * grad_r) / om[:, None] ** 2
+        assert np.allclose(co.b1, b, rtol=1e-6, atol=0) and np.array_equal(co.b1, co.b2)
+        assert np.allclose(co.c, (g_t ** 2 - g_r ** 2) / om ** 3, rtol=1e-6, atol=0)
 
     def test_gradient_block_is_lorentzian_at_time_symmetry(self):
         # at T = 0 the map is time-symmetric, so the gradient block stays diagonal
-        co = nullform.transformed_q0_coefficients(geometry.EinsteinEvent(T=0.0, R=0.8))
+        co = nullform.transformed_q0_coefficients(0.0, 0.8)
+        assert co.a.shape == (2, 2) and co.b1.shape == (2,) and co.c.shape == ()
         assert abs(co.a[0, 1]) < 1e-14 and abs(co.a[1, 0]) < 1e-14
         assert co.a[0, 0] == pytest.approx(-co.a[1, 1], rel=1e-12)
         assert co.a[0, 0] > 0
 
+    def test_coefficients_broadcast_over_the_points(self):
+        T, R = np.linspace(0.1, 1.0, 12).reshape(3, 4), 0.5
+        co = nullform.transformed_q0_coefficients(T, R)
+        assert co.a.shape == (3, 4, 2, 2) and co.b1.shape == (3, 4, 2) and co.c.shape == (3, 4)
+        one = nullform.transformed_q0_coefficients(T[1, 2], R)
+        for name in ("a", "b1", "b2", "c"):
+            assert np.allclose(getattr(co, name)[1, 2], getattr(one, name), rtol=1e-14, atol=0)
+
     def test_rejects_events_without_finite_radius(self):
-        with pytest.raises(DomainError):
-            nullform.transformed_q0_coefficients(
-                geometry.EinsteinEvent(T=math.pi - 0.05, R=3.0)
-            )
+        with pytest.raises(DomainError, match=re.escape(
+                f"event (T={math.pi - 0.05}, R=3.0) lies on or beyond null infinity")):
+            nullform.transformed_q0_coefficients(np.array([0.5, math.pi - 0.05]), [1.0, 3.0])
