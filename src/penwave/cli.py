@@ -168,9 +168,10 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
     The first non-comment line is a header ``quadratic N`` or ``cubic N``
     (N = number of components); each further line holds five indices and a
     value: ``I J K j k value`` for quadratic entries s[I,J,K,j,k] or
-    ``I J i j k value`` for cubic entries k[I,J,i,j,k].  Values may be
-    integers, fractions ``a/b`` (kept exact), or floats.  An index given twice is
-    a ParseError naming both lines.
+    ``I J i j k value`` for cubic entries k[I,J,i,j,k].  Integers and fractions
+    ``a/b`` are kept exact; a value with a decimal point or an exponent is a float,
+    and then so is the whole form.  An index given twice is a ParseError naming
+    both lines.
     """
     kind = None
     n = 0
@@ -205,16 +206,14 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
         except ValueError as exc:
             raise ParseError(f"bad index in '{line}'", line=lineno) from exc
         val_str = parts[5]
+        is_exact = val_str.lstrip("+-").replace("/", "", 1).isdigit()
         try:
-            value = Fraction(val_str)
+            value = Fraction(val_str) if is_exact else float(val_str)
         except ZeroDivisionError as exc:
             raise ParseError(f"zero denominator in value '{val_str}'", line=lineno) from exc
-        except ValueError:
-            try:
-                value = float(val_str)
-                exact = False
-            except ValueError as exc:
-                raise ParseError(f"bad value '{val_str}'", line=lineno) from exc
+        except ValueError as exc:
+            raise ParseError(f"bad value '{val_str}'", line=lineno) from exc
+        exact = exact and is_exact
         for k, (i, b) in enumerate(zip(idx, shape)):
             if not 0 <= i < b:
                 raise ParseError(f"index {k} out of range (0..{b - 1})", line=lineno)
@@ -287,9 +286,9 @@ def cmd_check_null(args) -> int:
 def cmd_compat(args) -> int:
     cfg = solver.read_config(args.config)
     scfg = solver.solver_config_from(cfg)
-    order = solver.getint(cfg, "verify", "order", 4)
-    s_order = solver.getint(cfg, "verify", "boundary_order", order)
-    tol = solver.getfloat(cfg, "verify", "tol", None)
+    order = solver.config_value(cfg, "verify", "order", 4, int)
+    s_order = solver.config_value(cfg, "verify", "boundary_order", order, int)
+    tol = solver.config_value(cfg, "verify", "tol", None)
     r_b = scfg.obs.r_b
     f, g = scfg.data.profiles(r_b, scfg.r_max, scfg.dr, scfg.epsilon)
     jet = compat.compute_jet(f, g, scfg.nonlinearity, K=order)
@@ -332,7 +331,7 @@ def cmd_simulate(args) -> int:
     manifest.config = {key: value for keys in solver.config_sections(scfg).values()
                        for key, value in keys.items()}
     traj = solver.run(scfg)
-    every = solver.getfloat(cfg, "output", "snapshot_every", 5.0)
+    every = solver.config_value(cfg, "output", "snapshot_every", 5.0)
     for p in solver.write_outputs(traj, args.out, snapshot_every=every):
         manifest.add_output(p)
     manifest.verdicts["completed"] = str(traj.completed)

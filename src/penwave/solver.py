@@ -14,10 +14,10 @@ the compatibility jet.  When N depends on u_t the update is implicit through
 resolve it.  When N(0) = 0 and there is no forcing, ``run`` steps only the
 light-cone window r <= r_b + support + t + 2 and holds exact zeros beyond (the
 data is zeroed beyond its support radius, where the bump is below 2.3e-16 of
-its peak); any other input steps the full grid.  When N reads u_r, the step
-hands the u_r it computed for a level to the monitors instead of having them
-differentiate that level again: the same call on the same nodes, so the
-output is bit-identical to the scheme that recomputed it.
+its peak); any other input steps the full grid.  The step evaluates N on raw
+stencil differences (w, w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r), with the
+scales that turn them into u, u_t and u_r folded once into each monomial's
+coefficient; the monitors differentiate each level they read themselves.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -203,64 +203,62 @@ def run(config: SolverConfig) -> Trajectory:
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
     mon_bands = []  # one row per monitor level, one column per band offset
     offsets = np.asarray(DEFAULT_BANDS)
-    density, ur_squared = np.empty((2, len(r)))
+    u_buf, ut_buf, ur_buf, density, panels = np.empty((5, len(r)))
 
-    def record(level, t, w, u_t, u_r=None):
-        """Monitors and frames from w = r u, u_t and, unless None, u_r on the first
-        len(w) nodes (zero beyond)."""
-        e = len(w)
-        u = w * inv_r[:e]
+    def record(level, w, ahead, behind, span):
+        """Monitors and frames at ``level`` from w = r u and u_t = (ahead - behind) / span / r
+        (psi_1 at level 0) on the first len(w) nodes (zero beyond).  u and u_t go
+        straight into the frame rows on a frame level, else into reused buffers."""
+        e, t = len(w), level * dt
+        frame = level % stride == 0 or level == n_steps
+        row = len(frames_t)
+        u, u_t = (frames_u[row, :e], frames_ut[row, :e]) if frame else (u_buf[:e], ut_buf[:e])
+        if level == 0:
+            u_t[:] = psi[1]
+        else:
+            np.subtract(ahead[:e], behind[:e], out=u_t)
+            u_t /= span
+            u_t *= inv_r[:e]
+        np.multiply(w, inv_r[:e], out=u)
         if level % _MONITOR_STRIDE == 0 or level == n_steps:
-            if u_r is None:
-                u_r = _radial_derivative(w, inv_r[:e], dr)
+            u_r = _radial_derivative(w, u, inv_r[:e], dr, ur_buf[:e])
             dens = np.square(u_t, out=density[:e])
-            dens += np.square(u_r, out=ur_squared[:e])
+            dens += np.square(u_r, out=u_r)
             dens *= r2[:e]
             mon_t.append(t)
-            mon_E.append(4.0 * math.pi * _trapezoid(dens, dr))
-            mon_El.append(4.0 * math.pi * _trapezoid(dens[:n_local], dr))
-            mon_sup.append(float(np.abs(u).max()))
+            mon_E.append(4.0 * math.pi * _trapezoid(dens, dr, panels))
+            mon_El.append(4.0 * math.pi * _trapezoid(dens[:n_local], dr, panels))
+            mon_sup.append(float(max(u.max(), -u.min())))
             points = t - offsets
             bands = np.interp(points, r[:e], u)
             bands[(points < r[0]) | (points > r[-1])] = 0.0
             mon_bands.append(bands)
-        if level % stride == 0 or level == n_steps:
-            row = np.s_[len(frames_t), :len(u)]
-            frames_u[row], frames_ut[row] = u, u_t
+        if frame:
             frames_t.append(t)
 
     def partial_trajectory(completed):
-        return Trajectory(
-            r=r.copy(),
-            times=np.asarray(frames_t),
-            u_frames=frames_u[:len(frames_t)],
-            ut_frames=frames_ut[:len(frames_t)],
-            monitors=MonitorSeries(
-                t=np.asarray(mon_t),
-                E_total=np.asarray(mon_E),
-                E_local=np.asarray(mon_El),
-                sup_u=np.asarray(mon_sup),
-                bands=dict(zip(DEFAULT_BANDS, np.array(mon_bands).T.copy())),
-            ),
-            config=config,
-            completed=completed,
-        )
+        monitors = MonitorSeries(t=np.asarray(mon_t), E_total=np.asarray(mon_E),
+                                 E_local=np.asarray(mon_El), sup_u=np.asarray(mon_sup),
+                                 bands=dict(zip(DEFAULT_BANDS, np.array(mon_bands).T.copy())))
+        k = len(frames_t)
+        return Trajectory(r=r.copy(), times=np.asarray(frames_t), u_frames=frames_u[:k],
+                          ut_frames=frames_ut[:k], monitors=monitors, config=config,
+                          completed=completed)
 
     steps = _leapfrog(r, dr, dt, psi, n_steps, config.nonlinearity, config.forcing_fn,
                       reach=reach)
     try:
-        for level, w_prev, w_curr, w_next, hi, u_r in steps:
+        for level, w_prev, w_curr, w_next, hi in steps:
             if level % _MONITOR_STRIDE == 0 or level % stride == 0:
-                e = hi + 1  # node hi and beyond hold zeros
-                u_t = psi[1] if level == 0 else (w_next[:e] - w_prev[:e]) / (2.0 * dt) * inv_r[:e]
-                record(level, level * dt, w_curr[:e], u_t, u_r)
+                # node hi and beyond hold zeros
+                record(level, w_curr[:hi + 1], w_next, w_prev, 2.0 * dt)
             w_prev, w_curr = w_curr, w_next
     except NaNError as exc:
         exc.trajectory = partial_trajectory(completed=False)
         raise
 
     # final level: one-sided u_t from the last two kept levels
-    record(n_steps, n_steps * dt, w_curr, (w_curr - w_prev) / dt * inv_r)
+    record(n_steps, w_curr, w_curr, w_prev, dt)
     return partial_trajectory(completed=True)
 
 
@@ -268,44 +266,48 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
               sweeps=None):
     """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
 
-    Yields ``(level, w_prev, w_curr, w_next, hi, u_r)`` for level = 0 .. n_steps - 1
+    Yields ``(level, w_prev, w_curr, w_next, hi)`` for level = 0 .. n_steps - 1
     (``w_prev`` is None at level 0) in three reused buffers.  Nodes 1 .. hi-1 are
     stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t;
-    the rest hold zeros.  ``u_r`` is the step's ``_radial_derivative`` of
-    ``w_curr[:hi + 1]`` in a reused buffer when N reads u_r, else None.
-    ``order`` (2 or 4) is the spatial order of w_rr and u_r.  When N depends on
-    u_t and ``sweeps`` is a list, each step appends its two fixed-point
-    increments to it.  Raises StabilityError when the sweeps diverge and
-    NaNError on blow-up, checked every 50 steps and on the last one.
+    the rest hold zeros.  ``order`` (2 or 4) is the spatial order of w_rr and
+    u_r.  When N depends on u_t and ``sweeps`` is a list, each step appends its
+    two fixed-point increments to it.  Raises StabilityError when the sweeps
+    diverge and NaNError on blow-up, checked every 50 steps and on the last one.
     """
     n = len(r) - 1
     k = (dt / dr) ** 2
     inv_r = 1.0 / r
-    inv_dt = inv_r / dt
-    half_inv_dt = 0.5 * inv_dt
-    # split N once into monomials without u_t (added once per step) and with it
-    # (once per sweep), each as dt^2 r * coefficient and its factors' indices
-    fixed, swept = [], []
+    two_dr_inv_r = _aligned(n + 1, 2.0 * dr * inv_r)
+    # N is evaluated on raw stencil fields, u = W / r with W = w, u_r = G / (2 dr r) with
+    # G = 2 dr (dw/dr - w / r), u_t = D / (dt r) with the lagged D = w - w_prev and, in
+    # sweep 2, S / (2 dt r) with S = w_next - w_prev.  Each monomial's coefficient is
+    # dt^2 r c(r) times its factors' scales, built once: monomials without u_t are added
+    # once per step, those with it once per sweep, from ``lagged`` and then ``swept``.
+    scales = (inv_r, inv_r / dt, 0.5 / dr * inv_r)
+    fixed, lagged, swept = [], [], []
     for coeff, powers in nonlinearity.terms:
         c = dt * dt * r * (coeff(r) if callable(coeff) else coeff)
         factors = [i for i, p in enumerate(powers) for _ in range(p)]
-        (swept if powers[1] else fixed).append((c, factors))
-    used = {i for _, factors in fixed + swept for i in factors}
-    bufs = (r * psi[0], r * (psi[0] + dt * psi[1] + 0.5 * dt ** 2 * psi[2]), np.zeros_like(r))
-    for w in bufs:
-        w[0] = w[-1] = 0.0
-    yield 0, None, bufs[0], bufs[1], n, None
-    scratch = np.empty_like(r)
-    # the nonlinearity's work arrays, allocated once: u, u_t, u_r and its
-    # scratch, one monomial, the fixed sum and the last two swept sums
-    u_buf, ut_buf, ur_buf, ur_work, term_buf, inc_buf, *sums = np.empty((8, n + 1))
+        c = _aligned(n + 1, math.prod((scales[i] for i in factors), start=c))
+        if powers[1]:
+            lagged.append((c, factors))
+            swept.append((_aligned(n + 1, c * 0.5 ** powers[1]), factors))
+        else:
+            fixed.append((c, factors))
+    reads_ur = any(2 in factors for _, factors in fixed + swept)
+    # three levels and the work arrays, allocated once: 2 w - w_prev, then the
+    # nonlinearity's D then S, G, one monomial, the fixed sum and the two swept sums
+    taylor = r * (psi[0] + dt * psi[1] + 0.5 * dt ** 2 * psi[2])
+    prv, cur, nxt, scratch, t_buf, g_buf, term_buf, inc_buf, lag_buf, new_buf = (
+        _aligned(n + 1, fill) for fill in [r * psi[0], taylor, 0.0] + [None] * 7)
+    prv[[0, -1]] = cur[[0, -1]] = 0.0
+    yield 0, None, prv, cur, n
     for level in range(1, n_steps):
         t = level * dt
-        prv, cur, nxt = bufs
         hi = n if reach is None else min(n, int((reach + t) / dr) + 1)
         a = slice(1, hi)
-        base, prv_a = nxt[a], prv[a]
-        twice = np.multiply(cur[a], 2.0, out=scratch[a])
+        base, prv_a, cur_a = nxt[a], prv[a], cur[a]
+        twice = np.multiply(cur_a, 2.0, out=scratch[a])
         # dt^2 w_rr first, then 2 w - w_prev added to it: this order keeps the
         # round-off floor of the decayed field near r_b at the 1e-16 level
         if order == 2:
@@ -320,96 +322,103 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
         twice -= prv_a
         base += twice
 
-        u_r = None
         if nonlinearity.terms or forcing is not None:
-            m = hi - 1
-            term = term_buf[:m]
-            fields = [None, None, None]  # u, u_t, u_r on nodes 1 .. hi-1
-            if 0 in used:
-                fields[0] = np.multiply(cur[a], inv_r[a], out=u_buf[:m])
-            if 2 in used:
-                u_r = _radial_derivative(cur[:hi + 1], inv_r[:hi + 1], dr, order,
-                                         out=(ur_buf[:hi + 1], ur_work[:hi + 1]))
-                fields[2] = u_r[1:-1]
-            inc = _sum_monomials(fixed, fields, a, inc_buf[:m], term)
+            term = term_buf[a]
+            fields = (cur_a, t_buf[a], g_buf[a])  # W, D or S, G on nodes 1 .. hi-1
+            if reads_ur:
+                g = fields[2]
+                if order == 2:
+                    np.subtract(cur[2:hi + 1], cur[:hi - 1], out=g)
+                else:
+                    np.multiply(compat.deriv4(cur[:hi + 1], dr)[1:-1], 2.0 * dr, out=g)
+                g -= np.multiply(cur_a, two_dr_inv_r[a], out=term)
+            inc = _sum_monomials(fixed, fields, a, inc_buf[a], term)
             if forcing is not None:
                 inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
             if swept:
-                ut = fields[1] = ut_buf[:m]
-                np.subtract(cur[a], prv_a, out=ut)
-                ut *= inv_dt[a]  # lagged first guess
-                for sweep in (1, 2):
-                    if sweep == 2:
-                        np.add(base, inc, out=ut)
-                        ut += part
-                        ut -= prv_a
-                        ut *= half_inv_dt[a]
-                    new = _sum_monomials(swept, fields, a, sums[sweep - 1][:m], term)
-                    # sweep 1 is measured against the linear base, sweep 2 against sweep 1
-                    diff = (np.add(inc, new, out=term) if sweep == 1
-                            else np.subtract(new, part, out=term))
-                    delta = float(np.abs(diff, out=diff).max())
-                    if sweep == 2 and delta > 2.0 * prev_delta and delta > 1e-6:
-                        raise StabilityError(f"fixed-point sweep diverging at t = {t:.4f}")
-                    if sweep == 2 and sweeps is not None:
-                        sweeps.append((prev_delta, delta))
-                    prev_delta, part = delta, new
-                inc += part
+                ts = np.subtract(cur_a, prv_a, out=fields[1])  # D: the lagged first guess
+                part = _sum_monomials(lagged, fields, a, lag_buf[a], term)
+                # sweep 1 is measured against the linear base, sweep 2 against sweep 1
+                np.add(inc, part, out=ts)
+                delta1 = float(np.abs(ts, out=scratch[a]).max())
+                ts += base
+                ts -= prv_a  # S, from sweep 1's w_next
+                new = _sum_monomials(swept, fields, a, new_buf[a], term)
+                diff = np.subtract(new, part, out=part)
+                delta2 = float(np.abs(diff, out=diff).max())
+                if delta2 > 2.0 * delta1 and delta2 > 1e-6:
+                    raise StabilityError(f"fixed-point sweep diverging at t = {t:.4f}")
+                if sweeps is not None:
+                    sweeps.append((delta1, delta2))
+                inc += new
             base += inc
 
         if level % 50 == 0 or level == n_steps - 1:
             peak = float(np.abs(base).max())
             if not math.isfinite(peak) or peak > 1e12:
                 raise NaNError(f"nonfinite values at t = {t:.4f}")
-        yield level, prv, cur, nxt, hi, u_r
-        bufs = (cur, nxt, prv)
+        yield level, prv, cur, nxt, hi
+        prv, cur, nxt = cur, nxt, prv
+
+
+def _aligned(n, fill=None):
+    """n floats with element 1 on a 64-byte boundary, holding ``fill`` if given (else left
+    unwritten): the step's passes over nodes 1 .. hi-1 then move whole cache lines, which
+    numpy's vector loops run up to twice as fast as lines split by an 8-byte offset."""
+    raw = np.empty(n + 8)
+    first = (-(raw.ctypes.data // 8) - 1) % 8
+    out = raw[first:first + n]
+    if fill is not None:
+        out[:] = fill
+    return out
 
 
 def _sum_monomials(monomials, fields, a, out, term):
-    """Sum of c[a] * f_1 * ... * f_k over ``monomials`` into ``out``, using ``term``.
-
-    Each product is multiplied left to right from c[a], the first straight into
-    ``out``: the order of ``sum(math.prod(fields, start=c[a]) ...)``, which the
-    tests compare bit for bit.  No monomials sum to zero.
-    """
+    """Sum of f_1 * ... * f_k * c[a] over ``monomials`` into ``out``, using ``term``: each
+    product left to right, a repeated first factor as its square, the coefficient last and
+    the first product straight into ``out``, the order of ``sum(math.prod(fields) * c[a]
+    ...)`` that the tests compare bit for bit.  No monomials sum to zero."""
     if not monomials:
         out.fill(0.0)
     for j, (c, factors) in enumerate(monomials):
         prod = term if j else out
-        if factors:
-            np.multiply(c[a], fields[factors[0]], out=prod)
-        else:
+        if not factors:
             np.copyto(prod, c[a])
-        for i in factors[1:]:
-            prod *= fields[i]
+        elif len(factors) == 1:
+            np.multiply(fields[factors[0]], c[a], out=prod)
+        else:
+            first, second = factors[:2]
+            if first == second:
+                np.square(fields[first], out=prod)
+            else:
+                np.multiply(fields[first], fields[second], out=prod)
+            for i in factors[2:]:
+                prod *= fields[i]
+            prod *= c[a]
         if j:
             out += term
     return out
 
 
-def _trapezoid(y, dx):
+def _trapezoid(y, dx, out):
     """``np.trapezoid(y, dx=dx)`` of a 1-d array bit for bit: its operation order
-    without its per-call wrapper."""
-    return (dx * (y[1:] + y[:-1]) / 2.0).sum()
+    without its per-call wrapper, with the panels in ``out`` (len(y) - 1 or more)."""
+    panels = np.add(y[1:], y[:-1], out=out[:max(len(y) - 1, 0)])
+    panels *= dx
+    panels /= 2.0
+    return panels.sum()
 
 
-def _radial_derivative(w, inv_r, dr, order=2, out=None):
-    """u_r = (dw/dr - u) / r from w = r u, dw/dr of the given order, one-sided at the ends.
-
-    ``out`` is an optional pair of arrays shaped like ``w``, the result and a
-    scratch array; the second-order case then allocates nothing.
-    """
-    dw, work = (np.empty_like(w), np.empty_like(w)) if out is None else out
-    if order == 4:
-        dw[:] = compat.deriv4(w, dr, 1)
-    else:
-        np.subtract(w[2:], w[:-2], out=dw[1:-1])
-        dw[1:-1] /= 2.0 * dr
-        dw[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dr)
-        dw[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
-    dw -= np.multiply(w, inv_r, out=work)
-    dw *= inv_r
-    return dw
+def _radial_derivative(w, u, inv_r, dr, out):
+    """u_r = (dw/dr - u) / r into ``out`` from w = r u and u, dw/dr centered, one-sided
+    at the ends."""
+    np.subtract(w[2:], w[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dr
+    out[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dr)
+    out[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dr)
+    out -= u
+    out *= inv_r
+    return out
 
 
 def _gradient_at(frames, r, it, ir):
@@ -503,9 +512,7 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     mask &= (t_pre <= traj.times[-1]) & (t_pre >= traj.times[0])
     mask &= (r_pre >= traj.r[0]) & (r_pre <= traj.r[-1])
 
-    vals = np.zeros_like(TT)
-    d_T = np.zeros_like(TT)
-    d_R = np.zeros_like(TT)
+    vals, d_T, d_R = np.zeros((3,) + TT.shape)
     if mask.any():
         ts = t_pre[mask]
         rs = r_pre[mask]
@@ -558,18 +565,11 @@ def read_config(path, schema=_SCHEMA) -> configparser.ConfigParser:
     return parser
 
 
-def getfloat(cfg: configparser.ConfigParser, section, key, default):
-    """``cfg.getfloat``, with a malformed value a ParseError that names the key."""
+def config_value(cfg: configparser.ConfigParser, section, key, default, kind=float):
+    """``cfg.getfloat``, or ``cfg.getint`` for ``kind=int``, with a malformed value a
+    ParseError that names the key."""
     try:
-        return cfg.getfloat(section, key, fallback=default)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: {exc}") from exc
-
-
-def getint(cfg: configparser.ConfigParser, section, key, default):
-    """``cfg.getint``, with a malformed value a ParseError that names the key."""
-    try:
-        return cfg.getint(section, key, fallback=default)
+        return (cfg.getint if kind is int else cfg.getfloat)(section, key, fallback=default)
     except ValueError as exc:
         raise ParseError(f"[{section}] {key}: {exc}") from exc
 
@@ -584,12 +584,12 @@ def solver_config_from(cfg: configparser.ConfigParser) -> SolverConfig:
             f"choose from {sorted(compat.BUILTIN_NONLINEARITIES)}"
         )
     return SolverConfig(
-        obs=geometry.ObstacleSpec(getfloat(cfg, "problem", "r_b", base.obs.r_b)),
+        obs=geometry.ObstacleSpec(config_value(cfg, "problem", "r_b", base.obs.r_b)),
         nonlinearity=compat.BUILTIN_NONLINEARITIES[name],
-        data=DataSpec(**{key: getfloat(cfg, "data", key, getattr(base.data, key))
+        data=DataSpec(**{key: config_value(cfg, "data", key, getattr(base.data, key))
                          for key in _SCHEMA["data"]}),
-        epsilon=getfloat(cfg, "problem", "epsilon", base.epsilon),
-        **{key: getfloat(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
+        epsilon=config_value(cfg, "problem", "epsilon", base.epsilon),
+        **{key: config_value(cfg, "grid", key, getattr(base, key)) for key in _SCHEMA["grid"]},
     )
 
 
@@ -721,8 +721,8 @@ def reference_samples(
     r = f.r
     psi = [p.values for p in compat.compute_jet(f, g, F, K=2).psi]
     out = [f.values.copy()]
-    for level, _, _, w_next, _, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
-                                               order=4):
+    for level, _, _, w_next, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
+                                            order=4):
         if (level + 1) % m == 0:
             out.append(w_next / r)
     return out

@@ -10,6 +10,8 @@ import pickle
 import subprocess
 import sys
 import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,8 +358,8 @@ class TestCheckNull:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, huge, other", [
-        ("quadratic", "0 0 0 0 0 1e309", "0 0 0 1 2 1"),
-        ("cubic", "0 0 0 0 0 1e400", "0 0 1 2 3 1")])
+        ("quadratic", "0 0 0 0 0 1" + "0" * 309, "0 0 0 1 2 1"),
+        ("cubic", "0 0 0 0 0 1" + "0" * 400, "0 0 1 2 3 1")])
     def test_non_null_form_past_the_float_range_reads_inf(self, tmp_path, capsys, kind, huge,
                                                            other):
         # the exact defect and witness symbol pass the float range: they read inf
@@ -369,6 +371,37 @@ class TestCheckNull:
                                            "symbol=inf\n")
         report = json.loads((tmp_path / "o" / "null_report.json").read_text())
         assert report["value"] == math.inf and report["verdict"] == "fail"
+
+    @pytest.mark.parametrize("huge, other", [("1e308", "1.0"), ("1E+308", "1"),
+                                             ("100000000000000000000.5", "1")])
+    def test_decimal_or_exponent_literal_takes_the_float_path(self, tmp_path, capsys, huge,
+                                                              other):
+        # a literal with a decimal point or an exponent makes the whole form a float
+        # form: the CLI then says what the float classifier says of the same tensor
+        form = tmp_path / "float.form"
+        form.write_text(f"quadratic 1\n0 0 0 0 0 {huge}\n0 0 0 1 2 {other}\n")
+        parsed = cli.parse_form_file(form)
+        s = np.zeros((1, 1, 1, 4, 4))
+        s[0, 0, 0, 0, 0], s[0, 0, 0, 1, 2] = float(huge), 1.0
+        assert parsed.s.dtype == float and np.array_equal(parsed.s, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                verdict, decomp = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+                want = (cli.EXIT_OK, ("null" if verdict else "non-null")
+                        + f", residual={decomp.residual:.3e}")
+            except errors.DomainError as exc:  # the 1e308 form overflows to a NaN residual
+                want = (cli.EXIT_DOMAIN, f"error: {exc}\n")
+            code = cli.main(["check-null", "--form", str(form)])
+        captured = capsys.readouterr()
+        assert code == want[0]
+        assert (captured.out if code == cli.EXIT_OK else captured.err).startswith(want[1])
+
+    def test_integer_and_fraction_literals_stay_exact(self, tmp_path):
+        form = tmp_path / "exact.form"
+        form.write_text("quadratic 1\n0 0 0 0 0 -3\n0 0 0 1 1 +1/3\n")
+        s = cli.parse_form_file(form).s
+        assert s.dtype == object and s[0, 0, 0, 0, 0] == -3 and s[0, 0, 0, 1, 1] == Fraction(1, 3)
 
     def test_null_form_whose_lambda_passes_the_float_range(self, tmp_path, capsys):
         form = tmp_path / "huge_q0.form"

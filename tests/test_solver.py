@@ -182,11 +182,18 @@ class TestNonlinearRuns:
         rng = np.random.default_rng(0)
         fields = [rng.standard_normal(50) for _ in range(3)]
         a = slice(1, 51)
-        monomials = [(rng.standard_normal(52), factors) for factors in ([0, 2, 2], [1], [])]
-        expected = sum(math.prod((fields[i] for i in factors), start=c[a])
-                       for c, factors in monomials)
+        monomials = [(rng.standard_normal(52), factors)
+                     for factors in ([0, 2, 2], [1, 1], [1], [], [0, 1, 1])]
+        expected = sum(math.prod(fields[i] for i in factors) * c[a] for c, factors in monomials)
         got = solver._sum_monomials(monomials, fields, a, np.empty(50), np.empty(50))
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [3, 10, 1001])
+    def test_aligned_array_puts_node_one_on_a_cache_line(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        for y in (solver._aligned(n, x), solver._aligned(n)):
+            assert y.shape == (n,) and y.flags.c_contiguous and (y.ctypes.data + 8) % 64 == 0
+        assert np.array_equal(solver._aligned(n, x), x)
 
     def test_light_cone_window_matches_full_grid(self):
         # N(0) = 0 without forcing steps only the light-cone window; a zero
@@ -210,6 +217,94 @@ class TestNonlinearRuns:
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
 
+def reference_step(r, dr, dt, prv, cur, hi, t, nonlinearity, forcing, order):
+    """One step of the scheme written out plainly: u, u_t and u_r as fields, each
+    monomial a ``math.prod`` and two fixed-point sweeps from the lagged u_t.
+    Returns w_next on nodes 1 .. hi-1 and the two sweep increments (None
+    without a monomial in u_t)."""
+    a, inv_r = slice(1, hi), 1.0 / r[1:hi]
+    if order == 2:
+        w_rr = cur[2:hi + 1] - 2.0 * cur[a] + cur[:hi - 1]
+        dw = (cur[2:hi + 1] - cur[:hi - 1]) / (2.0 * dr)
+    else:
+        w_rr = np.empty(hi - 1)
+        w_rr[1:-1] = (-cur[:hi - 3] + 16.0 * cur[1:hi - 2] - 30.0 * cur[2:hi - 1]
+                      + 16.0 * cur[3:hi] - cur[4:hi + 1]) / 12.0
+        w_rr[[0, -1]] = (cur[2] - 2.0 * cur[1] + cur[0], cur[hi] - 2.0 * cur[hi - 1] + cur[hi - 2])
+        dw = compat.deriv4(cur[:hi + 1], dr)[a]
+    linear = (dt / dr) ** 2 * w_rr + (2.0 * cur[a] - prv[a])
+    u = cur[a] * inv_r
+    u_r = (dw - u) * inv_r
+
+    def monomials(u_t, swept):
+        total = np.zeros(hi - 1)
+        for coeff, powers in nonlinearity.terms:
+            if bool(powers[1]) == swept:
+                c = dt * dt * r[a] * (coeff(r[a]) if callable(coeff) else coeff)
+                factors = [f for f, p in zip((u, u_t, u_r), powers) for _ in range(p)]
+                total += math.prod(factors, start=c)
+        return total
+
+    inc = monomials(None, swept=False)
+    if forcing is not None:
+        inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
+    if not any(powers[1] for _, powers in nonlinearity.terms):
+        return linear + inc, None
+    first = monomials((cur[a] - prv[a]) / dt * inv_r, swept=True)
+    second = monomials((linear + inc + first - prv[a]) / (2.0 * dt) * inv_r, swept=True)
+    deltas = (np.max(np.abs(inc + first)), np.max(np.abs(second - first)))
+    return linear + inc + second, deltas
+
+
+U_Q0 = compat.NonlinearitySpec("u-q0", ((lambda r: 1.0 + 0.1 * np.sin(r), (1, 2, 0)),
+                                        (-1.0, (1, 0, 2))))
+
+
+class TestStepAgainstReferenceScheme:
+    """The leapfrog core, which evaluates N on raw stencil differences with each
+    factor's scale folded into its monomial's coefficient, against the scheme
+    written out with u, u_t and u_r."""
+
+    @pytest.mark.parametrize("nonlinearity,epsilon,forcing,order,cfl", [
+        (compat.Q0_RADIAL, 0.5, None, 2, 0.9),
+        (compat.DT_SQUARED, 0.5, None, 2, 0.9),
+        (U_Q0, 0.5, None, 2, 0.9),
+        (compat.Q0_RADIAL, 0.2, lambda t, r: np.exp(-((r - 1.5) ** 2) / 0.1) * math.exp(-t), 2, 0.9),
+        (compat.Q0_RADIAL, 0.5, None, 4, 0.5),
+    ], ids=["q0", "dt-squared", "u-q0-callable", "q0-forced", "q0-order-4"])
+    def test_every_level_and_sweep_matches(self, nonlinearity, epsilon, forcing, order, cfl):
+        dr = 0.01
+        dt, r_b, r_max = cfl * dr, 0.2, 8.0
+        r = r_b + dr * np.arange(int(round((r_max - r_b) / dr)) + 1)
+        f, g = solver.DataSpec().profiles(r_b, r[-1], dr, epsilon)
+        psi = [p.values for p in compat.compute_jet(f, g, nonlinearity, K=2).psi]
+        n_steps = int(round(3.0 / dt))
+        reach = None
+        if forcing is None and order == 2:  # as run: the light-cone window, data cut at its support
+            support = solver.DataSpec().support_radius
+            reach, psi = support + 2.0, [np.where(r > support, 0.0, p) for p in psi]
+        sweeps, levels = [], []
+        for level, prv, cur, nxt, hi in solver._leapfrog(r, dr, dt, psi, n_steps, nonlinearity,
+                                                         forcing, order, reach, sweeps):
+            levels.append((level, None if prv is None else prv.copy(), cur.copy(), nxt.copy(), hi))
+        deltas = []
+        for level, prv, cur, nxt, hi in levels[1:]:
+            want, step_deltas = reference_step(r, dr, dt, prv, cur, hi, level * dt,
+                                               nonlinearity, forcing, order)
+            assert np.max(np.abs(nxt[1:hi] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert not nxt[hi:].any() and nxt[0] == 0.0
+            if step_deltas is not None:
+                deltas.append(step_deltas)
+        taylor = r * (psi[0] + dt * psi[1] + 0.5 * dt ** 2 * psi[2])
+        assert np.array_equal(levels[0][3][1:-1], taylor[1:-1])
+        assert len(sweeps) == len(deltas)
+        if deltas:
+            # sweep 2's increment is the difference of two swept sums of sweep 1's
+            # size, so their rounding is measured against sweep 1's increment
+            got, want = np.array(sweeps), np.array(deltas)
+            assert np.max(np.abs(got - want) / want[:, :1]) <= 1e-12
+
+
 def run_recording_sweeps(monkeypatch, config):
     """solver.run, with the two fixed-point increments of every step."""
     sweeps = []
@@ -226,16 +321,17 @@ class TestGuards:
                 replace(short_run, r=r)
 
     def test_fixed_point_divergence_raises(self):
+        # measured t = 1.6155, the same step as the scheme written out with u, u_t and u_r
         config = short_config(nonlinearity=compat.DT_SQUARED, epsilon=1.0, dr=0.01,
                               t_max=4.0, r_max=10.0)
-        with pytest.raises(StabilityError, match=r"t = 1\.6"):
+        with pytest.raises(StabilityError, match=r"^fixed-point sweep diverging at t = 1\.6155$"):
             solver.run(config)
 
     def test_fixed_point_divergence_raises_at_the_default_cfl(self):
         # measured t = 1.6290 at cfl 0.9 (1.6155 at 0.45)
         config = short_config(nonlinearity=compat.DT_SQUARED, epsilon=1.0, dr=0.01,
                               cfl=solver.SolverConfig().cfl, t_max=4.0, r_max=10.0)
-        with pytest.raises(StabilityError, match=r"t = 1\.6"):
+        with pytest.raises(StabilityError, match=r"^fixed-point sweep diverging at t = 1\.6290$"):
             solver.run(config)
 
     @pytest.mark.parametrize("nonlinearity", [compat.Q0_RADIAL, compat.DT_SQUARED],
@@ -266,8 +362,8 @@ class TestMonitorReuse:
     @pytest.mark.parametrize("nonlinearity", [compat.Q0_RADIAL, compat.ZERO],
                              ids=lambda spec: spec.name)
     def test_monitors_equal_a_recomputation_at_every_level(self, monkeypatch, nonlinearity):
-        # Q0 hands each level's u_r from its step to the monitors; the linear
-        # step computes none, so record takes its own
+        # the step hands no u_r to the monitors: record differentiates every
+        # monitor level itself, for either nonlinearity
         config = short_config(nonlinearity=nonlinearity, epsilon=0.5, dr=0.01,
                               cfl=solver.SolverConfig().cfl, t_max=4.0, r_max=10.0)
         stride = solver._MONITOR_STRIDE
@@ -277,10 +373,10 @@ class TestMonitorReuse:
         def capture(*args, **kw):
             jet.append(args[3])
             for step in leapfrog(*args, **kw):
-                level, prv, cur, nxt, hi, u_r = step
+                level, prv, cur, nxt, hi = step
                 if level % stride == 0 or level == args[4] - 1:
                     levels.append((level, None if prv is None else prv.copy(), cur.copy(),
-                                   nxt.copy(), hi, None if u_r is None else u_r.copy()))
+                                   nxt.copy(), hi))
                 yield step
 
         def counted(*args, **kw):
@@ -300,7 +396,8 @@ class TestMonitorReuse:
         def monitor(level, w, u_t):
             e = len(w)
             u = w * inv_r[:e]
-            density = (u_t ** 2 + solver._radial_derivative(w, inv_r[:e], dr) ** 2) * r[:e] ** 2
+            u_r = solver._radial_derivative(w, w * inv_r[:e], inv_r[:e], dr, np.empty(e))
+            density = (u_t ** 2 + u_r ** 2) * r[:e] ** 2
             t.append(level * dt)
             E.append(4.0 * math.pi * np.trapezoid(density, dx=dr))
             E_local.append(4.0 * math.pi * np.trapezoid(density[:n_local], dx=dr))
@@ -310,12 +407,8 @@ class TestMonitorReuse:
             row[(points < r[0]) | (points > r[-1])] = 0.0
             bands.append(row)
 
-        for level, prv, cur, nxt, hi, u_r in levels:
+        for level, prv, cur, nxt, hi in levels:
             e = hi + 1
-            if nonlinearity.terms and level > 0:
-                assert np.array_equal(u_r, derivative(cur[:e], inv_r[:e], dr))
-            else:
-                assert u_r is None
             if level % stride == 0:
                 monitor(level, cur[:e], jet[0][1] if level == 0
                         else (nxt[:e] - prv[:e]) / (2.0 * dt) * inv_r[:e])
@@ -327,20 +420,19 @@ class TestMonitorReuse:
             assert np.array_equal(got, want)
         for i, b in enumerate(solver.DEFAULT_BANDS):
             assert np.array_equal(m.bands[b], np.array(bands)[:, i])
-        # one u_r per step, plus record's own: every monitor level of the linear
-        # run, only level 0 and the final level of the Q0 run
-        n_steps = int(round(config.t_max / dt))
-        assert len(calls) == (n_steps + 1 if nonlinearity.terms else len(m.t))
+        # one u_r per monitor level, and none from the step
+        assert len(calls) == len(m.t)
 
     @given(n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 4000)),
            extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
            dx=st.floats(1e-4, 10.0), scale=st.sampled_from([1e-30, 1.0, 1e30]))
     @settings(max_examples=80, deadline=None)
     def test_trapezoid_is_np_trapezoid_bit_for_bit(self, n, extra, seed, dx, scale):
-        # on a prefix view, as record takes E_local
+        # on a prefix view, as record takes E_local, with its panels in a longer buffer
         y = (scale * np.random.default_rng(seed).standard_normal(n + extra))[:n]
-        got, want = solver._trapezoid(y, dx), np.trapezoid(y, dx=dx)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        want = np.asarray(np.trapezoid(y, dx=dx)).tobytes()
+        got = solver._trapezoid(y, dx, np.full(n + extra, np.nan))
+        assert np.asarray(got).tobytes() == want
 
 
 class TestSampling:
