@@ -330,8 +330,9 @@ def cmd_simulate(args) -> int:
     manifest = Manifest("simulate")
     manifest.config = {key: value for keys in solver.config_sections(scfg).values()
                        for key, value in keys.items()}
-    traj = solver.run(scfg)
     every = solver.config_value(cfg, "output", "snapshot_every", 5.0)
+    solver.check_snapshot_every(every)  # before the run, not after it
+    traj = solver.run(scfg)
     for p in solver.write_outputs(traj, args.out, snapshot_every=every):
         manifest.add_output(p)
     manifest.verdicts["completed"] = str(traj.completed)

@@ -101,6 +101,7 @@ class CubicFormSpec:
 
     k: np.ndarray
 
+    @np.errstate(over="ignore")  # an entry that overflows here makes the classifier's NaN
     def __post_init__(self):
         arr = np.asarray(self.k)
         if arr.ndim != 5 or arr.shape[2:] != (4, 4, 4):
@@ -203,6 +204,7 @@ def _verdict(tensor, defect: np.ndarray, scale: int, exact: bool, tol: float):
     return residual < bound, residual, bound
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow to NaN is the DomainError
 def check_null_semilinear(
     q: QuadraticFormSpec, tol: float = VERDICT_TOL
 ) -> tuple[bool, NullDecomposition]:
@@ -230,6 +232,7 @@ def check_null_semilinear(
                                       antisym=antisym, residual=residual, tol=bound)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow to NaN is the DomainError
 def check_null_quasilinear(
     q: CubicFormSpec, tol: float = VERDICT_TOL
 ) -> tuple[bool, NullDecomposition]:

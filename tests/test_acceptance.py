@@ -8,6 +8,7 @@ that consume them.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -16,6 +17,14 @@ import pytest
 from penwave import analysis, compat, geometry, nullform, solver
 
 FIXTURE_TIME: dict[str, float] = {}
+# resident growth over the null run's solver.run, and its two frame stacks' nbytes
+FIXTURE_RESIDENT: dict[str, int] = {}
+HAS_STATM = os.path.exists("/proc/self/statm")
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def _passline(num, name, detail):
@@ -40,7 +49,7 @@ def linear_run():
 
 @pytest.fixture(scope="session")
 def null_run():
-    t0 = time.monotonic()
+    t0, rss = time.monotonic(), _resident_bytes() if HAS_STATM else 0
     traj = solver.run(
         solver.SolverConfig(
             nonlinearity=compat.Q0_RADIAL, epsilon=0.01, dr=5e-3,
@@ -48,6 +57,9 @@ def null_run():
         )
     )
     FIXTURE_TIME["null"] = time.monotonic() - t0
+    if HAS_STATM:
+        FIXTURE_RESIDENT["grown"] = _resident_bytes() - rss
+    FIXTURE_RESIDENT["stacks"] = traj.u_frames.nbytes + traj.ut_frames.nbytes
     return traj
 
 
@@ -229,3 +241,12 @@ def test_11_vanishing_orders_at_the_tip():
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     _passline(11, "tip vanishing orders", f"frame slope {report['frame_slope']:.4f}, a-block slope {report['a_block_slope']:.4f} (threshold {report['threshold']:g}), {elapsed:.1f}s")
+
+
+@pytest.mark.skipif(not HAS_STATM, reason="needs /proc/self/statm")
+def test_12_memory_bound_of_the_t80_run(null_run):
+    # the windowed run writes about half of its frame stacks' nodes, and only written
+    # pages are resident: it grew by 0.56 of the stacks' 444 MB (1.01 with np.zeros)
+    ratio = FIXTURE_RESIDENT["grown"] / FIXTURE_RESIDENT["stacks"]
+    assert ratio <= 0.65, ratio
+    _passline(12, "t = 80 memory bound", f"resident growth {FIXTURE_RESIDENT['grown'] / 1e6:.0f} MB, {ratio:.2f} of the frame stacks' {FIXTURE_RESIDENT['stacks'] / 1e6:.0f} MB (bound 0.65)")

@@ -10,7 +10,6 @@ import pickle
 import subprocess
 import sys
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +318,21 @@ class TestCheckNull:
         assert cli.main(["check-null", "--form", str(form)]) == 0
         assert capsys.readouterr().out.startswith("null")
 
+    @pytest.mark.parametrize("form", ["quadratic 1\n0 0 0 0 0 1e308\n0 0 0 1 2 1.0\n",
+                                      "cubic 1\n0 0 0 0 0 1e308\n0 0 1 2 3 1.0\n"],
+                             ids=["quadratic", "cubic"])
+    def test_overflowing_form_prints_only_its_error(self, tmp_path, form):
+        # in a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
+        path = tmp_path / "huge.form"
+        path.write_text(form)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "penwave.cli", "check-null", "--form",
+                               str(path)], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == cli.EXIT_DOMAIN
+        assert done.stderr == "error: the classifier's arithmetic overflowed: the residual is NaN\n"
+
     def test_cubic_form_file(self, tmp_path, capsys):
         # quadric times xi_0: entries k[0,0,j,j,0] = diag
         lines = ["cubic 1"]
@@ -384,15 +398,13 @@ class TestCheckNull:
         s = np.zeros((1, 1, 1, 4, 4))
         s[0, 0, 0, 0, 0], s[0, 0, 0, 1, 2] = float(huge), 1.0
         assert parsed.s.dtype == float and np.array_equal(parsed.s, s)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                verdict, decomp = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
-                want = (cli.EXIT_OK, ("null" if verdict else "non-null")
-                        + f", residual={decomp.residual:.3e}")
-            except errors.DomainError as exc:  # the 1e308 form overflows to a NaN residual
-                want = (cli.EXIT_DOMAIN, f"error: {exc}\n")
-            code = cli.main(["check-null", "--form", str(form)])
+        try:
+            verdict, decomp = nullform.check_null_semilinear(nullform.QuadraticFormSpec(s=s))
+            want = (cli.EXIT_OK, ("null" if verdict else "non-null")
+                    + f", residual={decomp.residual:.3e}")
+        except errors.DomainError as exc:  # the 1e308 form overflows to a NaN residual
+            want = (cli.EXIT_DOMAIN, f"error: {exc}\n")
+        code = cli.main(["check-null", "--form", str(form)])
         captured = capsys.readouterr()
         assert code == want[0]
         assert (captured.out if code == cli.EXIT_OK else captured.err).startswith(want[1])
@@ -469,6 +481,17 @@ class TestSimulateCommand:
         for p in listed:
             assert (tmp_path / p).exists() or __import__("os").path.exists(p)
         assert (out / "monitors.csv").exists()
+
+    @pytest.mark.parametrize("every", ["nan", "-1.0"])
+    def test_bad_snapshot_spacing_fails_before_the_run(self, tmp_path, capsys, monkeypatch, every):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG.replace("snapshot_every = 2.0", f"snapshot_every = {every}"))
+        monkeypatch.setattr(solver, "run", None)  # the check comes first
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == (f"error: [output] snapshot_every must be finite "
+                                           f"and >= 0, got {float(every)}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_grid_is_a_domain_error(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -366,7 +366,7 @@ class TestOverflowAndNonFiniteInputs:
     """A form the classifier cannot read a verdict from is a DomainError (exit 3 in
     check-null), not a null verdict with residual 0."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # and says nothing else
     def test_float_form_whose_arithmetic_overflows_to_nan(self):
         s = np.zeros((1, 1, 1, 4, 4))
         s[0, 0, 0, 0, 0], s[0, 0, 0, 1, 2] = 1e308, 1.0  # 2e308 overflows in sym, then inf - inf
