@@ -16,6 +16,8 @@ functions of their inputs.
 
 The closed forms are written once and broadcast over arrays of any shape;
 ``minkowski_valid`` and ``in_diamond`` mask the inputs each map is defined on.
+``boundary_curve`` is the one scalar routine: its root comes from ``_brent``, a
+Brent iteration in this module, so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "boundary_curve_slope",
 ]
 
-_XTOL = 1e-13  # brentq's absolute tolerance on the root of boundary_curve
+_XTOL = 1e-13  # absolute tolerance on the root of boundary_curve
 
 
 @dataclass(frozen=True)
@@ -103,28 +105,65 @@ def _outside_diamond_error(T, R) -> DomainError:
                        f"(|T| + R >= pi)")
 
 
-def _boundary_residual(R: float, T: float, r_b: float) -> float:
-    # sign of sin R - r_b (cos T + cos R); root <=> r(T, R) = r_b
-    return math.sin(R) - r_b * (math.cos(T) + math.cos(R))
+def _brent(f, xpre: float, xcur: float, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [xpre, xcur] by Brent's method (Brent 1973, ch. 4).
+
+    Runs scipy's ``brentq.c`` step for step, so every root matches ``brentq``
+    bit for bit.  Raises ConvergenceError when the ends share a sign or after
+    brentq's 100 steps.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"f({xpre}) and f({xcur}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short enough step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"no root within {xtol:g} after 100 steps")
 
 
 def boundary_curve(obs: ObstacleSpec, T: float) -> float:
     """Radius Phi(T) of the compactified obstacle boundary at cylinder time T.
 
-    Solves sin R / (cos T + cos R) = r_b for the unique R in (0, pi - T) by
-    bracketed root finding.  Strictly decreasing in T on (0, pi).
+    Solves sin R = r_b (cos T + cos R) for the unique R in (0, pi - T) by
+    ``_brent`` to 1e-13.  Strictly decreasing in T on (0, pi).  T must lie in
+    [0, pi) and more than about 1.05e-8 below pi: closer to the tip cos T
+    rounds to -1, the residual is positive on the whole bracket, and the
+    call raises DomainError.
     """
     if not 0.0 <= T < math.pi:
         raise DomainError(f"T must lie in [0, pi), got {T}")
-    from scipy.optimize import brentq  # on first use: no other path needs scipy.optimize
-
-    lo = 1e-300
-    hi = math.pi - T - 1e-14
-    try:
-        root = brentq(_boundary_residual, lo, hi, args=(T, obs.r_b), xtol=_XTOL, rtol=1e-15)
-    except ValueError as exc:  # pragma: no cover - bracket is sound for valid obs
-        raise ConvergenceError(f"boundary root bracket failed at T={T}: {exc}") from exc
-    return float(root)
+    cos_T, r_b = math.cos(T), obs.r_b
+    if cos_T == -1.0:
+        raise DomainError(f"T={T} lies within 1.05e-8 of pi, where cos T rounds to -1 "
+                          "and the boundary root is not representable")
+    return _brent(lambda R: math.sin(R) - r_b * (cos_T + math.cos(R)),
+                  1e-300, math.pi - T - 1e-14, _XTOL, 1e-15)
 
 
 def boundary_curve_slope(obs: ObstacleSpec, T: float) -> float:

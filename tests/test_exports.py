@@ -1,9 +1,13 @@
 """Every name a penwave module exports in ``__all__`` resolves on that module and is
-read by the package or its benchmark, and every name it imports is used."""
+read by the package or its benchmark, every name it imports is used, and the
+package's commands run on numpy alone."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +87,34 @@ def test_read_scan_skips_definitions_and_the_export_list():
     source = ("__all__ = ['f', 'g', 'C']\ndef f():\n    return 1\n\ndef g():\n    f()\n\n"
               "class C:\n    pass\nh = C\nx.y = 2\n")
     assert _reads(source) == {"f", "C", "x", "y"}
+
+
+# a short run, its certificates and pushforward, the boundary curve and three
+# CLI commands, then the scipy modules the interpreter has loaded
+RUNTIME_SCRIPT = """
+import sys
+from penwave import analysis, cli, geometry, solver
+traj = solver.run(solver.SolverConfig(data=solver.DataSpec(center=1.5, width=0.25),
+                                      dr=2e-2, cfl=0.45, t_max=8.0, r_max=14.0))
+analysis.decay_certificate(traj)
+analysis.weighted_norm_report(solver.transform_to_cylinder(traj, solver.CylinderGrid(20, 60)))
+obs = geometry.ObstacleSpec(0.2)
+geometry.boundary_curve(obs, 1.0)
+geometry.boundary_curve_slope(obs, 1.0)
+out = sys.argv[1]
+with open(out + "/rows.csv", "w") as fh:
+    fh.write("1.0,2.0\\n")
+codes = [cli.main(["transform", "--input", out + "/rows.csv", "--out", out]),
+         cli.main(["check-null", "--builtin", "q0"]),
+         cli.main(["verify", "--check", "boundary-geometry"])]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_penwave_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 
 from penwave import geometry
-from penwave.errors import DomainError
+from penwave.errors import ConvergenceError, DomainError
 
 finite_coords = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
 times = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
@@ -182,8 +183,67 @@ class TestBoundaryCurve:
         phi = np.array([geometry.boundary_curve(self.obs, Tv) for Tv in T])
         assert np.all(np.diff(phi) < 0)
 
+    def test_tip_limit_is_a_domain_error(self):
+        # cos T rounds to -1 for pi - T <= 1.05e-8, and the bracket holds no root there
+        assert 0.0 < geometry.boundary_curve(self.obs, math.pi - 1.07e-8) < 1e-16
+        for gap in (1.05e-8, 1e-9, 1e-12):
+            with pytest.raises(DomainError, match="within 1.05e-8 of pi"):
+                geometry.boundary_curve(self.obs, math.pi - gap)
+
     def test_obstacle_spec_validation(self):
         with pytest.raises(DomainError):
             geometry.ObstacleSpec(0.3)
         with pytest.raises(DomainError):
             geometry.ObstacleSpec(0.0)
+
+
+def _residual(T, r_b):
+    return lambda R: math.sin(R) - r_b * (math.cos(T) + math.cos(R))
+
+
+class TestBrent:
+    """``geometry._brent`` against scipy's brentq, bit for bit."""
+
+    RADII = (1e-6, 0.01, 0.1, 0.2, 0.2499)
+
+    def test_boundary_roots_equal_brentq_bit_for_bit(self):
+        rng = np.random.default_rng(2207)
+        gaps = np.geomspace(1.0, 1.1e-8, 200)
+        for r_b in self.RADII:
+            obs = geometry.ObstacleSpec(r_b)
+            for T in np.concatenate([rng.uniform(0.0, math.pi, 800), math.pi - gaps]):
+                T = float(T)
+                ref = brentq(_residual(T, r_b), 1e-300, math.pi - T - 1e-14,
+                             xtol=1e-13, rtol=1e-15)
+                assert geometry.boundary_curve(obs, T) == ref, (r_b, T)
+
+    def test_roots_of_cubics_and_exponentials_equal_brentq_bit_for_bit(self):
+        # these take the interpolation steps the boundary residual never rejects
+        rng = np.random.default_rng(2208)
+        for c, lo, hi in rng.uniform((0.1, 0.01, 0.01), (3.0, 5.0, 5.0), (300, 3)):
+            for f, root in ((lambda x: x ** 3 - c, c ** (1 / 3)),
+                            (lambda x: math.exp(x) - c, math.log(c))):
+                ref = brentq(f, root - lo, root + hi, xtol=1e-13, rtol=1e-15)
+                assert geometry._brent(f, root - lo, root + hi, 1e-13, 1e-15) == ref
+
+    def test_bracket_failures_agree_with_brentq(self):
+        for r_b in self.RADII:
+            for gap in np.geomspace(1.05e-8, 1e-12, 10):
+                T = math.pi - gap
+                args = (_residual(T, r_b), 1e-300, math.pi - T - 1e-14)
+                with pytest.raises(ValueError, match="different signs"):
+                    brentq(*args, xtol=1e-13, rtol=1e-15)
+                with pytest.raises(ConvergenceError, match="same sign"):
+                    geometry._brent(*args, 1e-13, 1e-15)
+
+    def test_exhausted_iterations_and_exact_zeros_agree_with_brentq(self):
+        def flat(x):  # a fifth-order root: both end on 100 near-bisection steps
+            return (x - 1.3) ** 5
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brentq(flat, 0.2, 4.0, xtol=1e-13, rtol=1e-15)
+        with pytest.raises(ConvergenceError, match="after 100 steps"):
+            geometry._brent(flat, 0.2, 4.0, 1e-13, 1e-15)
+        for a, b in ((1.0, 2.0), (0.0, 1.0), (-3.0, 1.5)):
+            assert geometry._brent(lambda x: x - 1.0, a, b, 1e-13, 1e-15) \
+                == brentq(lambda x: x - 1.0, a, b, xtol=1e-13, rtol=1e-15)

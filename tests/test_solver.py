@@ -582,12 +582,10 @@ class TestCylinderTransform:
                            rtol=1e-10, atol=1e-14)
 
     def test_default_top_row_is_found_in_closed_form(self, short_run, monkeypatch):
-        import scipy.optimize
-
         def refuse(*args, **kwargs):
-            raise AssertionError("root finder called")
+            raise AssertionError("boundary root finder called")
 
-        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        monkeypatch.setattr(geometry, "boundary_curve", refuse)
         grid = solver.CylinderGrid()
         field = solver.transform_to_cylinder(short_run, grid)
         # the top row's first off-pole node, 1e-9 later, lies at the last covered time
