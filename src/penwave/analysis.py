@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cylinder, geometry, solver
 from .errors import DomainError, FitError
-from .solver import DEFAULT_BANDS, Trajectory, write_series_csv
+from .solver import Trajectory
 
 __all__ = [
     "Series",
@@ -41,7 +41,6 @@ __all__ = [
     "structured_report",
     "Check",
     "write_report",
-    "write_series_csv",
 ]
 
 DEFAULT_SIGMA = 0.25
@@ -140,68 +139,35 @@ class DecayCertificate:
     """Weighted sup-norm certificate: C_sup over all sampled (t, r).
 
     The weight is (1+t)(1+|t-r|)^{1-sigma}; finiteness of C_sup with a tame
-    plateau ratio over the tail certifies the corresponding pointwise decay
-    at the sampled resolution.  band_table holds per-cone-band maxima of the
-    weighted field (band b collects nodes with ||t-r| - b| <= 1/2).
+    plateau ratio over the tail ``window`` certifies the corresponding pointwise
+    decay at the sampled resolution.
     """
 
     sigma: float
     C_sup: float
-    band_table: dict[float, float]
     plateau_ratio: float
     window: tuple[float, float]
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        for b, val in self.band_table.items():
-            if val > self.C_sup + 1e-12:
-                raise DomainError(f"band {b} exceeds the global sup")
-
-
-_BLOCK = 64  # frames whose band windows are gathered before one masked max
 
 
 def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
                       tail_from: float | None = None) -> DecayCertificate:
     """Sweep all stored frames and grid nodes with the decay weight.
 
-    Returns the global weighted sup, per-cone-band maxima, and the plateau
-    ratio (max/min of the per-frame weighted sup) over the tail window,
-    which defaults to the last half of the stored times and can be widened
-    via ``tail_from``.  Each band is read from its two windows of r, one on
-    each side of r = t: the most nodes any unit interval of r holds, plus one
-    node on each side, so the band test sees every node it admits.  Raises
+    Returns the global weighted sup and the plateau ratio (max/min of the
+    per-frame weighted sup) over the tail window, which defaults to the last
+    half of the stored times and can be widened via ``tail_from``.  Raises
     DomainError for sigma outside (0, 1] and, naming the frame time, for a
     frame whose weighted sup is not finite.
     """
     _check_sigma(sigma)
     r, times = traj.r, traj.times
-    n = len(r)
-    width = min(n, int(np.max(np.searchsorted(r, r + 1.0, "right") - np.arange(n))) + 2)
-    bands = np.asarray(DEFAULT_BANDS)
-    lower_edges = np.concatenate([-bands, bands]) - 0.5  # of the windows, relative to t
-    # fewer frames per block where _BLOCK frames' windows would outsize _BLOCK whole frames
-    block = max(1, min(_BLOCK, len(times), _BLOCK * n // (len(lower_edges) * width)))
-    buf = np.empty((block, len(lower_edges), width))
-    band_of = np.broadcast_to(np.tile(bands, 2)[:, None], buf.shape).copy()
-    band_max = np.zeros(len(lower_edges))
     frame_sup = np.zeros(len(times))
-    for s in range(0, len(times), block):
-        t_block = times[s:s + block]
-        starts = np.clip(np.searchsorted(r, t_block[:, None] + lower_edges) - 1, 0, n - width)
-        idx = starts[..., None] + np.arange(width)
-        for k, t in enumerate(t_block):
-            dist = np.abs(t - r)
-            weight = (1.0 + t) * (1.0 + dist) ** (1.0 - sigma)
-            weighted = np.abs(traj.u_frames[s + k]) * weight
-            frame_sup[s + k] = weighted.max()
-            weighted.take(idx[k], out=buf[k])
-        # the band test |dist - b| <= 1/2 of the frame sweep, in place on the windows
-        off = r[idx]
-        np.abs(np.subtract(t_block[:, None, None], off, out=off), out=off)
-        np.abs(np.subtract(off, band_of[:len(t_block)], out=off), out=off)
-        np.maximum(band_max, buf[:len(t_block)].max(axis=(0, 2), where=off <= 0.5, initial=0.0),
-                   out=band_max)
+    for i, t in enumerate(times):
+        weight = (1.0 + t) * (1.0 + np.abs(t - r)) ** (1.0 - sigma)
+        frame_sup[i] = (np.abs(traj.u_frames[i]) * weight).max()
     bad = np.flatnonzero(~np.isfinite(frame_sup))
     if len(bad):
         raise DomainError(f"weighted sup of the frame at t={times[bad[0]]} is not finite")
@@ -211,11 +177,7 @@ def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
     tail = frame_sup[times >= lo]
     tail_min = float(tail.min())
     plateau = float(tail.max() / tail_min) if tail_min > 0 else math.inf
-    return DecayCertificate(
-        sigma=sigma, C_sup=c_sup,
-        band_table=dict(zip(map(float, bands), map(float, band_max.reshape(2, -1).max(axis=0)))),
-        plateau_ratio=plateau, window=(lo, t1),
-    )
+    return DecayCertificate(sigma=sigma, C_sup=c_sup, plateau_ratio=plateau, window=(lo, t1))
 
 
 @dataclass(frozen=True)

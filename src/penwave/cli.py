@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -129,7 +130,9 @@ def _broken_rule(x, y, backward: bool) -> str:
 
 def cmd_transform(args) -> int:
     try:
-        data = np.loadtxt(args.input, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on a file without data
+            data = np.loadtxt(args.input, delimiter=",", ndmin=2)
     except Exception as exc:
         raise ParseError(f"{args.input}: {exc}") from exc
     if data.shape[1] < 2:
@@ -427,10 +430,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        loc = f" (line {exc.line})" if getattr(exc, "line", None) else ""
-        print(f"error: {exc}{loc}", file=sys.stderr)
-        return EXIT_PARSE
     except PenwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -74,7 +74,6 @@ class RadialProfile:
     r0: float
     dr: float
     values: np.ndarray
-    max_order: int = MAX_JET_ORDER
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -85,11 +84,6 @@ class RadialProfile:
     @property
     def r(self) -> np.ndarray:
         return self.r0 + self.dr * np.arange(len(self.values))
-
-    def derivative(self, order: int) -> np.ndarray:
-        if order > self.max_order:
-            raise OrderError(f"derivative order {order} exceeds capacity {self.max_order}")
-        return deriv4(self.values, self.dr, order)
 
     @classmethod
     def from_callable(cls, fn, r0: float, r_max: float, dr: float) -> "RadialProfile":
@@ -177,8 +171,6 @@ def compute_jet(
     """
     if K > MAX_JET_ORDER:
         raise OrderError(f"jet order {K} exceeds the supported maximum {MAX_JET_ORDER}")
-    if K > min(f.max_order, g.max_order + 1):
-        raise OrderError("profiles do not support the requested derivative orders")
     if f.r0 != g.r0 or f.dr != g.dr or len(f.values) != len(g.values):
         raise DomainError("f and g must share a grid")
     r = f.r
@@ -200,7 +192,7 @@ def compute_jet(
                 nonlinear += c * term[k]
         psi.append(lap + nonlinear)
     profiles = tuple(
-        RadialProfile(r0=f.r0, dr=f.dr, values=p, max_order=f.max_order) for p in psi[: K + 1]
+        RadialProfile(r0=f.r0, dr=f.dr, values=p) for p in psi[: K + 1]
     )
     return CompatibilityJet(psi=profiles)
 

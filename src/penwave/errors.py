@@ -48,7 +48,6 @@ class ParseError(PenwaveError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class FitError(PenwaveError):

@@ -66,11 +66,8 @@ __all__ = [
     "read_config",
     "solver_config_from",
     "config_sections",
-    "DEFAULT_BANDS",
 ]
 
-# cone bands t - r = b that the monitors sample and decay_certificate maximizes over
-DEFAULT_BANDS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 _FRAME_SPACING = 0.05  # a frame every round(0.05 / dt) steps
 _MONITOR_STRIDE = 4  # monitors every 4 steps
 _STORE_ARRAYS = ("r", "times", "u", "u_t")  # the store's array files, each <name>.npy
@@ -126,7 +123,8 @@ class SolverConfig:
 
     def validate(self):
         """Raise StabilityError above the cfl ceiling and ConfigError, naming the
-        field, on any other setting the scheme cannot run (NaN included)."""
+        field, on any other setting the scheme cannot run (NaN included), and for a
+        t_max below half a step dt, which rounds to no step."""
         if self.cfl > 0.9:
             raise StabilityError(f"cfl = {self.cfl} exceeds the 0.9 stability ceiling")
         for name, value in (("cfl", self.cfl), ("epsilon", self.epsilon), ("dr", self.dr),
@@ -134,6 +132,9 @@ class SolverConfig:
                             ("data.width", self.data.width)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if round(self.t_max / self.dt) < 1:
+            raise ConfigError(f"t_max = {self.t_max} is below half a step dt = {self.dt}, "
+                              f"so the run would take no step")
         r_b = self.obs.r_b
         if not self.dr <= r_b:
             raise ConfigError(f"dr = {self.dr} must not exceed r_b = {r_b}, or E_local, "
@@ -148,11 +149,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MonitorSeries:
+    """Every 4th level and the last: the energy, the local energy out to 2 r_b and sup |u|."""
+
     t: np.ndarray
     E_total: np.ndarray
     E_local: np.ndarray
     sup_u: np.ndarray
-    bands: dict[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -213,8 +215,6 @@ def run(config: SolverConfig) -> Trajectory:
     stacks = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     frames_u, frames_ut = np.frombuffer(stacks, float).reshape(shape)
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
-    mon_bands = []  # one row per monitor level, one column per band offset
-    offsets = np.asarray(DEFAULT_BANDS)
     u_buf, d_buf, g_buf = np.empty((3, len(r)))
 
     def energy(d, g, span):
@@ -253,15 +253,10 @@ def run(config: SolverConfig) -> Trajectory:
             mon_E.append(energy(d, g, span))
             mon_El.append(energy(d[:n_local], g[:n_local], span))
             mon_sup.append(float(max(u.max(), -u.min())))
-            points = t - offsets
-            bands = np.interp(points, r[:e], u)
-            bands[(points < r[0]) | (points > r[-1])] = 0.0
-            mon_bands.append(bands)
 
     def partial_trajectory(completed):
         monitors = MonitorSeries(t=np.asarray(mon_t), E_total=np.asarray(mon_E),
-                                 E_local=np.asarray(mon_El), sup_u=np.asarray(mon_sup),
-                                 bands=dict(zip(DEFAULT_BANDS, np.array(mon_bands).T.copy())))
+                                 E_local=np.asarray(mon_El), sup_u=np.asarray(mon_sup))
         k = len(frames_t)
         return Trajectory(r=r.copy(), times=np.asarray(frames_t), u_frames=frames_u[:k],
                           ut_frames=frames_ut[:k], monitors=monitors, config=config,
@@ -659,9 +654,8 @@ def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list
         np.save(path, array, allow_pickle=False)
     m = traj.monitors
     mon_path = os.path.join(outdir, "monitors.csv")
-    write_series_csv(mon_path,
-                     ["t", "E_total", "E_local", "sup_u"] + [f"band_{b:g}" for b in DEFAULT_BANDS],
-                     [m.t, m.E_total, m.E_local, m.sup_u] + [m.bands[b] for b in DEFAULT_BANDS])
+    write_series_csv(mon_path, ["t", "E_total", "E_local", "sup_u"],
+                     [m.t, m.E_total, m.E_local, m.sup_u])
     meta_path = os.path.join(outdir, "trajectory.ini")
     with open(meta_path, "w") as fh:
         meta.write(fh)
@@ -671,8 +665,9 @@ def write_outputs(traj: Trajectory, outdir, snapshot_every: float = 5.0) -> list
 def load_trajectory(outdir) -> Trajectory:
     """Rebuild the Trajectory of the frames ``write_outputs`` kept, bit for bit, with the
     config that ``trajectory.ini`` records.  A store file that is missing or unreadable, an
-    array not float64 or not of its written shape (frames are len(times) x len(r)), a value
-    not finite, and r or times not strictly increasing are ParseErrors that name the file."""
+    array not float64 or not of its written shape (frames are len(times) x len(r), the
+    monitors 4 columns), a value not finite, and r or times not strictly increasing are
+    ParseErrors that name the file."""
     meta_path = os.path.join(outdir, "trajectory.ini")
     meta = read_config(meta_path, {**_SCHEMA, "trajectory": ("completed",)})
     try:
@@ -690,7 +685,7 @@ def load_trajectory(outdir) -> Trajectory:
             raise ParseError(f"{path}: {exc}") from exc
     r, times, u, ut, mon = arrays
     n_t, n_r = times.size, r.size
-    shapes = [(n_r,), (n_t,), (n_t, n_r), (n_t, n_r), (len(mon), 4 + len(DEFAULT_BANDS))]
+    shapes = [(n_r,), (n_t,), (n_t, n_r), (n_t, n_r), (len(mon), 4)]
     for path, array, shape in zip(paths, arrays, shapes):
         if array.dtype != np.float64 or array.shape != shape:
             raise ParseError(f"{path}: expected float64 values shaped {shape}, "
@@ -700,10 +695,7 @@ def load_trajectory(outdir) -> Trajectory:
     for path, array in zip(paths, (r, times)):
         if not (array.size and (np.diff(array) > 0).all()):
             raise ParseError(f"{path}: values must be strictly increasing")
-    monitors_ = MonitorSeries(
-        t=mon[:, 0], E_total=mon[:, 1], E_local=mon[:, 2], sup_u=mon[:, 3],
-        bands={b: mon[:, 4 + i] for i, b in enumerate(DEFAULT_BANDS)},
-    )
+    monitors_ = MonitorSeries(t=mon[:, 0], E_total=mon[:, 1], E_local=mon[:, 2], sup_u=mon[:, 3])
     return Trajectory(r=r, times=times, u_frames=u, ut_frames=ut, monitors=monitors_,
                       config=solver_config_from(meta), completed=completed)
 

@@ -48,6 +48,15 @@ r_max = 14.0
 """
 
 
+def run_cli_in_subprocess(*argv):
+    """``python -m penwave.cli *argv`` in a fresh interpreter on this tree's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "penwave.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.ini"
@@ -287,6 +296,17 @@ class TestTransform:
         code = cli.main(["transform", "--input", str(inp), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("text", ["", "# a comment and no rows\n"], ids=["empty", "comment"])
+    def test_input_without_rows_prints_only_its_error(self, tmp_path, text):
+        # in a fresh interpreter, where numpy's UserWarning would reach stderr
+        inp = tmp_path / "empty.csv"
+        inp.write_text(text)
+        done = run_cli_in_subprocess("transform", "--input", str(inp), "--out", str(tmp_path / "o"))
+        assert done.returncode == cli.EXIT_PARSE
+        lines = done.stderr.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith(f"error: {inp}: ") and "no data" in lines[0]
+        assert lines[0].endswith("\n") and not (tmp_path / "o").exists()
+
 
 class TestCheckNull:
     def test_builtin_q0_prints_lambda(self, capsys):
@@ -325,11 +345,7 @@ class TestCheckNull:
         # in a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
         path = tmp_path / "huge.form"
         path.write_text(form)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "penwave.cli", "check-null", "--form",
-                               str(path)], env=env, capture_output=True, text=True, timeout=60)
+        done = run_cli_in_subprocess("check-null", "--form", str(path))
         assert done.returncode == cli.EXIT_DOMAIN
         assert done.stderr == "error: the classifier's arithmetic overflowed: the residual is NaN\n"
 
@@ -348,6 +364,12 @@ class TestCheckNull:
         form.write_text("quadratic 1\n0 0 0 0 0 1\n0 0 0 9 9 1\n")
         assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
         assert "line 3" in capsys.readouterr().err
+
+    def test_parse_error_names_its_line_once(self, tmp_path, capsys):
+        form = tmp_path / "short.form"
+        form.write_text("quadratic 4\n0 0 0 0 1\n")
+        assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "error: line 2: expected 6 fields, got 5\n"
 
     def test_zero_denominator_is_a_parse_error(self, tmp_path, capsys):
         form = tmp_path / "bad.form"
@@ -499,12 +521,31 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_DOMAIN
 
+    def test_t_max_below_half_a_step_names_t_max_and_dt(self, tmp_path, capsys):
+        path = tmp_path / "tiny.ini"
+        path.write_text("[grid]\nt_max = 2.2e-3\n")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error: t_max = 0.0022 is below half a step "
+                                           "dt = 0.0045000000000000005, so the run would "
+                                           "take no step\n")
+
 
 def _as_csv_store(run_dir):
     """Turn a store into one of the layout before .npy frames: a CSV file per frame."""
     for path in run_dir.glob("*.npy"):
         path.unlink()
     (run_dir / "frame_t0000.000000.csv").write_text("r,u,u_t\n0.2,0,0\n")
+
+
+def _with_band_columns(run_dir):
+    """Turn monitors.csv into that of the layout before the four-column monitors: six
+    cone-band samples after sup_u."""
+    path = run_dir / "monitors.csv"
+    array = np.loadtxt(path, delimiter=",", skiprows=1)
+    header = "t,E_total,E_local,sup_u," + ",".join(f"band_{b}" for b in (0, 1, 2, 4, 8, 16))
+    columns = np.column_stack([array[:, :4]] + [np.zeros(len(array))] * 6)
+    np.savetxt(path, columns, delimiter=",", header=header, comments="")
 
 
 def _with_value(path, index, value):
@@ -738,8 +779,9 @@ class TestVerifyCommand:
         ("r.npy", lambda d: np.save(d / "r.npy", np.load(d / "r.npy")[::-1])),
         ("monitors.csv", lambda d: (d / "monitors.csv").unlink()),
         ("monitors.csv", lambda d: _with_value(d / "monitors.csv", (3, 2), np.nan)),
-        ("monitors.csv", lambda d: np.savetxt(d / "monitors.csv", np.ones((5, 9)), delimiter=",",
+        ("monitors.csv", lambda d: np.savetxt(d / "monitors.csv", np.ones((5, 3)), delimiter=",",
                                               header="a column short", comments="")),
+        ("monitors.csv", _with_band_columns),
     ])
     def test_bad_store_is_a_parse_error_naming_the_file(self, config_path, tmp_path, capsys,
                                                          name, edit):

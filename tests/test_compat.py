@@ -56,11 +56,6 @@ class TestRadialProfile:
         with pytest.raises(DomainError):
             compat.RadialProfile(r0=0.0, dr=0.1, values=np.array([1.0, np.inf]))
 
-    def test_derivative_order_capacity(self):
-        p = compat.RadialProfile(r0=0.0, dr=0.1, values=np.zeros(32), max_order=2)
-        with pytest.raises(OrderError):
-            p.derivative(3)
-
 
 class TestNonlinearitySpec:
     def test_builtin_evaluation(self):

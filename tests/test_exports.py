@@ -36,6 +36,33 @@ def test_exported_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def _defined(source: str) -> set[str]:
+    """Names a module defines at its top level: functions, classes and assignment targets.
+    An imported name is not defined there."""
+    tree = ast.parse(source)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_exported_names_are_defined_in_their_own_module(path):
+    module = importlib.import_module(f"penwave.{path.stem}")
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if n not in _defined(path.read_text())] == []
+
+
+def test_definition_scan_skips_imports():
+    source = ("from .solver import Trajectory\nimport numpy as np\n__all__ = ['f', 'C', 'X']\n"
+              "def f():\n    y = 1\nclass C:\n    pass\nX, (Y, Z) = 1, (2, 3)\nW: int = 4\n")
+    assert _defined(source) == {"__all__", "f", "C", "X", "Y", "Z", "W"}
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports and never reads; a name listed in ``__all__`` is read."""
     tree = ast.parse(source)

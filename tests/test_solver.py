@@ -92,6 +92,20 @@ class TestConfigValidation:
             solver.run(solver.SolverConfig(dr=0.25, t_max=2.0, r_max=8.0))
         solver.SolverConfig(dr=0.2, t_max=2.0, r_max=8.0).validate()
 
+    @pytest.mark.parametrize("t_max", [2.2e-3, 0.5 * solver.SolverConfig().dt])
+    def test_t_max_below_half_a_step_is_rejected(self, t_max):
+        # it rounds to no step: the run recorded level 0 twice and failed on its frame times
+        with pytest.raises(ConfigError, match=rf"^t_max = {t_max} is below half a step "
+                                              rf"dt = {solver.SolverConfig().dt}"):
+            solver.run(solver.SolverConfig(t_max=t_max))
+
+    @pytest.mark.parametrize("steps", [0.5000001, 1.0])
+    def test_t_max_of_one_step_runs_it(self, steps):
+        config = solver.SolverConfig(t_max=steps * solver.SolverConfig().dt, r_max=8.0)
+        traj = solver.run(config)
+        assert np.array_equal(traj.times, [0.0, config.dt])
+        assert np.array_equal(traj.monitors.t, [0.0, config.dt])
+
 
 class TestLinearOracles:
     def test_matches_free_space_solution_before_boundary_interaction(self, short_run):
@@ -203,15 +217,14 @@ class TestNonlinearRuns:
         windowed = solver.run(config)
         full = solver.run(replace(config, forcing_fn=lambda t, r: 0.0 * r))
         wm, fm = windowed.monitors, full.monitors
-        # each series is compared on the scale of its kind: bands sample u,
-        # and the local energy is a part of the total
+        # each series is compared on the scale of its kind: the local energy is a
+        # part of the total
         u_scale = np.max(np.abs(full.u_frames))
         e_scale = np.max(fm.E_total)
         pairs = [(windowed.u_frames, full.u_frames, u_scale),
                  (windowed.ut_frames, full.ut_frames, np.max(np.abs(full.ut_frames))),
                  (wm.E_total, fm.E_total, e_scale), (wm.E_local, fm.E_local, e_scale),
                  (wm.sup_u, fm.sup_u, u_scale)]
-        pairs += [(wm.bands[b], fm.bands[b], u_scale) for b in fm.bands]
         assert np.array_equal(windowed.times, full.times)
         for got, ref, scale in pairs:
             assert got.shape == ref.shape
@@ -393,9 +406,9 @@ class TestMonitorReuse:
         monkeypatch.undo()
 
         r, dr, dt = traj.r, config.dr, config.dt
-        inv_r, offsets = 1.0 / r, np.asarray(solver.DEFAULT_BANDS)
+        inv_r = 1.0 / r
         n_local = np.count_nonzero(r <= 2.0 * config.obs.r_b)
-        t, E, E_local, sup, bands = [], [], [], [], []
+        t, E, E_local, sup = [], [], [], []
         trapezoid, trapezoid_local, no_ends, no_ends_local = [], [], [], []
 
         def monitor(level, w, d, span):
@@ -410,10 +423,6 @@ class TestMonitorReuse:
             E.append(monitor_energy(d, g, span, dr))
             E_local.append(monitor_energy(d[:n_local], g[:n_local], span, dr))
             sup.append(np.max(np.abs(u)))
-            points = level * dt - offsets
-            row = np.interp(points, r[:e], u)
-            row[(points < r[0]) | (points > r[-1])] = 0.0
-            bands.append(row)
             # the definition, built independently: the trapezoid of r^2 (u_t^2 + u_r^2)
             # with u_r from np.gradient, and the same sum without its half end terms
             u_r = (np.gradient(w, dr, edge_order=2) - u) * inv_r[:e]
@@ -436,8 +445,6 @@ class TestMonitorReuse:
         m = traj.monitors
         for got, want in ((m.t, t), (m.E_total, E), (m.E_local, E_local), (m.sup_u, sup)):
             assert np.array_equal(got, want)
-        for i, b in enumerate(solver.DEFAULT_BANDS):
-            assert np.array_equal(m.bands[b], np.array(bands)[:, i])
         # the sums are the trapezoid to rounding, and dropping the half end terms is not
         for got, want, crude in ((m.E_total, trapezoid, no_ends),
                                  (m.E_local, trapezoid_local, no_ends_local)):
@@ -553,21 +560,6 @@ class TestFrameMemory:
         assert grown < 0.25 * (traj.u_frames.nbytes + traj.ut_frames.nbytes), grown
 
 
-class TestMonitorBands:
-    def test_bands_sample_u_at_t_minus_each_offset(self):
-        # on the levels that carry both a frame and monitors, each band value is
-        # np.interp of that level's u at r = t - offset, and 0 off the grid
-        traj = solver.run(short_config(dr=0.01, t_max=4.0, r_max=10.0))
-        m = traj.monitors
-        framed, monitored = np.isin(traj.times, m.t), np.isin(m.t, traj.times)
-        assert framed.sum() > 20 and np.array_equal(traj.times[framed], m.t[monitored])
-        for b in solver.DEFAULT_BANDS:
-            expected = [float(np.interp(t - b, traj.r, u)) if traj.r[0] <= t - b <= traj.r[-1]
-                        else 0.0 for t, u in zip(traj.times[framed], traj.u_frames[framed])]
-            assert np.array_equal(m.bands[b][monitored], expected)
-        assert np.any(m.bands[1.0] != 0.0) and np.all(m.bands[16.0] == 0.0)
-
-
 class TestCylinderTransform:
     def test_values_are_conformally_rescaled_samples(self, short_run):
         grid = solver.CylinderGrid(n_T=40, n_R=120)
@@ -620,8 +612,6 @@ class TestOutputsRoundTrip:
         for column in ("t", "E_total", "E_local", "sup_u"):
             assert np.array_equal(getattr(back, column).view(np.int64),
                                   getattr(m, column).view(np.int64))
-        for b in solver.DEFAULT_BANDS:
-            assert np.array_equal(back.bands[b].view(np.int64), m.bands[b].view(np.int64))
 
     def test_store_records_the_run_config(self, tmp_path):
         # every setting a config file holds, none at its default
