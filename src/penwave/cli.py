@@ -135,8 +135,8 @@ def cmd_transform(args) -> int:
             data = np.loadtxt(args.input, delimiter=",", ndmin=2)
     except Exception as exc:
         raise ParseError(f"{args.input}: {exc}") from exc
-    if data.shape[1] < 2:
-        raise ParseError(f"{args.input}: need two columns")
+    if data.shape[1] != 2:
+        raise ParseError(f"{args.input}: expected two columns, got {data.shape[1]}")
     x, y = data[:, 0], data[:, 1]
     # rejected rows are overwritten below; a finite |t +- r| > 1e154 rounds Omega to 0
     with np.errstate(invalid="ignore", over="ignore"):

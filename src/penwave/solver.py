@@ -25,8 +25,9 @@ of the density by rounding only (1.3e-15 of its scale at most on the bench runs)
 
 The frame stacks live in one private anonymous mapping (POSIX only), whose unwritten
 pages read as zeros and take no memory: a windowed run holds only its light-cone window
-(0.54 of the stacks on the t = 80 Q0 run).  A full-grid run, or a host with transparent
-huge pages ``always``, saves nothing but behaves the same.
+(0.54 of the stacks on the t = 80 Q0 run).  ``Trajectory.ur_frames`` maps its stack the
+same way and writes each row only over u's nonzero extent.  A full-grid run, or a host
+with transparent huge pages ``always``, saves nothing but behaves the same.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -123,8 +124,9 @@ class SolverConfig:
 
     def validate(self):
         """Raise StabilityError above the cfl ceiling and ConfigError, naming the
-        field, on any other setting the scheme cannot run (NaN included), and for a
-        t_max below half a step dt, which rounds to no step."""
+        field, on any other setting the scheme cannot run (NaN included; the data's
+        center and amplitudes need only be finite), and for a t_max below half a step
+        dt, which rounds to no step."""
         if self.cfl > 0.9:
             raise StabilityError(f"cfl = {self.cfl} exceeds the 0.9 stability ceiling")
         for name, value in (("cfl", self.cfl), ("epsilon", self.epsilon), ("dr", self.dr),
@@ -132,6 +134,9 @@ class SolverConfig:
                             ("data.width", self.data.width)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("center", "f_amp", "g_amp"):
+            if not math.isfinite(value := getattr(self.data, name)):
+                raise ConfigError(f"data.{name} must be finite, got {value}")
         if round(self.t_max / self.dt) < 1:
             raise ConfigError(f"t_max = {self.t_max} is below half a step dt = {self.dt}, "
                               f"so the run would take no step")
@@ -177,11 +182,23 @@ class Trajectory:
 
     @property
     def ur_frames(self) -> np.ndarray:
-        """``np.gradient(u_frames, r, axis=1)`` bit for bit.  The full field is built on
-        each access, at the cost of one frame stack; ``sample`` reads u_r at its corners."""
-        out, nodes = np.empty_like(self.u_frames), np.arange(len(self.r))
-        for i in range(len(out)):
-            out[i] = _gradient_at(self.u_frames, self.r, i, nodes)
+        """``np.gradient(u_frames, r, axis=1)`` bit for bit, built on each access into a
+        ``_zero_stack`` and resident only over each row's nonzero extent: from two nodes
+        past a row's last entry that is not +0.0 (-0.0, NaN and inf count) the stencil
+        reads only +0.0 and gives the +0.0 that unwritten pages hold.  ``sample`` reads
+        u_r at its corners instead."""
+        u, r = self.u_frames, self.r
+        out = _zero_stack(u.shape)
+        dx = np.diff(r)
+        # np.gradient takes its uniform formula when r[:e]'s spacings are all equal, so a
+        # row of a non-uniform grid is cut no shorter than its first unequal spacing
+        unequal = np.flatnonzero(dx != dx[0])
+        shortest = unequal[0] + 2 if unequal.size else 0
+        for row, grad in zip(u, out):
+            nonzero = np.flatnonzero(row.view(np.uint64))
+            if nonzero.size:
+                e = max(nonzero[-1] + 3, shortest)
+                grad[:e] = np.gradient(row[:e], r[:e])
         return out
 
 
@@ -210,10 +227,7 @@ def run(config: SolverConfig) -> Trajectory:
         psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
 
     frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
-    # a mapping, not np.zeros: numpy's huge pages would fault in the unwritten row tails
-    shape = (2, n_steps // stride + 2, len(r))
-    stacks = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    frames_u, frames_ut = np.frombuffer(stacks, float).reshape(shape)
+    frames_u, frames_ut = _zero_stack((2, n_steps // stride + 2, len(r)))
     mon_t, mon_E, mon_El, mon_sup = [], [], [], []
     u_buf, d_buf, g_buf = np.empty((3, len(r)))
 
@@ -277,6 +291,15 @@ def run(config: SolverConfig) -> Trajectory:
     # final level: one-sided u_t from the last two kept levels
     record(n_steps, w_curr, w_curr, w_prev, dt)
     return partial_trajectory(completed=True)
+
+
+def _zero_stack(shape):
+    """Float64 zeros of ``shape`` in a private anonymous mapping (POSIX only), not np.zeros,
+    whose huge pages would fault in the rows' unwritten tails: a page reads as zeros and
+    takes no memory until it is written."""
+    size = math.prod(shape)
+    pages = mmap.mmap(-1, 8 * max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, float, count=size).reshape(shape)
 
 
 def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reach=None,

@@ -166,6 +166,16 @@ class TestTransform:
         assert np.all(np.isfinite(rows[0]))
         assert np.all(np.isnan(rows[1, 2:]))
 
+    @pytest.mark.parametrize("text,count", [("0,1,5\n2,3,7\n", 3), ("0\n2\n", 1)])
+    def test_column_count_other_than_two_is_a_parse_error(self, tmp_path, capsys, text, count):
+        # a third column used to be dropped without a word
+        inp = tmp_path / "points.csv"
+        inp.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["transform", "--input", str(inp), "--out", str(out)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {inp}: expected two columns, got {count}\n"
+        assert not out.exists()
+
     def _mixed(self, tmp_path, capsys, lines, backward):
         inp = tmp_path / "mixed.csv"
         inp.write_text("".join(f"{line}\n" for line in lines))
@@ -513,6 +523,17 @@ class TestSimulateCommand:
         assert code == cli.EXIT_DOMAIN
         assert capsys.readouterr().err == (f"error: [output] snapshot_every must be finite "
                                            f"and >= 0, got {float(every)}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [("center", "nan"), ("f_amp", "inf"), ("g_amp", "nan")])
+    def test_nonfinite_data_value_names_its_key(self, tmp_path, capsys, key, value):
+        # center = nan used to fail on the no-reflection bound, the amplitudes on the
+        # profile values, neither naming the key
+        path = tmp_path / "data.ini"
+        path.write_text(f"[data]\n{key} = {value}\n")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: data.{key} must be finite, got {value}\n"
         assert not (tmp_path / "o").exists()
 
     def test_invalid_grid_is_a_domain_error(self, tmp_path):

@@ -79,12 +79,19 @@ class TestConfigValidation:
         ("dr", dict(dr=math.nan)),
         ("t_max", dict(t_max=-1.0)),
         ("data.width", dict(data=solver.DataSpec(width=-0.25))),
-    ], ids=["dr=0", "dr=-5e-3", "dr=nan", "t_max=-1", "width=-0.25"])
+        ("data.center", dict(data=solver.DataSpec(center=math.nan))),
+        ("data.f_amp", dict(data=solver.DataSpec(f_amp=math.inf))),
+        ("data.g_amp", dict(data=solver.DataSpec(g_amp=math.nan))),
+    ], ids=["dr=0", "dr=-5e-3", "dr=nan", "t_max=-1", "width=-0.25", "center=nan",
+            "f_amp=inf", "g_amp=nan"])
     def test_bad_setting_is_rejected_naming_its_field(self, field, overrides):
         # each of these used to fail with a bare ZeroDivisionError, ValueError,
         # TypeError or IndexError, or to run with the value silently replaced
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}\b"):
             solver.run(short_config(**overrides))
+
+    def test_zero_and_negative_amplitudes_are_valid(self):
+        short_config(data=solver.DataSpec(f_amp=-0.5, g_amp=0.0)).validate()
 
     def test_grid_coarser_than_r_b_is_rejected(self):
         # E_local is taken out to 2 r_b: with dr > r_b it spans one node and reads 0
@@ -479,6 +486,15 @@ class TestSampling:
             assert u_r[k] == pytest.approx(sur, rel=1e-12)
 
 
+def assert_ur_frames_match_np_gradient(traj):
+    """``traj.ur_frames`` is ``np.gradient(u_frames, r, axis=1)`` bit for bit, the sign of
+    zeros included; only a NaN's sign bit, which follows numpy's loops, is not compared."""
+    got, expected = traj.ur_frames, np.gradient(traj.u_frames, traj.r, axis=1)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
+
+
 class TestRadialGradient:
     """u_r is np.gradient(u_frames, r, axis=1), evaluated only where it is read."""
 
@@ -499,7 +515,41 @@ class TestRadialGradient:
                                        r_max=14.0))
         assert np.all(traj.u_frames[:, -300:] == 0.0)  # beyond the light-cone window
         self.assert_matches_np_gradient(traj.u_frames, traj.r)
-        assert np.array_equal(traj.ur_frames, np.gradient(traj.u_frames, traj.r, axis=1))
+        assert_ur_frames_match_np_gradient(traj)
+
+    GRIDS = {
+        "uniform": 1.0 + 3.0 * np.arange(12),
+        "non-uniform": np.sort(np.random.default_rng(5).uniform(0.2, 5.0, 12)),
+        # spacing 3 up to node 3: a row cut to r[:3] would take numpy's uniform formula
+        "uniform start": np.r_[0.0, 3.0, 6.0, 9.0, 9.5, 11.0, 11.25, 13.0, 14.0, 16.5, 17.0, 19.0],
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_ur_frames_rows_cut_after_their_last_nonzero(self, short_run, grid):
+        # rows are written up to two nodes past their last entry that is not +0.0
+        r, rng = self.GRIDS[grid], np.random.default_rng(6)
+        n = len(r)
+        rows = np.zeros((9, n))
+        rows[1, 0] = rng.standard_normal()  # only node 0
+        rows[2] = rng.standard_normal(n)  # nonzero at the last node
+        rows[3, :n - 2] = rng.standard_normal(n - 2)  # two nodes before the end
+        rows[4, :n - 3] = rng.standard_normal(n - 3)  # three before: the last node is cut
+        rows[5, [2, 6]] = -0.0, rng.standard_normal()  # -0.0 inside the extent
+        rows[6, 7] = -0.0  # -0.0 alone: its neighbours' u_r are -0.0 or +0.0 by sign
+        rows[7, :4] = rng.standard_normal(4)
+        rows[7, 2] = np.inf  # a blown-up row of a partial trajectory
+        rows[8, 3] = np.nan
+        traj = solver.Trajectory(r=r, times=np.arange(9.0), u_frames=rows, ut_frames=rows,
+                                 monitors=short_run.monitors, config=short_run.config)
+        with np.errstate(invalid="ignore"):
+            assert_ur_frames_match_np_gradient(traj)
+
+    def test_ur_frames_of_a_run_and_of_its_store(self, tmp_path):
+        # the store-certify-sized linear run, in memory and loaded back from its store
+        traj = solver.run(short_config(dr=1e-2, cfl=0.9, t_max=40.0, r_max=46.0))
+        solver.write_outputs(traj, tmp_path)
+        assert_ur_frames_match_np_gradient(traj)
+        assert_ur_frames_match_np_gradient(solver.load_trajectory(tmp_path))
 
     def test_random_non_uniform_grid(self):
         rng = np.random.default_rng(1)
@@ -527,7 +577,8 @@ class TestRadialGradient:
 
     def test_pushforward_holds_no_frame_stack(self):
         # tracemalloc sees numpy's buffers: np.gradient over all frames peaks at
-        # about three frame stacks, reading the bilinear corners at a few percent
+        # about three frame stacks, reading the bilinear corners at a few percent;
+        # of ur_frames it sees only the rows' temporaries, not the mapped stack
         traj = solver.run(short_config(dr=0.01, cfl=0.9, t_max=20.0, r_max=26.0))
         grid = solver.CylinderGrid(n_T=40, n_R=100)
         # imports happen outside the trace; the copy leaves nothing cached on traj
@@ -545,19 +596,30 @@ class TestRadialGradient:
         assert ur_frames_peak < 1.25 * traj.u_frames.nbytes
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 class TestFrameMemory:
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
-    def test_frame_stacks_take_memory_only_where_the_run_writes(self):
-        # 100 001 nodes a row and 120 MB of stacks, of which the light-cone window
-        # writes a few percent: measured 6.8 MB of growth (122.5 MB with np.zeros)
-        def resident():
-            with open("/proc/self/statm") as fh:
-                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    # 100 001 nodes a row, of which the light-cone window holds a few percent
+    WINDOWED = solver.SolverConfig(dr=0.01, t_max=4.0, r_max=1000.0)
 
-        before = resident()
-        traj = solver.run(solver.SolverConfig(dr=0.01, t_max=4.0, r_max=1000.0))
-        grown = resident() - before
+    @staticmethod
+    def resident():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    def test_frame_stacks_take_memory_only_where_the_run_writes(self):
+        # 120 MB of stacks: measured 6.8 MB of growth (122.5 MB with np.zeros)
+        before = self.resident()
+        traj = solver.run(self.WINDOWED)
+        grown = self.resident() - before
         assert grown < 0.25 * (traj.u_frames.nbytes + traj.ut_frames.nbytes), grown
+
+    def test_ur_frames_take_memory_only_over_each_rows_nonzero_extent(self):
+        # a 60 MB stack: measured 2.2 MB of growth (61 MB when every node was written)
+        traj = solver.run(self.WINDOWED)
+        before = self.resident()
+        held = traj.ur_frames  # a stack no name holds would be unmapped before the count
+        grown = self.resident() - before
+        assert grown < 0.25 * traj.u_frames.nbytes, (grown, held.shape)
 
 
 class TestCylinderTransform:
