@@ -66,8 +66,8 @@ class Series:
         object.__setattr__(self, "y", y)
         if t.shape != y.shape or t.ndim != 1:
             raise DomainError("series abscissae and ordinates must be 1-d and aligned")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("series abscissae must be strictly increasing")
+        if not (np.diff(t) > 0).all():  # a NaN does not increase
+            raise DomainError("series abscissae t must be strictly increasing")
         if not np.all(np.isfinite(y)) or np.any(y < 0):
             raise DomainError("series ordinates must be finite and nonnegative")
 
@@ -87,12 +87,15 @@ class FitResult:
 
 
 def _r_squared(x, y, slope, intercept):
+    """1 - ss_res / ss_tot clamped to [0, 1]; NaN, never 1.0, when the residuals are NaN."""
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if math.isnan(ss_res):
+        return math.nan
     if ss_tot == 0.0:
         return 1.0 if ss_res < 1e-20 else 0.0
-    return max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    return float(np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
 
 
 def _select_window(series: Series, window, geometric: bool):
@@ -294,15 +297,20 @@ def vanishing_order_fit(samples) -> FitResult:
     """Log-log slope of |value| against distance for degenerating coefficients.
 
     ``samples`` is a sequence of (dist, value) pairs with geometrically
-    decreasing distances.  Raises FitError on fewer than 8 samples or when a
-    value underflows.
+    decreasing distances.  Raises FitError on fewer than 8 samples, on a sample
+    whose distance is not positive and finite or whose value is not finite
+    (naming the first such sample), and when a value underflows.
     """
     samples = list(samples)
     if len(samples) < 8:
         raise FitError(f"need >= 8 samples, got {len(samples)}")
     dist = np.array([s[0] for s in samples], dtype=float)
     vals = np.abs(np.array([s[1] for s in samples], dtype=float))
-    if np.any(vals < 1e-280) or np.any(dist <= 0):
+    bad = np.flatnonzero(~(np.isfinite(dist) & (dist > 0) & np.isfinite(vals)))
+    if bad.size:
+        raise FitError(f"sample {bad[0]} (dist, value) = {tuple(samples[bad[0]])}: the "
+                       f"distance must be positive and finite and the value finite")
+    if np.any(vals < 1e-280):
         raise FitError("sample values underflow; cannot fit a log-log slope")
     x, y = np.log(dist), np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)

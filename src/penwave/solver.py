@@ -25,13 +25,15 @@ of the density by rounding only (1.3e-15 of its scale at most on the bench runs)
 
 The frame stacks live in one private anonymous mapping (POSIX only), whose unwritten
 pages read as zeros and take no memory: a windowed run holds only its light-cone window
-(0.54 of the stacks on the t = 80 Q0 run).  ``Trajectory.ur_frames`` maps its stack the
+(0.57 of the stacks on the t = 80 Q0 run).  ``Trajectory.ur_frames`` maps its stack the
 same way and writes each row only over u's nonzero extent.  A full-grid run, or a host
 with transparent huge pages ``always``, saves nothing but behaves the same.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
-compactifying map.
+compactifying map.  A frame is kept every round(0.1 / dt) steps, and ``sample``
+reads the frames back by cubic Hermite interpolation in t from the u and u_t that
+each one stores, linear in r.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ __all__ = [
     "config_sections",
 ]
 
-_FRAME_SPACING = 0.05  # a frame every round(0.05 / dt) steps
+_FRAME_SPACING = 0.1  # a frame every round(0.1 / dt) steps
 _MONITOR_STRIDE = 4  # monitors every 4 steps
 _STORE_ARRAYS = ("r", "times", "u", "u_t")  # the store's array files, each <name>.npy
 _COVERAGE_MARGIN = 2.0  # cylinder rows need preimages with t <= t_max - 2
@@ -175,10 +177,11 @@ class Trajectory:
     completed: bool = True
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ConfigError("frame times must be strictly increasing")
-        if np.any(np.diff(self.r) <= 0):
-            raise ConfigError("radial grid must be strictly increasing")
+        """Raise ConfigError, naming the field, unless r and times strictly increase (a NaN
+        in either does not)."""
+        for name, values in (("times", self.times), ("r", self.r)):
+            if not (np.diff(values) > 0).all():
+                raise ConfigError(f"Trajectory.{name} must be strictly increasing")
 
     @property
     def ur_frames(self) -> np.ndarray:
@@ -457,7 +460,13 @@ def _gradient_at(frames, r, it, ir):
 
 
 def sample(traj: Trajectory, t, r):
-    """Vectorized bilinear interpolation of (u, u_t, u_r) at (t, r) arrays."""
+    """(u, u_t, u_r) at (t, r) arrays: cubic Hermite in t, linear in r.
+
+    u is the cubic in t through u and u_t at the two frames around each point, each
+    taken linearly in r, and u_t is that cubic's t-derivative.  u_r is the same cubic
+    through (u_r, d_r u_t), both ``np.gradient``'s values at the corners read by
+    ``_gradient_at``.  At a frame time and a grid node u and u_t are the stored values.
+    """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     times, radii = traj.times, traj.r
@@ -467,20 +476,25 @@ def sample(traj: Trajectory, t, r):
         raise RangeError("radius outside the stored grid")
     it = np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2)
     ir = np.clip(np.searchsorted(radii, r) - 1, 0, len(radii) - 2)
-    wt = np.clip((t - times[it]) / (times[it + 1] - times[it]), 0.0, 1.0)
+    h = times[it + 1] - times[it]
+    s = np.clip((t - times[it]) / h, 0.0, 1.0)
     wr = np.clip((r - radii[ir]) / (radii[ir + 1] - radii[ir]), 0.0, 1.0)
+    # the Hermite basis of (f0, d0, f1, d1) on [t_i, t_i + h] and its d/dt, at s = (t - t_i) / h
+    s1 = 1.0 - s
+    weights = ((1.0 + 2.0 * s) * s1 * s1, h * s * s1 * s1, s * s * (3.0 - 2.0 * s), -h * s * s * s1)
+    rates = (-6.0 * s * s1 / h, s1 * (1.0 - 3.0 * s), 6.0 * s * s1 / h, s * (3.0 * s - 2.0))
 
-    def bilin(at):  # at(i, j): the field at frame i, node j
-        return (
-            at(it, ir) * (1 - wt) * (1 - wr)
-            + at(it, ir + 1) * (1 - wt) * wr
-            + at(it + 1, ir) * wt * (1 - wr)
-            + at(it + 1, ir + 1) * wt * wr
-        )
+    def hermite(at):
+        """The cubic through at(stack, i, j) of the u and u_t stacks at the two frames, each
+        taken linearly in r, and its t-derivative."""
+        ends = [at(stack, i, ir) * (1.0 - wr) + at(stack, i, ir + 1) * wr
+                for i in (it, it + 1) for stack in (traj.u_frames, traj.ut_frames)]
+        return (sum(w * e for w, e in zip(weights, ends)),
+                sum(w * e for w, e in zip(rates, ends)))
 
-    u = bilin(lambda i, j: traj.u_frames[i, j])
-    u_t = bilin(lambda i, j: traj.ut_frames[i, j])
-    return u, u_t, bilin(lambda i, j: _gradient_at(traj.u_frames, radii, i, j))
+    u, u_t = hermite(lambda stack, i, j: stack[i, j])
+    u_r, _ = hermite(lambda stack, i, j: _gradient_at(stack, radii, i, j))
+    return u, u_t, u_r
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ class TestSeries:
         with pytest.raises(DomainError):
             analysis.Series(t=[0.0, 1.0], y=[1.0, np.nan])
 
+    def test_a_nan_abscissa_is_rejected(self):
+        # a NaN compares False either way: only (np.diff(t) > 0).all() rejects it
+        with pytest.raises(DomainError, match="^series abscissae t must be strictly increasing"):
+            analysis.Series(t=[0.0, np.nan, 2.0], y=[1.0, 1.0, 1.0])
+
     def test_window(self):
         s = analysis.Series(t=np.arange(10.0), y=np.ones(10))
         sub = s.window(2.5, 6.5)
@@ -353,6 +358,25 @@ class TestVanishingOrderFit:
         samples = [(e, 1e-300) for e in eps]
         with pytest.raises(FitError):
             analysis.vanishing_order_fit(samples)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_a_fit_error_naming_it(self, slot, bad, capfd):
+        # rejected before the fit: a NaN value fits exponent nan, and a NaN distance makes
+        # LAPACK print DLASCL lines to stderr and raise LinAlgError
+        eps = math.pi * 2.0 ** -np.arange(3, 13)
+        samples = [(e, 3.0 * e**2) for e in eps]
+        samples[4] = (bad, samples[4][1]) if slot == 0 else (samples[4][0], bad)
+        with pytest.raises(FitError, match=r"^sample 4 \(dist, value\) = "):
+            analysis.vanishing_order_fit(samples)
+        assert capfd.readouterr().err == ""
+
+    def test_a_nan_residual_has_no_r_squared_of_one(self):
+        x = np.arange(10.0)
+        y = np.r_[x[:9], np.nan]
+        assert math.isnan(analysis._r_squared(x, y, 1.0, 0.0))
+        assert math.isnan(analysis._r_squared(x, np.full(10, np.nan), 1.0, 0.0))
+        assert analysis._r_squared(x, x, 1.0, 0.0) == 1.0
 
 
 class TestReports:

@@ -654,7 +654,10 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--check", "energy", "--config", config_path,
                          "--out", str(out)]) == 0
         report = json.loads((out / "verify_energy.json").read_text())
-        assert 0.0 < report["headroom"] < 1.0  # the linear field decays: rhs stays above lhs
+        # the exact linear field conserves the energy, so both read 0 up to the pushforward's
+        # error: measured 5.7e-4 (slack) and -5.7e-4 (headroom) here, 0 and 9.1e-4 with
+        # bilinear interpolation of frames every 0.05
+        assert abs(report["value"]) < 2e-3 and abs(report["headroom"]) < 2e-3
         assert report["margin"] == report["threshold"] - report["value"]
         assert (f"margin={report['margin']:.6g} headroom={report['headroom']:.6g} -> pass"
                 in capsys.readouterr().out)

@@ -338,8 +338,17 @@ def run_recording_sweeps(monkeypatch, config):
 class TestGuards:
     def test_trajectory_needs_an_increasing_grid(self, short_run):
         for r in (short_run.r[::-1], np.full_like(short_run.r, 0.5)):
-            with pytest.raises(ConfigError, match="radial grid must be strictly increasing"):
+            with pytest.raises(ConfigError, match=r"^Trajectory\.r must be strictly increasing"):
                 replace(short_run, r=r)
+
+    def test_a_nan_time_or_radius_is_rejected(self, short_run):
+        # a NaN compares False either way: only (np.diff(x) > 0).all() rejects it
+        times, r = short_run.times.copy(), short_run.r.copy()
+        times[-1], r[3] = np.nan, np.nan
+        with pytest.raises(ConfigError, match=r"^Trajectory\.times must be strictly increasing"):
+            replace(short_run, times=times)
+        with pytest.raises(ConfigError, match=r"^Trajectory\.r must be strictly increasing"):
+            replace(short_run, r=r)
 
     def test_fixed_point_divergence_raises(self):
         # measured t = 1.6155, the same step as the scheme written out with u, u_t and u_r
@@ -461,12 +470,14 @@ class TestMonitorReuse:
 
 
 class TestSampling:
-    def test_bilinear_interpolation_consistency(self, short_run):
+    def test_frame_times_and_grid_nodes_give_the_stored_values(self, short_run):
+        # every frame, the first and last among them, at every node
         traj = short_run
-        i, j = len(traj.times) // 2, len(traj.r) // 3
-        (u,), (u_t,), _ = solver.sample(traj, [traj.times[i]], [traj.r[j]])
-        assert u == pytest.approx(traj.u_frames[i, j], rel=1e-12)
-        assert u_t == pytest.approx(traj.ut_frames[i, j], rel=1e-12)
+        tt, rr = (x.ravel() for x in np.meshgrid(traj.times, traj.r, indexing="ij"))
+        u, u_t, u_r = solver.sample(traj, tt, rr)
+        assert np.array_equal(u, traj.u_frames.ravel())
+        assert np.array_equal(u_t, traj.ut_frames.ravel())
+        assert np.array_equal(u_r, np.gradient(traj.u_frames, traj.r, axis=1).ravel())
 
     def test_out_of_range_rejected(self, short_run):
         with pytest.raises(RangeError):
@@ -564,20 +575,21 @@ class TestRadialGradient:
         frames = np.random.default_rng(2).standard_normal((9, 40))
         self.assert_matches_np_gradient(frames, r)
 
-    def test_sampled_u_r_is_the_bilinear_interpolant_of_np_gradient(self, short_run):
+    def test_sampled_u_r_is_the_hermite_interpolant_of_np_gradient(self, short_run):
         rng = np.random.default_rng(4)
         times, r = short_run.times, short_run.r
         t = np.r_[times[0], times[-1], times[5], rng.uniform(times[0], times[-1], 300)]
         rr = np.r_[r[0], r[-1], r[7], rng.uniform(r[0], r[-1], 300)]
         _, _, u_r = solver.sample(short_run, t, rr)
-        # the same interpolation applied to np.gradient's field through the u slot
-        gradient_field = replace(short_run, u_frames=np.gradient(short_run.u_frames, r, axis=1))
+        # the cubic through (u_r, d_r u_t), through the (u, u_t) slots of np.gradient's fields
+        gradient_field = replace(short_run, u_frames=np.gradient(short_run.u_frames, r, axis=1),
+                                 ut_frames=np.gradient(short_run.ut_frames, r, axis=1))
         expected, _, _ = solver.sample(gradient_field, t, rr)
         assert np.array_equal(u_r, expected)
 
     def test_pushforward_holds_no_frame_stack(self):
         # tracemalloc sees numpy's buffers: np.gradient over all frames peaks at
-        # about three frame stacks, reading the bilinear corners at a few percent;
+        # about three frame stacks, reading the interpolation corners at a few percent;
         # of ur_frames it sees only the rows' temporaries, not the mapped stack
         traj = solver.run(short_config(dr=0.01, cfl=0.9, t_max=20.0, r_max=26.0))
         grid = solver.CylinderGrid(n_T=40, n_R=100)
