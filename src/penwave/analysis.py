@@ -162,8 +162,9 @@ def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
     Returns the global weighted sup and the plateau ratio (max/min of the
     per-frame weighted sup) over the tail window, which defaults to the last
     half of the stored times and can be widened via ``tail_from``.  Raises
-    DomainError for sigma outside (0, 1] and, naming the frame time, for a
-    frame whose weighted sup is not finite.
+    DomainError for sigma outside (0, 1], naming the frame time, for a
+    frame whose weighted sup is not finite, and for a ``tail_from`` (NaN
+    included) that leaves no frame in the window.
     """
     _check_sigma(sigma)
     r, times = traj.r, traj.times
@@ -178,6 +179,9 @@ def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
     t0, t1 = float(times[0]), float(times[-1])
     lo = 0.5 * (t0 + t1) if tail_from is None else float(tail_from)
     tail = frame_sup[times >= lo]
+    if not tail.size:
+        raise DomainError(f"tail_from = {tail_from} leaves no frame in the tail window: "
+                          f"the last frame is at t = {t1}")
     tail_min = float(tail.min())
     plateau = float(tail.max() / tail_min) if tail_min > 0 else math.inf
     return DecayCertificate(sigma=sigma, C_sup=c_sup, plateau_ratio=plateau, window=(lo, t1))

@@ -169,8 +169,8 @@ def compute_jet(
     handles the products inside N, so psi_k consumes the k-jet of f and the
     (k-1)-jet of g only.
     """
-    if K > MAX_JET_ORDER:
-        raise OrderError(f"jet order {K} exceeds the supported maximum {MAX_JET_ORDER}")
+    if not 0 <= K <= MAX_JET_ORDER:
+        raise OrderError(f"jet order {K} is outside the supported range 0..{MAX_JET_ORDER}")
     if f.r0 != g.r0 or f.dr != g.dr or len(f.values) != len(g.values):
         raise DomainError("f and g must share a grid")
     r = f.r
@@ -290,8 +290,8 @@ def check_compatibility(
     innermost nodes.  The default tolerance is 1e-8 times the largest |psi_j|
     over the grid (scale-free).
     """
-    if s > jet.K:
-        raise OrderError(f"requested order {s} exceeds jet order {jet.K}")
+    if not 0 <= s <= jet.K:
+        raise OrderError(f"requested order {s} is outside the jet's orders 0..{jet.K}")
     if tol is None:
         peak = max(float(np.max(np.abs(p.values))) for p in jet.psi[: s + 1])
         tol = 1e-8 * max(peak, 1e-300)

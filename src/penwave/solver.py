@@ -1,20 +1,21 @@
 """Radial exterior-domain finite-difference evolution.
 
-Solves u_tt = u_rr + (2/r) u_r + N(u, u_t, u_r) + forcing on r in [r_b, r_max]
-with homogeneous Dirichlet conditions at both ends.  The substitution w = r u
-removes the first-order transport term, giving w_tt = w_rr + r * (N + forcing)
-with w(r_b) = w(r_max) = 0; the outer condition is exact by finite propagation
-speed provided r_max >= r_b + t_max + (data support radius) + 2.
+Solves u_tt = u_rr + (2/r) u_r + N(u, u_t, u_r) on r in [r_b, r_max] with
+homogeneous Dirichlet conditions at both ends (a source term in r alone is a
+monomial of N with no factors).  The substitution w = r u removes the first-order
+transport term, giving w_tt = w_rr + r N with w(r_b) = w(r_max) = 0; the outer
+condition is exact by finite propagation speed provided
+r_max >= r_b + t_max + (data support radius) + 2.
 
 The scheme is explicit leapfrog, second order in time; one core steps both
 ``run`` (second order in space) and ``reference_samples`` (fourth order).  The
 first step is the Taylor expansion u(dt) = psi_0 + dt psi_1 + dt^2/2 psi_2 of
 the compatibility jet.  When N depends on u_t the update is implicit through
 (u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lagged value
-resolve it.  When N(0) = 0 and there is no forcing, ``run`` steps only the
-light-cone window r <= r_b + support + t + 2 and holds exact zeros beyond (the
-data is zeroed beyond its support radius, where the bump is below 2.3e-16 of
-its peak); any other input steps the full grid.  The step evaluates N on raw
+resolve it.  When N(0) = 0, ``run`` steps only the light-cone window
+r <= r_b + support + t + 2 and holds exact zeros beyond (the data is zeroed beyond
+its support radius, where the bump is below 2.3e-16 of its peak); any other input
+steps the full grid.  The step evaluates N on raw
 stencil differences (w, w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r), with the
 scales that turn them into u, u_t and u_r folded once into each monomial's
 coefficient.  The monitors differentiate each level they read themselves: the
@@ -25,9 +26,9 @@ of the density by rounding only (1.3e-15 of its scale at most on the bench runs)
 
 The frame stacks live in one private anonymous mapping (POSIX only), whose unwritten
 pages read as zeros and take no memory: a windowed run holds only its light-cone window
-(0.57 of the stacks on the t = 80 Q0 run).  ``Trajectory.ur_frames`` maps its stack the
-same way and writes each row only over u's nonzero extent.  A full-grid run, or a host
-with transparent huge pages ``always``, saves nothing but behaves the same.
+(0.57 of the stacks on the t = 80 Q0 run).  A full-grid run, or a host with transparent
+huge pages ``always``, saves nothing but behaves the same.  ``Trajectory.ur_frames``
+yields u_r one frame row at a time and holds no stack.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -118,7 +119,6 @@ class SolverConfig:
     cfl: float = 0.9
     t_max: float = 80.0
     r_max: float = 90.0
-    forcing_fn: object = None
 
     @property
     def dt(self) -> float:
@@ -184,25 +184,10 @@ class Trajectory:
                 raise ConfigError(f"Trajectory.{name} must be strictly increasing")
 
     @property
-    def ur_frames(self) -> np.ndarray:
-        """``np.gradient(u_frames, r, axis=1)`` bit for bit, built on each access into a
-        ``_zero_stack`` and resident only over each row's nonzero extent: from two nodes
-        past a row's last entry that is not +0.0 (-0.0, NaN and inf count) the stencil
-        reads only +0.0 and gives the +0.0 that unwritten pages hold.  ``sample`` reads
-        u_r at its corners instead."""
-        u, r = self.u_frames, self.r
-        out = _zero_stack(u.shape)
-        dx = np.diff(r)
-        # np.gradient takes its uniform formula when r[:e]'s spacings are all equal, so a
-        # row of a non-uniform grid is cut no shorter than its first unequal spacing
-        unequal = np.flatnonzero(dx != dx[0])
-        shortest = unequal[0] + 2 if unequal.size else 0
-        for row, grad in zip(u, out):
-            nonzero = np.flatnonzero(row.view(np.uint64))
-            if nonzero.size:
-                e = max(nonzero[-1] + 3, shortest)
-                grad[:e] = np.gradient(row[:e], r[:e])
-        return out
+    def ur_frames(self):
+        """The rows of ``np.gradient(u_frames, r, axis=1)``, bit for bit, one frame at a time
+        and each taken on access.  ``sample`` reads u_r at its corners instead."""
+        return (np.gradient(row, self.r) for row in self.u_frames)
 
 
 def run(config: SolverConfig) -> Trajectory:
@@ -224,7 +209,7 @@ def run(config: SolverConfig) -> Trajectory:
     n_local = int(np.count_nonzero(r <= 2.0 * r_b))  # E_local is taken out to 2 r_b
     inv_r = 1.0 / r
     reach = None
-    if config.forcing_fn is None and all(sum(p) >= 1 for _, p in config.nonlinearity.terms):
+    if all(sum(p) >= 1 for _, p in config.nonlinearity.terms):
         # N(0) = 0: the field vanishes ahead of the light cone of the data
         reach = config.data.support_radius + 2.0
         psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
@@ -279,8 +264,7 @@ def run(config: SolverConfig) -> Trajectory:
                           ut_frames=frames_ut[:k], monitors=monitors, config=config,
                           completed=completed)
 
-    steps = _leapfrog(r, dr, dt, psi, n_steps, config.nonlinearity, config.forcing_fn,
-                      reach=reach)
+    steps = _leapfrog(r, dr, dt, psi, n_steps, config.nonlinearity, reach=reach)
     try:
         for level, w_prev, w_curr, w_next, hi in steps:
             if level % _MONITOR_STRIDE == 0 or level % stride == 0:
@@ -305,8 +289,7 @@ def _zero_stack(shape):
     return np.frombuffer(pages, float, count=size).reshape(shape)
 
 
-def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reach=None,
-              sweeps=None):
+def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps=None):
     """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
 
     Yields ``(level, w_prev, w_curr, w_next, hi)`` for level = 0 .. n_steps - 1
@@ -365,7 +348,7 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
         twice -= prv_a
         base += twice
 
-        if nonlinearity.terms or forcing is not None:
+        if nonlinearity.terms:
             term = term_buf[a]
             fields = (cur_a, t_buf[a], g_buf[a])  # W, D or S, G on nodes 1 .. hi-1
             if reads_ur:
@@ -376,8 +359,6 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, forcing=None, order=2, reac
                     np.multiply(compat.deriv4(cur[:hi + 1], dr)[1:-1], 2.0 * dr, out=g)
                 g -= np.multiply(cur_a, two_dr_inv_r[a], out=term)
             inc = _sum_monomials(fixed, fields, a, inc_buf[a], term)
-            if forcing is not None:
-                inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
             if swept:
                 ts = np.subtract(cur_a, prv_a, out=fields[1])  # D: the lagged first guess
                 part = _sum_monomials(lagged, fields, a, lag_buf[a], term)
@@ -506,6 +487,15 @@ class CylinderGrid:
     n_R: int = 400
     T_max: float | None = None
 
+    def __post_init__(self):
+        """Raise ConfigError, naming the field, for fewer than one row or two nodes a row,
+        and for a T_max that is given but not positive and finite."""
+        for name, value, least in (("n_T", self.n_T, 1), ("n_R", self.n_R, 2)):
+            if not value >= least:
+                raise ConfigError(f"CylinderGrid.{name} must be at least {least}, got {value}")
+        if self.T_max is not None and not (self.T_max > 0 and math.isfinite(self.T_max)):
+            raise ConfigError(f"CylinderGrid.T_max must be positive and finite, got {self.T_max}")
+
 
 def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.CylinderField:
     """Push a trajectory forward to the cylinder: v = u~ / Omega on a (T, R) grid.
@@ -568,16 +558,8 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     if empty.any():
         raise CoverageError(f"row T = {T[np.argmax(empty)]:.4f} has no covered nodes")
 
-    forcing = None
-    if traj.config.forcing_fn is not None:
-        forcing = np.zeros_like(TT)
-        forcing[mask] = (traj.config.forcing_fn(t_pre[mask], r_pre[mask])
-                         / geometry.omega_einstein(TT[mask], RR[mask]) ** 3)
-
     vals[~mask] = np.nan
-    return cylinder.CylinderField(
-        T=T, R=R, values=vals, mask=mask, d_T=d_T, d_R=d_R, forcing=forcing
-    )
+    return cylinder.CylinderField(T=T, R=R, values=vals, mask=mask, d_T=d_T, d_R=d_R)
 
 
 def read_config(path, schema=_SCHEMA) -> configparser.ConfigParser:
@@ -631,12 +613,10 @@ def config_sections(cfg: SolverConfig) -> dict[str, dict[str, str]]:
     back equal: the record of a run in the store, the manifest and the digests.
 
     Raises ConfigError for a run no config file can describe: one with a
-    ``forcing_fn`` or a nonlinearity other than the builtin of its name.
+    nonlinearity other than the builtin of its name.
     """
-    if (cfg.forcing_fn is not None
-            or compat.BUILTIN_NONLINEARITIES.get(cfg.nonlinearity.name) != cfg.nonlinearity):
-        raise ConfigError("only a run of a builtin nonlinearity without forcing_fn can be "
-                          "recorded as a config")
+    if compat.BUILTIN_NONLINEARITIES.get(cfg.nonlinearity.name) != cfg.nonlinearity:
+        raise ConfigError("only a run of a builtin nonlinearity can be recorded as a config")
     return {
         "problem": {"nonlinearity": cfg.nonlinearity.name, "epsilon": repr(float(cfg.epsilon)),
                     "r_b": repr(float(cfg.obs.r_b))},

@@ -117,6 +117,12 @@ class TestDecayCertificate:
         cert = analysis.decay_certificate(small_traj, sigma=0.25, tail_from=10.0)
         assert cert.window[0] == 10.0
 
+    @pytest.mark.parametrize("tail_from", [1e3, np.inf, np.nan])
+    def test_tail_window_without_a_frame_is_rejected(self, small_traj, tail_from):
+        # numpy's zero-size reduction used to escape as a ValueError
+        with pytest.raises(DomainError, match=rf"^tail_from = {tail_from} leaves no frame"):
+            analysis.decay_certificate(small_traj, tail_from=tail_from)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_frame_is_rejected_naming_its_time(self, small_traj, value):
         u = small_traj.u_frames.copy()

@@ -493,6 +493,17 @@ class TestCompatCommand:
         assert report["verdict"] == "pass"
         assert "order 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key", ["order", "boundary_order"])
+    def test_negative_order_is_a_domain_error(self, tmp_path, capsys, key):
+        # it used to end in max()'s ValueError on an empty sequence, exit 1
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG + f"\n[verify]\n{key} = -1\n")
+        out = tmp_path / "compat"
+        code = cli.main(["compat", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_DOMAIN
+        assert "order -1 is outside" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_incompatible_data_fails_verdict(self, tmp_path):
         path = tmp_path / "bad_data.ini"
         path.write_text(SMALL_CONFIG + "\n[data]\ncenter = 0.2\nwidth = 0.5\n")

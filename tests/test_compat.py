@@ -131,6 +131,8 @@ class TestComputeJet:
         f, g = bump_profiles()
         with pytest.raises(OrderError):
             compat.compute_jet(f, g, compat.ZERO, K=compat.MAX_JET_ORDER + 1)
+        with pytest.raises(OrderError, match="^jet order -1 is outside"):
+            compat.compute_jet(f, g, compat.ZERO, K=-1)
 
 
 class TestVerifyJet:
@@ -181,6 +183,8 @@ class TestCheckCompatibility:
         jet = compat.compute_jet(f, g, compat.ZERO, K=2)
         with pytest.raises(OrderError):
             compat.check_compatibility(jet, ObstacleSpec(R0), s=3)
+        with pytest.raises(OrderError, match="^requested order -1 is outside"):
+            compat.check_compatibility(jet, ObstacleSpec(R0), s=-1)
 
     def test_explicit_tolerance_respected(self):
         f, g = bump_profiles()

@@ -1,5 +1,6 @@
 """Exterior radial solver: analytic oracles, conservation, convergence, I/O."""
 
+import dataclasses
 import math
 import os
 import re
@@ -27,6 +28,10 @@ def short_config(**overrides):
     )
     defaults.update(overrides)
     return solver.SolverConfig(**defaults)
+
+
+# a source term in r alone: a monomial with no factors
+SOURCE = (lambda r: np.exp(-((r - 1.5) ** 2) / 0.1), (0, 0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -188,17 +193,12 @@ class TestNonlinearRuns:
         peak = np.max(np.abs(lin.u_frames[-1]))
         assert 0 < diff < 0.1 * peak  # small but nonzero: genuinely nonlinear
 
-    def test_forcing_source_is_active(self):
-        forced = solver.run(
-            short_config(
-                epsilon=0.01,
-                data=solver.DataSpec(g_amp=0.0),
-                t_max=2.0,
-                r_max=8.0,
-                forcing_fn=lambda t, r: np.exp(-((r - 1.5) ** 2) / 0.1) * math.exp(-t),
-            )
-        )
-        assert np.max(np.abs(forced.u_frames[-1])) > 1e-4
+    def test_source_monomial_drives_a_zero_data_run(self):
+        config = short_config(data=solver.DataSpec(g_amp=0.0), t_max=2.0, r_max=8.0)
+        assert not solver.run(config).u_frames.any()
+        source = compat.NonlinearitySpec("source", (SOURCE,))
+        driven = solver.run(replace(config, nonlinearity=source))
+        assert np.max(np.abs(driven.u_frames[-1])) > 1e-4
 
     def test_monomial_sums_equal_math_prod_bit_for_bit(self):
         rng = np.random.default_rng(0)
@@ -218,11 +218,13 @@ class TestNonlinearRuns:
         assert np.array_equal(solver._aligned(n, x), x)
 
     def test_light_cone_window_matches_full_grid(self):
-        # N(0) = 0 without forcing steps only the light-cone window; a zero
-        # forcing makes the same problem step the full grid
+        # N(0) = 0 steps only the light-cone window; a zero monomial with no
+        # factors makes the same problem step the full grid
         config = short_config(nonlinearity=compat.Q0_RADIAL, t_max=6.0, r_max=12.0)
         windowed = solver.run(config)
-        full = solver.run(replace(config, forcing_fn=lambda t, r: 0.0 * r))
+        zero_source = compat.NonlinearitySpec("q0-zero-source",
+                                              compat.Q0_RADIAL.terms + ((0.0, (0, 0, 0)),))
+        full = solver.run(replace(config, nonlinearity=zero_source))
         wm, fm = windowed.monitors, full.monitors
         # each series is compared on the scale of its kind: the local energy is a
         # part of the total
@@ -238,7 +240,7 @@ class TestNonlinearRuns:
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
 
-def reference_step(r, dr, dt, prv, cur, hi, t, nonlinearity, forcing, order):
+def reference_step(r, dr, dt, prv, cur, hi, nonlinearity, order):
     """One step of the scheme written out plainly: u, u_t and u_r as fields, each
     monomial a ``math.prod`` and two fixed-point sweeps from the lagged u_t.
     Returns w_next on nodes 1 .. hi-1 and the two sweep increments (None
@@ -267,8 +269,6 @@ def reference_step(r, dr, dt, prv, cur, hi, t, nonlinearity, forcing, order):
         return total
 
     inc = monomials(None, swept=False)
-    if forcing is not None:
-        inc += dt * dt * r[a] * np.broadcast_to(forcing(t, r), r.shape)[a]
     if not any(powers[1] for _, powers in nonlinearity.terms):
         return linear + inc, None
     first = monomials((cur[a] - prv[a]) / dt * inv_r, swept=True)
@@ -279,6 +279,7 @@ def reference_step(r, dr, dt, prv, cur, hi, t, nonlinearity, forcing, order):
 
 U_Q0 = compat.NonlinearitySpec("u-q0", ((lambda r: 1.0 + 0.1 * np.sin(r), (1, 2, 0)),
                                         (-1.0, (1, 0, 2))))
+Q0_SOURCED = compat.NonlinearitySpec("q0-sourced", compat.Q0_RADIAL.terms + (SOURCE,))
 
 
 class TestStepAgainstReferenceScheme:
@@ -286,14 +287,14 @@ class TestStepAgainstReferenceScheme:
     factor's scale folded into its monomial's coefficient, against the scheme
     written out with u, u_t and u_r."""
 
-    @pytest.mark.parametrize("nonlinearity,epsilon,forcing,order,cfl", [
-        (compat.Q0_RADIAL, 0.5, None, 2, 0.9),
-        (compat.DT_SQUARED, 0.5, None, 2, 0.9),
-        (U_Q0, 0.5, None, 2, 0.9),
-        (compat.Q0_RADIAL, 0.2, lambda t, r: np.exp(-((r - 1.5) ** 2) / 0.1) * math.exp(-t), 2, 0.9),
-        (compat.Q0_RADIAL, 0.5, None, 4, 0.5),
-    ], ids=["q0", "dt-squared", "u-q0-callable", "q0-forced", "q0-order-4"])
-    def test_every_level_and_sweep_matches(self, nonlinearity, epsilon, forcing, order, cfl):
+    @pytest.mark.parametrize("nonlinearity,epsilon,order,cfl", [
+        (compat.Q0_RADIAL, 0.5, 2, 0.9),
+        (compat.DT_SQUARED, 0.5, 2, 0.9),
+        (U_Q0, 0.5, 2, 0.9),
+        (Q0_SOURCED, 0.2, 2, 0.9),
+        (compat.Q0_RADIAL, 0.5, 4, 0.5),
+    ], ids=["q0", "dt-squared", "u-q0-callable", "q0-sourced", "q0-order-4"])
+    def test_every_level_and_sweep_matches(self, nonlinearity, epsilon, order, cfl):
         dr = 0.01
         dt, r_b, r_max = cfl * dr, 0.2, 8.0
         r = r_b + dr * np.arange(int(round((r_max - r_b) / dr)) + 1)
@@ -301,17 +302,17 @@ class TestStepAgainstReferenceScheme:
         psi = [p.values for p in compat.compute_jet(f, g, nonlinearity, K=2).psi]
         n_steps = int(round(3.0 / dt))
         reach = None
-        if forcing is None and order == 2:  # as run: the light-cone window, data cut at its support
+        if order == 2 and all(sum(p) >= 1 for _, p in nonlinearity.terms):
+            # as run when N(0) = 0: the light-cone window, data cut at its support
             support = solver.DataSpec().support_radius
             reach, psi = support + 2.0, [np.where(r > support, 0.0, p) for p in psi]
         sweeps, levels = [], []
         for level, prv, cur, nxt, hi in solver._leapfrog(r, dr, dt, psi, n_steps, nonlinearity,
-                                                         forcing, order, reach, sweeps):
+                                                         order, reach, sweeps):
             levels.append((level, None if prv is None else prv.copy(), cur.copy(), nxt.copy(), hi))
         deltas = []
         for level, prv, cur, nxt, hi in levels[1:]:
-            want, step_deltas = reference_step(r, dr, dt, prv, cur, hi, level * dt,
-                                               nonlinearity, forcing, order)
+            want, step_deltas = reference_step(r, dr, dt, prv, cur, hi, nonlinearity, order)
             assert np.max(np.abs(nxt[1:hi] - want)) <= 1e-12 * np.max(np.abs(want))
             assert not nxt[hi:].any() and nxt[0] == 0.0
             if step_deltas is not None:
@@ -376,10 +377,9 @@ class TestGuards:
         assert np.all(sweeps[:, 1] < sweeps[:, 0])
 
     def test_blow_up_carries_the_partial_trajectory(self):
-        config = short_config(
-            dr=0.01, t_max=4.0, r_max=10.0,
-            forcing_fn=lambda t, r: 1e30 * np.exp(-((r - 1.5) ** 2)),
-        )
+        source = compat.NonlinearitySpec(
+            "source", ((lambda r: 1e30 * np.exp(-((r - 1.5) ** 2)), (0, 0, 0)),))
+        config = short_config(dr=0.01, t_max=4.0, r_max=10.0, nonlinearity=source)
         with pytest.raises(NaNError) as info:
             solver.run(config)
         traj = info.value.trajectory
@@ -500,7 +500,7 @@ class TestSampling:
 def assert_ur_frames_match_np_gradient(traj):
     """``traj.ur_frames`` is ``np.gradient(u_frames, r, axis=1)`` bit for bit, the sign of
     zeros included; only a NaN's sign bit, which follows numpy's loops, is not compared."""
-    got, expected = traj.ur_frames, np.gradient(traj.u_frames, traj.r, axis=1)
+    got, expected = np.stack(list(traj.ur_frames)), np.gradient(traj.u_frames, traj.r, axis=1)
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got.view(np.uint64)[~nan], expected.view(np.uint64)[~nan])
@@ -527,33 +527,6 @@ class TestRadialGradient:
         assert np.all(traj.u_frames[:, -300:] == 0.0)  # beyond the light-cone window
         self.assert_matches_np_gradient(traj.u_frames, traj.r)
         assert_ur_frames_match_np_gradient(traj)
-
-    GRIDS = {
-        "uniform": 1.0 + 3.0 * np.arange(12),
-        "non-uniform": np.sort(np.random.default_rng(5).uniform(0.2, 5.0, 12)),
-        # spacing 3 up to node 3: a row cut to r[:3] would take numpy's uniform formula
-        "uniform start": np.r_[0.0, 3.0, 6.0, 9.0, 9.5, 11.0, 11.25, 13.0, 14.0, 16.5, 17.0, 19.0],
-    }
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_ur_frames_rows_cut_after_their_last_nonzero(self, short_run, grid):
-        # rows are written up to two nodes past their last entry that is not +0.0
-        r, rng = self.GRIDS[grid], np.random.default_rng(6)
-        n = len(r)
-        rows = np.zeros((9, n))
-        rows[1, 0] = rng.standard_normal()  # only node 0
-        rows[2] = rng.standard_normal(n)  # nonzero at the last node
-        rows[3, :n - 2] = rng.standard_normal(n - 2)  # two nodes before the end
-        rows[4, :n - 3] = rng.standard_normal(n - 3)  # three before: the last node is cut
-        rows[5, [2, 6]] = -0.0, rng.standard_normal()  # -0.0 inside the extent
-        rows[6, 7] = -0.0  # -0.0 alone: its neighbours' u_r are -0.0 or +0.0 by sign
-        rows[7, :4] = rng.standard_normal(4)
-        rows[7, 2] = np.inf  # a blown-up row of a partial trajectory
-        rows[8, 3] = np.nan
-        traj = solver.Trajectory(r=r, times=np.arange(9.0), u_frames=rows, ut_frames=rows,
-                                 monitors=short_run.monitors, config=short_run.config)
-        with np.errstate(invalid="ignore"):
-            assert_ur_frames_match_np_gradient(traj)
 
     def test_ur_frames_of_a_run_and_of_its_store(self, tmp_path):
         # the store-certify-sized linear run, in memory and loaded back from its store
@@ -589,8 +562,7 @@ class TestRadialGradient:
 
     def test_pushforward_holds_no_frame_stack(self):
         # tracemalloc sees numpy's buffers: np.gradient over all frames peaks at
-        # about three frame stacks, reading the interpolation corners at a few percent;
-        # of ur_frames it sees only the rows' temporaries, not the mapped stack
+        # about three frame stacks, reading the interpolation corners at a few percent
         traj = solver.run(short_config(dr=0.01, cfl=0.9, t_max=20.0, r_max=26.0))
         grid = solver.CylinderGrid(n_T=40, n_R=100)
         # imports happen outside the trace; the copy leaves nothing cached on traj
@@ -599,13 +571,25 @@ class TestRadialGradient:
         try:
             solver.transform_to_cylinder(traj, grid)
             pushforward_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            traj.ur_frames
-            ur_frames_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert pushforward_peak < traj.u_frames.nbytes / 4
-        assert ur_frames_peak < 1.25 * traj.u_frames.nbytes
+
+    def test_ur_frames_hold_a_few_rows_at_a_time(self):
+        # 42 rows of 100 001 nodes: consumed as a loop reads them, measured 8.0 rows at
+        # the peak (np.gradient's temporaries on a non-uniform grid and the row before)
+        traj = solver.run(solver.SolverConfig(dr=0.01, t_max=4.0, r_max=1000.0))
+        row = traj.u_frames[0].nbytes
+        next(traj.ur_frames)  # imports happen outside the trace
+        tracemalloc.start()
+        try:
+            for _ in traj.ur_frames:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.u_frames) > 40
+        assert peak < 10 * row, peak / row
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
@@ -625,16 +609,22 @@ class TestFrameMemory:
         grown = self.resident() - before
         assert grown < 0.25 * (traj.u_frames.nbytes + traj.ut_frames.nbytes), grown
 
-    def test_ur_frames_take_memory_only_over_each_rows_nonzero_extent(self):
-        # a 60 MB stack: measured 2.2 MB of growth (61 MB when every node was written)
-        traj = solver.run(self.WINDOWED)
-        before = self.resident()
-        held = traj.ur_frames  # a stack no name holds would be unmapped before the count
-        grown = self.resident() - before
-        assert grown < 0.25 * traj.u_frames.nbytes, (grown, held.shape)
-
 
 class TestCylinderTransform:
+    @pytest.mark.parametrize("field,overrides", [
+        ("n_T", dict(n_T=0)),
+        ("n_T", dict(n_T=-3)),
+        ("n_R", dict(n_R=1)),
+        ("T_max", dict(T_max=0.0)),
+        ("T_max", dict(T_max=-1.0)),
+        ("T_max", dict(T_max=math.nan)),
+        ("T_max", dict(T_max=math.inf)),
+    ], ids=["n_T=0", "n_T=-3", "n_R=1", "T_max=0", "T_max=-1", "T_max=nan", "T_max=inf"])
+    def test_grid_that_cannot_be_pushed_forward_is_rejected(self, field, overrides):
+        # n_R = 1 divided by zero in the pushforward and n_T = 0 gave a field of no rows
+        with pytest.raises(ConfigError, match=rf"^CylinderGrid\.{field} must be"):
+            solver.CylinderGrid(**overrides)
+
     def test_values_are_conformally_rescaled_samples(self, short_run):
         grid = solver.CylinderGrid(n_T=40, n_R=120)
         field = solver.transform_to_cylinder(short_run, grid)
@@ -700,12 +690,31 @@ class TestOutputsRoundTrip:
         assert np.array_equal(rerun.u_frames, traj.u_frames)
         assert np.array_equal(rerun.ut_frames, traj.ut_frames)
 
-    def test_forced_run_is_not_stored(self, tmp_path):
-        traj = solver.run(short_config(dr=0.01, t_max=1.0, r_max=8.0,
-                                       forcing_fn=lambda t, r: 0.0 * r))
-        with pytest.raises(ConfigError, match="forcing_fn"):
+    @pytest.mark.parametrize("nonlinearity", [
+        U_Q0, compat.NonlinearitySpec("q0-radial", compat.Q0_RADIAL.terms[:1])],
+        ids=["unknown-name", "builtin-name-other-terms"])
+    def test_run_of_a_non_builtin_nonlinearity_is_not_stored(self, tmp_path, nonlinearity):
+        # no config file can describe it, so the store would not be its record
+        traj = solver.run(short_config(dr=0.01, t_max=1.0, r_max=8.0, nonlinearity=nonlinearity))
+        with pytest.raises(ConfigError, match="^only a run of a builtin nonlinearity"):
             solver.write_outputs(traj, tmp_path / "store")
         assert not (tmp_path / "store").exists()
+
+    def test_every_setting_is_a_config_key(self):
+        # a setting no config file holds would leave the store's record of a run
+        # incomplete; the nonlinearity counts by its name
+        base = solver.SolverConfig()
+        settable = set()
+        for f in dataclasses.fields(base):
+            if f.name in ("obs", "data"):
+                nested = dataclasses.fields(getattr(base, f.name))
+                settable |= {f"{f.name}.{g.name}" for g in nested}
+            else:
+                settable.add(f.name)
+        schema = solver._SCHEMA
+        keys = {"obs.r_b" if key == "r_b" else key for key in schema["problem"] + schema["grid"]}
+        keys |= {f"data.{key}" for key in schema["data"]}
+        assert settable == keys
 
     @pytest.mark.parametrize("every", [math.nan, -1.0, math.inf])
     def test_snapshot_spacing_that_would_change_the_store_is_rejected(self, short_run, tmp_path,
