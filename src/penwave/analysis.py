@@ -146,13 +146,9 @@ class DecayCertificate:
     decay at the sampled resolution.
     """
 
-    sigma: float
     C_sup: float
     plateau_ratio: float
     window: tuple[float, float]
-
-    def __post_init__(self):
-        _check_sigma(self.sigma)
 
 
 def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
@@ -184,7 +180,7 @@ def decay_certificate(traj: Trajectory, sigma: float = DEFAULT_SIGMA,
                           f"the last frame is at t = {t1}")
     tail_min = float(tail.min())
     plateau = float(tail.max() / tail_min) if tail_min > 0 else math.inf
-    return DecayCertificate(sigma=sigma, C_sup=c_sup, plateau_ratio=plateau, window=(lo, t1))
+    return DecayCertificate(C_sup=c_sup, plateau_ratio=plateau, window=(lo, t1))
 
 
 @dataclass(frozen=True)
@@ -256,8 +252,6 @@ class WeightedNormReport:
 
     T: np.ndarray
     m: np.ndarray
-    order: int
-    sigma: float
     plateau_ratio: float
     bounded: bool
 
@@ -291,10 +285,8 @@ def weighted_norm_report(
     tail_max = float(m_vals[-n_tail:].max())
     head_max = float(m_vals[:-n_tail].max()) if len(rows) > n_tail else tail_max
     plateau = tail_max / head_max if head_max > 0 else (math.inf if tail_max > 0 else 1.0)
-    return WeightedNormReport(
-        T=T, m=m_vals, order=p, sigma=sigma,
-        plateau_ratio=plateau, bounded=CHECKS["weighted-norms"].passes(plateau),
-    )
+    return WeightedNormReport(T=T, m=m_vals, plateau_ratio=plateau,
+                              bounded=CHECKS["weighted-norms"].passes(plateau))
 
 
 def vanishing_order_fit(samples) -> FitResult:

@@ -174,14 +174,17 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
     ``I J i j k value`` for cubic entries k[I,J,i,j,k].  Integers and fractions
     ``a/b`` are kept exact; a value with a decimal point or an exponent is a float,
     and then so is the whole form.  An index given twice is a ParseError naming
-    both lines.
+    both lines, and a file that cannot be read as text one naming the file.
     """
     kind = None
     n = 0
     entries = {}
     exact = True
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,7 +238,7 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
 
 
 def cmd_check_null(args) -> int:
-    if args.builtin:
+    if args.builtin is not None:
         dt2 = np.zeros((1, 1, 1, 4, 4), dtype=object)
         dt2[0, 0, 0, 0, 0] = Fraction(1)
         forms = {
@@ -251,15 +254,16 @@ def cmd_check_null(args) -> int:
         form = parse_form_file(args.form)
     if isinstance(form, nullform.QuadraticFormSpec):
         verdict, decomp = nullform.check_null_semilinear(form)
+        name, coeffs = "lambda", decomp.lam
     else:
         verdict, decomp = nullform.check_null_quasilinear(form)
-    if verdict:
-        lam = np.asarray(decomp.lam).ravel()
-        big = lam[np.argmax(np.abs(lam))]
+        name, coeffs = "ell", decomp.linear_factor
+    if verdict:  # the largest coefficient of the null piece: q0's, or the linear factor's
+        coeffs = np.asarray(coeffs).ravel()
+        big = coeffs[np.argmax(np.abs(coeffs))]
         if isinstance(big, Fraction):  # past the float range it prints as +-inf
             big = nullform._quotient(*big.as_integer_ratio())
-        print(f"null, lambda={big:g}, "
-              f"residual={decomp.residual:.3e}")
+        print(f"null, {name}={big:g}, residual={decomp.residual:.3e}")
     else:
         xi, value = nullform.cone_witness(form)
         print(f"non-null, residual={decomp.residual:.3e}, "
@@ -399,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("check-null", help="classify a nonlinearity's form file")
-    p.add_argument("--form", help="form file in the tuple format")
-    p.add_argument("--builtin", help="named builtin form (q0, q01, q12, dt-squared)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--form", help="form file in the tuple format")
+    source.add_argument("--builtin", help="named builtin form (q0, q01, q12, dt-squared)")
     p.add_argument("--require-null", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_null)

@@ -117,18 +117,6 @@ class NonlinearitySpec:
             if len(powers) != 3 or sum(powers) > 3 or min(powers) < 0:
                 raise DomainError(f"bad monomial powers {powers}")
 
-    def __call__(self, u, u_t, u_r, r=None):
-        """Pointwise evaluation."""
-        out = np.zeros(np.broadcast(u, u_t, u_r).shape)
-        for coeff, (pu, put, pur) in self.terms:
-            c = coeff(r) if callable(coeff) else coeff
-            out += c * u ** pu * u_t ** put * u_r ** pur
-        return out
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.terms
-
 
 ZERO = NonlinearitySpec(name="zero")
 Q0_RADIAL = NonlinearitySpec(name="q0-radial", terms=((1.0, (0, 2, 0)), (-1.0, (0, 0, 2))))
@@ -179,7 +167,7 @@ def compute_jet(
     for k in range(0, K - 1):
         lap = deriv4(psi[k], dr, 2) + (2.0 / r) * deriv4(psi[k], dr, 1)
         nonlinear = np.zeros_like(lap)
-        if not F.is_trivial:
+        if F.terms:
             u_jet = psi[: k + 2]
             ut_jet = psi[1: k + 2]
             ur_jet = [deriv4(p, dr, 1) for p in psi[: k + 1]]
@@ -218,8 +206,6 @@ def verify_jet(
     f: RadialProfile,
     g: RadialProfile,
     F: NonlinearitySpec,
-    dt: float | None = None,
-    k_max: int | None = None,
 ) -> dict[int, float]:
     """Relative L^2 discrepancy of each psi_k against a fine reference solve.
 
@@ -227,15 +213,14 @@ def verify_jet(
     boundary, so no obstacle interaction occurs in the sampled window) both
     forward and backward in time -- backward samples come from the forward
     evolution of (f, -g), since the equation is invariant under t -> -t --
-    and estimates d_t^k u(0, .) by central differences exact for polynomials
-    of degree 2 k_max + 4.  Orders 0 and 1 are the data and return exact
-    zeros.
+    at steps dt = 2.5 dr, and estimates d_t^k u(0, .) for k <= k_max =
+    min(K, 4) by central differences exact for polynomials of degree
+    2 k_max + 4.  Orders 0 and 1 are the data and return exact zeros.
     """
     from . import solver  # local import: solver seeds its first step from this module
 
-    k_max = min(jet.K, 4) if k_max is None else min(k_max, jet.K)
-    dr = f.dr
-    dt = 2.5 * dr if dt is None else dt
+    k_max = min(jet.K, 4)
+    dt = 2.5 * f.dr
     n_side = k_max + 2
     fwd = solver.reference_samples(f, g, F, dt=dt, n_samples=n_side + 1)
     g_neg = RadialProfile(r0=g.r0, dr=g.dr, values=-g.values)
@@ -288,13 +273,16 @@ def check_compatibility(
 
     Boundary values are read off by cubic extrapolation through the four
     innermost nodes.  The default tolerance is 1e-8 times the largest |psi_j|
-    over the grid (scale-free).
+    over the grid (scale-free); a given one that is not finite and >= 0 (NaN
+    included) is a DomainError.
     """
     if not 0 <= s <= jet.K:
         raise OrderError(f"requested order {s} is outside the jet's orders 0..{jet.K}")
     if tol is None:
         peak = max(float(np.max(np.abs(p.values))) for p in jet.psi[: s + 1])
         tol = 1e-8 * max(peak, 1e-300)
+    elif not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     vals = []
     for p in jet.psi[: s + 1]:
         coeffs = np.polyfit(p.r[:4], p.values[:4], 3)

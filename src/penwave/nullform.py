@@ -128,21 +128,20 @@ class CubicFormSpec:
 class NullDecomposition:
     """Decomposition of a form into basic null pieces plus a defect.
 
-    ``lam`` holds the q0 coefficient per slice; ``antisym`` the antisymmetric
-    q_ij coefficients; ``linear_factor`` (cubic only) the linear form ell(xi)
-    multiplying the quadric; ``trivially_null`` (cubic only) the part of the
-    tensor whose fully symmetrized symbol is identically zero.  ``residual``
-    is the norm of what is left after subtracting the null pieces, and ``tol``
-    the bound on it that the verdict applies: ``tol`` times the tensor scale for
-    a float form, 0 for an exact one (null only when its defect is exactly zero).
+    ``lam`` holds the q0 coefficient per slice and ``antisym`` the antisymmetric
+    q_ij coefficients of a quadratic form; ``linear_factor`` the linear form ell(xi)
+    multiplying the quadric of a cubic one.  The fields a form does not have are
+    None.  ``residual`` is the norm of what is left after subtracting the null
+    pieces, and ``tol`` the bound on it that the verdict applies: ``tol`` times the
+    tensor scale for a float form, 0 for an exact one (null only when its defect is
+    exactly zero).
     """
 
-    lam: np.ndarray
+    lam: np.ndarray | None
     antisym: np.ndarray | None
     residual: float
     tol: float
     linear_factor: np.ndarray | None = None
-    trivially_null: np.ndarray | None = None
 
 
 def _frobenius(arr) -> float:
@@ -244,9 +243,8 @@ def check_null_quasilinear(
     vectors are orthogonal with squared norm 4 (Gram matrix 4 I), so the
     least-squares coefficients are basis @ vec / 4.  The part of the slice
     that symmetrizes to zero (the q_ij-type combinations whose symbols vanish
-    identically) is reported separately in ``trivially_null`` and never
-    affects the verdict.  An exact form is classified on integers over a
-    common denominator and returns both parts as Fractions.
+    identically) never affects the verdict.  An exact form is classified on
+    integers over a common denominator and returns ``linear_factor`` as Fractions.
     """
     exact = q.is_exact
     x, scale = _scaled(q.k, exact, 24)  # 24: the symmetrization's sixth, then a quarter
@@ -258,17 +256,8 @@ def check_null_quasilinear(
     lin = lin if exact else lin.astype(float)
     defect = vec - (basis.T @ lin[..., None])[..., 0]
     verdict, residual, bound = _verdict(q.k, defect.reshape(-1, 20), scale, exact, tol)
-    trivially_null = x - sym
-    if exact:
-        lin, trivially_null = _fractions(lin, scale), _fractions(trivially_null, scale)
-    return verdict, NullDecomposition(
-        lam=np.zeros((q.n_components,) * 2),  # no q0 coefficient at the cubic level
-        antisym=None,
-        residual=residual,
-        tol=bound,
-        linear_factor=lin,
-        trivially_null=trivially_null,
-    )
+    return verdict, NullDecomposition(lam=None, antisym=None, residual=residual, tol=bound,
+                                      linear_factor=_fractions(lin, scale) if exact else lin)
 
 
 def cone_sample_oracle(

@@ -10,9 +10,10 @@ r_max >= r_b + t_max + (data support radius) + 2.
 The scheme is explicit leapfrog, second order in time; one core steps both
 ``run`` (second order in space) and ``reference_samples`` (fourth order).  The
 first step is the Taylor expansion u(dt) = psi_0 + dt psi_1 + dt^2/2 psi_2 of
-the compatibility jet.  When N depends on u_t the update is implicit through
-(u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lagged value
-resolve it.  When N(0) = 0, ``run`` steps only the light-cone window
+the compatibility jet, and ``run`` steps one level past t_max so that the last
+level's u_t is a centred difference too.  When N depends on u_t the update is
+implicit through (u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lagged
+value resolve it.  When N(0) = 0, ``run`` steps only the light-cone window
 r <= r_b + support + t + 2 and holds exact zeros beyond (the data is zeroed beyond
 its support radius, where the bump is below 2.3e-16 of its peak); any other input
 steps the full grid.  The step evaluates N on raw
@@ -34,7 +35,7 @@ All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
 compactifying map.  A frame is kept every round(0.1 / dt) steps, and ``sample``
 reads the frames back by cubic Hermite interpolation in t from the u and u_t that
-each one stores, linear in r.
+each one stores, linear in r (u_r by the chord through each corner's two neighbours).
 """
 
 from __future__ import annotations
@@ -226,10 +227,11 @@ def run(config: SolverConfig) -> Trajectory:
         return 4.0 * math.pi * dr * (np.einsum("i,i->", d, d) / span ** 2
                                      + np.einsum("i,i->", g, g) - 0.5 * ends)
 
-    def record(level, w, ahead, behind, span):
-        """Monitors and frames at ``level`` from w = r u and d = ahead - behind = span r u_t
-        (r psi_1 with span 1 at level 0) on the first len(w) nodes (zero beyond).  u goes
-        into the frame row on a frame level, else into a buffer; u_t only into the row."""
+    def record(level, w, ahead, behind):
+        """Monitors and frames at ``level`` from w = r u and d = ahead - behind = span r u_t,
+        span = 2 dt (r psi_1 with span 1 at level 0), on the first len(w) nodes (zero
+        beyond).  u goes into the frame row on a frame level, else into a buffer; u_t only
+        into the row."""
         e, t = len(w), level * dt
         frame = level % stride == 0 or level == n_steps
         row = len(frames_t)
@@ -237,7 +239,7 @@ def run(config: SolverConfig) -> Trajectory:
         if level == 0:
             d, span = np.multiply(r, psi[1], out=d_buf), 1.0
         else:
-            d = np.subtract(ahead[:e], behind[:e], out=d_buf[:e])
+            d, span = np.subtract(ahead[:e], behind[:e], out=d_buf[:e]), 2.0 * dt
         if frame:
             frames_t.append(t)
             if level == 0:
@@ -264,19 +266,16 @@ def run(config: SolverConfig) -> Trajectory:
                           ut_frames=frames_ut[:k], monitors=monitors, config=config,
                           completed=completed)
 
-    steps = _leapfrog(r, dr, dt, psi, n_steps, config.nonlinearity, reach=reach)
+    # one level past the last, so that its u_t is centred too
+    steps = _leapfrog(r, dr, dt, psi, n_steps + 1, config.nonlinearity, reach=reach)
     try:
         for level, w_prev, w_curr, w_next, hi in steps:
-            if level % _MONITOR_STRIDE == 0 or level % stride == 0:
+            if level % _MONITOR_STRIDE == 0 or level % stride == 0 or level == n_steps:
                 # node hi and beyond hold zeros
-                record(level, w_curr[:hi + 1], w_next, w_prev, 2.0 * dt)
-            w_prev, w_curr = w_curr, w_next
+                record(level, w_curr[:hi + 1], w_next, w_prev)
     except NaNError as exc:
         exc.trajectory = partial_trajectory(completed=False)
         raise
-
-    # final level: one-sided u_t from the last two kept levels
-    record(n_steps, w_curr, w_curr, w_prev, dt)
     return partial_trajectory(completed=True)
 
 
@@ -425,19 +424,11 @@ def _sum_monomials(monomials, fields, a, out, term):
 
 
 def _gradient_at(frames, r, it, ir):
-    """``np.gradient(frames, r, axis=1)[it, ir]`` bit for bit, from numpy's stencil at
-    those indices alone: three points inside (the uniform form when ``np.diff(r)`` is
-    exactly constant), one-sided at the two ends.  ``r`` needs three nodes or more."""
-    dx = np.diff(r)
-    j = np.clip(ir, 1, len(dx) - 1)
-    fm, f0, fp = frames[it, j - 1], frames[it, j], frames[it, j + 1]
-    if (dx == dx[0]).all():
-        inner = (fp - fm) / (2.0 * dx[0])
-    else:
-        d1, d2 = dx[j - 1], dx[j]
-        inner = (-d2 / (d1 * (d1 + d2)) * fm + (d2 - d1) / (d1 * d2) * f0
-                 + d1 / (d2 * (d1 + d2)) * fp)
-    return np.where(ir == 0, (f0 - fm) / dx[0], np.where(ir == len(dx), (fp - f0) / dx[-1], inner))
+    """d/dr of ``frames[it]`` at node ``ir``: the chord through its two neighbours, one-sided
+    at the two ends.  It is ``np.gradient``'s value at the ends, and inside wherever
+    r[ir + 1] - r[ir - 1] is exactly twice a constant spacing."""
+    lo, hi = np.maximum(ir - 1, 0), np.minimum(ir + 1, len(r) - 1)
+    return (frames[it, hi] - frames[it, lo]) / (r[hi] - r[lo])
 
 
 def sample(traj: Trajectory, t, r):
@@ -445,8 +436,8 @@ def sample(traj: Trajectory, t, r):
 
     u is the cubic in t through u and u_t at the two frames around each point, each
     taken linearly in r, and u_t is that cubic's t-derivative.  u_r is the same cubic
-    through (u_r, d_r u_t), both ``np.gradient``'s values at the corners read by
-    ``_gradient_at``.  At a frame time and a grid node u and u_t are the stored values.
+    through (u_r, d_r u_t), both taken at the corners by ``_gradient_at``.  At a frame time
+    and a grid node u and u_t are the stored values.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -723,9 +714,9 @@ def reference_samples(
     F: compat.NonlinearitySpec,
     dt: float,
     n_samples: int,
-    cfl: float = 0.25,
 ) -> list[np.ndarray]:
-    """Fine-step leapfrog samples u(j dt, .), j = 0..n_samples-1, on the profile grid.
+    """Fine-step leapfrog samples u(j dt, .), j = 0..n_samples-1, on the profile grid,
+    each dt taken in the fewest equal steps of at most 0.25 dr.
 
     Used as the independent reference for the jet recursion; Dirichlet at both
     grid ends, so the data must be supported away from them for the sampled
@@ -735,7 +726,7 @@ def reference_samples(
     truncation error.
     """
     dr = f.dr
-    m = max(1, int(math.ceil(dt / (cfl * dr))))
+    m = max(1, int(math.ceil(dt / (0.25 * dr))))
     dt_int = dt / m
     r = f.r
     psi = [p.values for p in compat.compute_jet(f, g, F, K=2).psi]

@@ -369,6 +369,33 @@ class TestCheckNull:
         assert cli.main(["check-null", "--form", str(form)]) == 0
         assert capsys.readouterr().out.startswith("null")
 
+    def test_null_cubic_prints_its_linear_factor(self, tmp_path, capsys):
+        # the quadric times xi_0 has no q0 coefficient: it printed lambda=0
+        form = tmp_path / "cubic.form"
+        form.write_text("cubic 1\n0 0 0 0 0 1\n0 0 0 1 1 -1\n0 0 0 2 2 -1\n0 0 0 3 3 -1\n")
+        assert cli.main(["check-null", "--form", str(form)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "null, ell=1, residual=0.000e+00\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--builtin", "q0", "--form", "missing.form"]],
+                             ids=["neither", "both"])
+    def test_form_and_builtin_are_one_required_choice(self, argv, capsys):
+        # neither ended in a TypeError traceback; with both, --form was silently ignored
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check-null", *argv])
+        assert info.value.code == 2
+        assert "--form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_form_file_is_a_parse_error_naming_it(self, tmp_path, capsys, kind):
+        # each ended in a FileNotFoundError, IsADirectoryError or UnicodeDecodeError traceback
+        path = tmp_path / "form"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"quadratic 1\n0 0 0 0 0 \xff\n")
+        assert cli.main(["check-null", "--form", str(path)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_parse_error_reports_line_number(self, tmp_path, capsys):
         form = tmp_path / "bad.form"
         form.write_text("quadratic 1\n0 0 0 0 0 1\n0 0 0 9 9 1\n")
@@ -502,6 +529,17 @@ class TestCompatCommand:
         code = cli.main(["compat", "--config", str(path), "--out", str(out)])
         assert code == cli.EXIT_DOMAIN
         assert "order -1 is outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_that_is_not_finite_and_nonnegative_is_a_domain_error(self, tmp_path,
+                                                                             capsys, tol):
+        # nan and -1 failed every order (exit 7), inf passed every order (exit 0)
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG + f"\n[verify]\ntol = {tol}\n")
+        out = tmp_path / "compat"
+        assert cli.main(["compat", "--config", str(path), "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error: tol must be finite and >= 0, got ")
         assert not out.exists()
 
     def test_incompatible_data_fails_verdict(self, tmp_path):
