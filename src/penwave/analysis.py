@@ -81,9 +81,7 @@ class FitResult:
     """Least-squares fit summary; ``exponent`` holds the rate for exponential fits."""
 
     exponent: float
-    intercept: float
     r_squared: float
-    window: tuple[float, float]
 
 
 def _r_squared(x, y, slope, intercept):
@@ -98,43 +96,35 @@ def _r_squared(x, y, slope, intercept):
     return float(np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
 
 
-def _select_window(series: Series, window, geometric: bool):
-    if window is None:
-        t0, t1 = float(series.t[0]), float(series.t[-1])
-        if geometric and t0 > 0:
-            lo = math.sqrt(t0 * t1)
-        else:
-            lo = 0.5 * (t0 + t1)
-        window = (lo, t1)
+def _select_window(series: Series, window: tuple[float, float]) -> Series:
     sub = series.window(*window)
     if len(sub.t) < 10:
         raise FitError(f"window {window} holds {len(sub.t)} points; need >= 10")
-    return sub, (float(window[0]), float(window[1]))
+    return sub
 
 
-def fit_power(series: Series, window: tuple[float, float] | None = None) -> FitResult:
-    """Fit y = C t^p on log-log axes; returns the slope p as the exponent.
+def fit_power(series: Series, window: tuple[float, float]) -> FitResult:
+    """Fit y = C t^p on log-log axes over ``window``; returns the slope p as the exponent.
 
-    The window defaults to the last geometric half of the series (transients
-    pollute early times).  Raises FitError on degenerate windows or
-    nonpositive ordinates.
+    Raises FitError on degenerate windows or nonpositive ordinates.
     """
-    sub, window = _select_window(series, window, geometric=True)
+    sub = _select_window(series, window)
     if np.any(sub.y <= 0) or np.any(sub.t <= 0):
         raise FitError("power fit needs strictly positive t and y in the window")
     x, y = np.log(sub.t), np.log(sub.y)
     slope, intercept = np.polyfit(x, y, 1)
-    return FitResult(float(slope), float(intercept), _r_squared(x, y, slope, intercept), window)
+    return FitResult(float(slope), _r_squared(x, y, slope, intercept))
 
 
-def fit_exponential(series: Series, window: tuple[float, float] | None = None) -> FitResult:
-    """Fit y = C e^{-c t}; returns the decay rate c (= minus the log-linear slope)."""
-    sub, window = _select_window(series, window, geometric=False)
+def fit_exponential(series: Series, window: tuple[float, float]) -> FitResult:
+    """Fit y = C e^{-c t} over ``window``; returns the decay rate c (= minus the
+    log-linear slope)."""
+    sub = _select_window(series, window)
     if np.any(sub.y <= 0):
         raise FitError("exponential fit needs strictly positive ordinates in the window")
     x, y = sub.t, np.log(sub.y)
     slope, intercept = np.polyfit(x, y, 1)
-    return FitResult(float(-slope), float(intercept), _r_squared(x, y, slope, intercept), window)
+    return FitResult(float(-slope), _r_squared(x, y, slope, intercept))
 
 
 @dataclass(frozen=True)
@@ -208,19 +198,21 @@ def energy_inequality_check(field: cylinder.CylinderField) -> EnergySlackReport:
 
     The energy norm includes the zeroth-order term (the conformal operator
     carries a unit mass term, under which the full norm is non-increasing for
-    data vanishing at T = 0).  The forcing rows come from ``field.forcing``;
-    absent forcing is treated as zero.  ``passed`` applies the threshold of
-    the ``energy`` check to the slack.
+    data vanishing at T = 0).  The derivative norms read the field's stored
+    ``d_T`` and ``d_R`` on its mask; a field without them is a DomainError.
+    The forcing rows come from ``field.forcing``; absent forcing is treated as
+    zero.  ``passed`` applies the threshold of the ``energy`` check to the slack.
     """
-    dv_T, dv_R = cylinder.grad_fields(field)
+    if field.d_T is None or field.d_R is None:
+        raise DomainError("the energy check reads the field's stored d_T and d_R; "
+                          "this field has none")
     rows = np.flatnonzero(field.mask.any(axis=1))
     if not len(rows):
         raise DomainError("field has no covered rows")
     T = field.T[rows]
     mask = field.mask[rows]
-    n_v = cylinder.rows_Lp(field.values[rows], field.R, mask, 2.0)
-    n_T = cylinder.rows_Lp(dv_T.values[rows], field.R, dv_T.mask[rows], 2.0)
-    n_R = cylinder.rows_Lp(dv_R.values[rows], field.R, dv_R.mask[rows], 2.0)
+    n_v, n_T, n_R = (cylinder.rows_Lp(arr[rows], field.R, mask, 2.0)
+                     for arr in (field.values, field.d_T, field.d_R))
     lhs = np.sqrt(n_v ** 2 + n_T ** 2 + n_R ** 2)
     if field.forcing is not None:
         g_norm = cylinder.rows_Lp(field.forcing[rows], field.R, mask, 2.0)
@@ -230,7 +222,7 @@ def energy_inequality_check(field: cylinder.CylinderField) -> EnergySlackReport:
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (g_norm[1:] + g_norm[:-1]) * np.diff(T))])
     rhs = lhs[0] + cum
     scale = np.maximum(rhs, 1e-300)
-    slack = float(np.max((lhs - rhs) / scale)) if rhs[0] > 0 or field.forcing is not None else 0.0
+    slack = float(np.max((lhs - rhs) / scale))
     if lhs[0] == 0.0 and np.all(rhs == 0.0):
         slack = float(np.max(lhs))  # zero solution: both sides vanish
     headroom = float(np.min(((rhs - lhs) / scale)[1:], initial=math.inf))
@@ -310,10 +302,7 @@ def vanishing_order_fit(samples) -> FitResult:
         raise FitError("sample values underflow; cannot fit a log-log slope")
     x, y = np.log(dist), np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
-    return FitResult(
-        float(slope), float(intercept), _r_squared(x, y, slope, intercept),
-        (float(dist.min()), float(dist.max())),
-    )
+    return FitResult(float(slope), _r_squared(x, y, slope, intercept))
 
 
 # ---------------------------------------------------------------------------

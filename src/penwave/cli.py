@@ -9,7 +9,7 @@ Exit codes are fixed for scriptability:
 
     0  success
     2  parse error (config, form file, input CSV)
-    3  domain/config error
+    3  domain/config error, or an --out that cannot be created or written
     4  stability failure
     5  nonfinite blow-up
     6  coverage error
@@ -53,7 +53,7 @@ _EXIT_BY_ERROR = (
 )
 
 
-def _exit_code(exc: PenwaveError) -> int:
+def _exit_code(exc: PenwaveError | OSError) -> int:
     """The exit code of an error; every error the table does not name is a domain error."""
     for types, code in _EXIT_BY_ERROR:
         if isinstance(exc, types):
@@ -81,7 +81,7 @@ class Manifest:
 
     def write(self, outdir, extend: bool = False) -> str:
         """Write ``outdir/manifest.ini``; ``extend`` keeps one already there and adds to it."""
-        doc = configparser.ConfigParser()
+        doc = configparser.ConfigParser(interpolation=None)  # a path may hold a %
         doc["manifest"] = {
             "command": self.command,
             "version": __version__,
@@ -90,10 +90,11 @@ class Manifest:
         doc["config"] = self.config
         doc["outputs"], doc["verdicts"] = {}, {}
         final = os.path.join(outdir, "manifest.ini")
-        if extend:
+        if extend and os.path.exists(final):
             try:
-                doc.read(final)
-            except configparser.Error as exc:
+                with open(final, encoding="utf-8") as fh:
+                    doc.read_file(fh)
+            except (OSError, UnicodeDecodeError, configparser.Error) as exc:
                 raise ParseError(f"{final}: {exc}") from exc
         paths = dict.fromkeys([*doc["outputs"].values(), *self.outputs])
         doc["outputs"] = {f"path_{i}": p for i, p in enumerate(paths)}
@@ -104,6 +105,16 @@ class Manifest:
             doc.write(fh)
         os.replace(tmp, final)
         return final
+
+
+def _check_out(path) -> None:
+    """Raise NotADirectoryError, creating nothing, unless the nearest existing path of
+    ``path`` and its parents is a writable directory."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK)):
+        raise NotADirectoryError(f"--out {path}: {head} is not a writable directory")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +350,7 @@ def cmd_simulate(args) -> int:
                        for key, value in keys.items()}
     every = solver.config_value(cfg, "output", "snapshot_every", 5.0)
     solver.check_snapshot_every(every)  # before the run, not after it
+    _check_out(args.out)
     traj = solver.run(scfg)
     for p in solver.write_outputs(traj, args.out, snapshot_every=every):
         manifest.add_output(p)
@@ -363,6 +375,8 @@ def cmd_verify(args) -> int:
     if (check.reads == "nothing") == (args.traj is not None or args.config is not None):
         raise ParseError(f"check '{args.check}' " + ("reads no trajectory: drop --traj and --config"
                          if check.reads == "nothing" else "needs --traj DIR or --config PATH"))
+    if args.out:
+        _check_out(args.out)  # before a run that --config evolves
     manifest = Manifest("verify")  # its clock covers the check
     source = None
     if args.traj is not None:
@@ -435,7 +449,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PenwaveError as exc:
+    except (PenwaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

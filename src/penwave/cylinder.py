@@ -14,8 +14,9 @@ and their commutator satisfies the exact identity
 
 Two evaluation styles coexist: closed-form callables differentiated by
 centered finite differences on arrays of points (for identity checks), and
-masked (T, R) grid fields (for solver output).  All stencils are second
-order, with one-sided second-order fallbacks at mask boundaries.
+masked (T, R) grid fields (for solver output), which carry the first
+derivatives the pushforward assembled; the weighted norms difference them
+further by second-order stencils, one-sided at mask boundaries.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "intertwining_residual",
     "rows_Lp",
     "weighted_row_norms",
-    "grad_fields",
     "TEST_BATTERY",
     "battery_points",
 ]
@@ -168,9 +168,10 @@ class CylinderField:
 
     ``T`` and ``R`` are 1-D uniform coordinate arrays, ``values`` has shape
     (len(T), len(R)) and ``mask`` marks nodes inside the domain (beyond the
-    obstacle boundary and inside the diamond).  ``d_T`` / ``d_R`` optionally
-    carry analytically assembled first derivatives (used by the energy
-    monitors when present, bypassing one level of grid differencing).
+    obstacle boundary and inside the diamond).  ``d_T`` / ``d_R`` hold the first
+    derivatives the pushforward assembles from the run's u_t and u_r, which the
+    energy check reads (``with_values`` builds a field without them).  Arrays off
+    the grid's shape and values or derivatives not finite on the mask are DomainErrors.
     """
 
     T: np.ndarray
@@ -182,12 +183,14 @@ class CylinderField:
     forcing: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.values.shape != (len(self.T), len(self.R)):
-            raise DomainError("values shape does not match the grid")
-        if self.mask.shape != self.values.shape:
+        if self.mask.shape != (len(self.T), len(self.R)):
             raise DomainError("mask shape does not match the grid")
-        if not np.all(np.isfinite(self.values[self.mask])):
-            raise DomainError("nonfinite values on valid nodes")
+        for name in ("values", "d_T", "d_R"):
+            arr = getattr(self, name)
+            if arr is not None and arr.shape != self.mask.shape:
+                raise DomainError(f"{name} shape does not match the grid")
+            if arr is not None and not np.all(np.isfinite(arr[self.mask])):
+                raise DomainError(f"nonfinite {name} on valid nodes")
 
     @property
     def dT(self) -> float:
@@ -225,18 +228,6 @@ def _diff_axis(values: np.ndarray, mask: np.ndarray, spacing: float, axis: int):
     return np.moveaxis(out, 0, axis), np.moveaxis(ok, 0, axis)
 
 
-def grad_fields(v: CylinderField) -> tuple[CylinderField, CylinderField]:
-    """First-derivative fields (d_T v, d_R v), analytic if stored, grid FD otherwise."""
-    if v.d_T is not None and v.d_R is not None:
-        return (
-            v.with_values(v.d_T, v.mask.copy()),
-            v.with_values(v.d_R, v.mask.copy()),
-        )
-    dT, mT = _diff_axis(v.values, v.mask, v.dT, axis=0)
-    dR, mR = _diff_axis(v.values, v.mask, v.dR, axis=1)
-    return v.with_values(dT, mT), v.with_values(dR, mR)
-
-
 # ---------------------------------------------------------------------------
 # quadrature and weighted norms
 
@@ -256,8 +247,7 @@ def rows_Lp(values: np.ndarray, R: np.ndarray, sel: np.ndarray, p: float) -> np.
 def _z_apply(values: np.ndarray, mask: np.ndarray, T: np.ndarray, spacing: float,
              axis: int) -> tuple[np.ndarray, np.ndarray]:
     d, m = _diff_axis(values, mask, spacing, axis)
-    w = (math.pi - T)[:, None] ** 2
-    return np.where(m, w * d, np.nan), m
+    return (math.pi - T)[:, None] ** 2 * d, m  # d is NaN off m
 
 
 def weighted_row_norms(

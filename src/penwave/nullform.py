@@ -83,10 +83,6 @@ class QuadraticFormSpec:
         object.__setattr__(self, "s", arr)
 
     @property
-    def n_components(self) -> int:
-        return self.s.shape[0]
-
-    @property
     def is_exact(self) -> bool:
         return _is_exact(self.s)
 
@@ -116,10 +112,6 @@ class CubicFormSpec:
         object.__setattr__(self, "k", arr)
 
     @property
-    def n_components(self) -> int:
-        return self.k.shape[0]
-
-    @property
     def is_exact(self) -> bool:
         return _is_exact(self.k)
 
@@ -128,17 +120,16 @@ class CubicFormSpec:
 class NullDecomposition:
     """Decomposition of a form into basic null pieces plus a defect.
 
-    ``lam`` holds the q0 coefficient per slice and ``antisym`` the antisymmetric
-    q_ij coefficients of a quadratic form; ``linear_factor`` the linear form ell(xi)
-    multiplying the quadric of a cubic one.  The fields a form does not have are
-    None.  ``residual`` is the norm of what is left after subtracting the null
-    pieces, and ``tol`` the bound on it that the verdict applies: ``tol`` times the
-    tensor scale for a float form, 0 for an exact one (null only when its defect is
-    exactly zero).
+    ``lam`` holds the q0 coefficient per slice of a quadratic form, whose
+    antisymmetric part is null and not reported; ``linear_factor`` the linear form
+    ell(xi) multiplying the quadric of a cubic one.  The field a form does not have
+    is None.  ``residual`` is the norm of what is left after subtracting the null
+    pieces, and ``tol`` the bound on it that the verdict applies: the verdict
+    tolerance times the tensor scale for a float form, 0 for an exact one (null only
+    when its defect is exactly zero).
     """
 
     lam: np.ndarray | None
-    antisym: np.ndarray | None
     residual: float
     tol: float
     linear_factor: np.ndarray | None = None
@@ -183,7 +174,7 @@ def _quotient(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _verdict(tensor, defect: np.ndarray, scale: int, exact: bool, tol: float):
+def _verdict(tensor, defect: np.ndarray, scale: int, exact: bool):
     """(verdict, residual, bound) of the per-slice defects, the rows of ``defect``.
 
     The residual is the largest ``_frobenius`` of a row; an exact defect is read
@@ -199,42 +190,33 @@ def _verdict(tensor, defect: np.ndarray, scale: int, exact: bool, tol: float):
         raise DomainError("the classifier's arithmetic overflowed: the residual is NaN")
     if exact:
         return not any(defect.flat), residual, 0.0
-    bound = tol * max(1.0, _frobenius(tensor))
+    bound = VERDICT_TOL * max(1.0, _frobenius(tensor))
     return residual < bound, residual, bound
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow to NaN is the DomainError
-def check_null_semilinear(
-    q: QuadraticFormSpec, tol: float = VERDICT_TOL
-) -> tuple[bool, NullDecomposition]:
+def check_null_semilinear(q: QuadraticFormSpec) -> tuple[bool, NullDecomposition]:
     """Classify a quadratic form, all (I, J, K) slices in one array pass.
 
-    Each slice is split into its symmetric and antisymmetric parts in (j, k).
-    The slice is null iff the symmetric part is lam * quadric; the antisymmetric
-    part is always null.  The residual is the Frobenius norm of the symmetric
-    part minus its best quadric fit, maximized over slices; the verdict applies
-    ``tol`` relative to the tensor scale.  An exact form is classified on
-    integers over a common denominator and returns its ``lam`` and ``antisym``
-    as Fractions.
+    The slice is null iff its symmetric part in (j, k) is lam * quadric; the
+    antisymmetric part is always null.  The residual is the Frobenius norm of the
+    symmetric part minus its best quadric fit, maximized over slices; the verdict
+    applies ``VERDICT_TOL`` relative to the tensor scale.  An exact form is
+    classified on integers over a common denominator and returns its ``lam`` as
+    Fractions.
     """
     exact = q.is_exact
     x, scale = _scaled(q.s, exact, 4)  # 4: the halving, then lam's quarter
-    xt = x.swapaxes(-1, -2)
-    sym = _div(x + xt, 2, exact)
-    antisym = _div(x - xt, 2, exact)
+    sym = _div(x + x.swapaxes(-1, -2), 2, exact)
     lam = _div(sym[..., 0, 0] - sym[..., 1, 1] - sym[..., 2, 2] - sym[..., 3, 3], 4, exact)
     defect = sym - lam[..., None, None] * _QUADRIC.astype(x.dtype)
-    verdict, residual, bound = _verdict(q.s, defect.reshape(-1, 16), scale, exact, tol)
-    if exact:
-        lam, antisym = _fractions(lam, scale), _fractions(antisym, scale)
-    return verdict, NullDecomposition(lam=lam if exact else lam.astype(float),
-                                      antisym=antisym, residual=residual, tol=bound)
+    verdict, residual, bound = _verdict(q.s, defect.reshape(-1, 16), scale, exact)
+    return verdict, NullDecomposition(lam=_fractions(lam, scale) if exact else lam.astype(float),
+                                      residual=residual, tol=bound)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow to NaN is the DomainError
-def check_null_quasilinear(
-    q: CubicFormSpec, tol: float = VERDICT_TOL
-) -> tuple[bool, NullDecomposition]:
+def check_null_quasilinear(q: CubicFormSpec) -> tuple[bool, NullDecomposition]:
     """Classify a cubic form, all (I, J) slices in one array pass.
 
     For each (I, J) slice the symbol P(xi) = sum k[i,j,k] xi_i xi_j xi_k is
@@ -255,8 +237,8 @@ def check_null_quasilinear(
     lin = _div(basis @ vec[..., None], 4, exact)[..., 0]
     lin = lin if exact else lin.astype(float)
     defect = vec - (basis.T @ lin[..., None])[..., 0]
-    verdict, residual, bound = _verdict(q.k, defect.reshape(-1, 20), scale, exact, tol)
-    return verdict, NullDecomposition(lam=None, antisym=None, residual=residual, tol=bound,
+    verdict, residual, bound = _verdict(q.k, defect.reshape(-1, 20), scale, exact)
+    return verdict, NullDecomposition(lam=None, residual=residual, tol=bound,
                                       linear_factor=_fractions(lin, scale) if exact else lin)
 
 
@@ -330,14 +312,13 @@ def qij_spec(i: int, j: int, n_components: int = 1, exact: bool = False) -> Quad
 class BilinearCoeffs:
     """Radial bilinear form on the cylinder: gradient block, lower-order terms.
 
-    Represents a(u_T v_T, u_T v_R; u_R v_T, u_R v_R) + b1 . (du) v + b2 . (dv) u + c u v,
-    per point: ``a`` holds the 2 x 2 block in its last two axes, ``b1`` and ``b2`` the
-    (d_T, d_R) coefficients in their last axis.
+    Represents a(u_T v_T, u_T v_R; u_R v_T, u_R v_R) + b . (du) v + b . (dv) u + c u v,
+    per point: ``a`` holds the 2 x 2 block in its last two axes, ``b`` the (d_T, d_R)
+    coefficients in its last axis, the same for both factors since q0 is symmetric.
     """
 
     a: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
+    b: np.ndarray
     c: np.ndarray
 
 
@@ -368,4 +349,4 @@ def transformed_q0_coefficients(T, R) -> BilinearCoeffs:
          - grad_r[..., :, None] * grad_r[..., None, :]) / om[..., None, None]
     b = (om_t[..., None] * grad_t - om_r[..., None] * grad_r) / om[..., None] ** 2
     c = (om_t ** 2 - om_r ** 2) / om ** 3
-    return BilinearCoeffs(a=a, b1=b, b2=b.copy(), c=c)
+    return BilinearCoeffs(a=a, b=b, c=c)

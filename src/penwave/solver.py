@@ -554,14 +554,15 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
 
 
 def read_config(path, schema=_SCHEMA) -> configparser.ConfigParser:
-    """Parse an INI config, rejecting sections or keys that ``schema`` does not list."""
-    parser = configparser.ConfigParser()
+    """Parse an INI config, rejecting sections or keys that ``schema`` does not list.
+    A file that cannot be opened, is not UTF-8 or is not INI is a ParseError naming it.
+    Values are read as written: a ``%`` is a character, not an interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        loaded = parser.read(path)
-    except configparser.Error as exc:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not loaded:
-        raise ParseError(f"config file not found: {path}")
     for section in parser.sections():
         if section not in schema:
             raise ParseError(f"{path}: unknown section [{section}]")
@@ -716,7 +717,8 @@ def reference_samples(
     n_samples: int,
 ) -> list[np.ndarray]:
     """Fine-step leapfrog samples u(j dt, .), j = 0..n_samples-1, on the profile grid,
-    each dt taken in the fewest equal steps of at most 0.25 dr.
+    each dt taken in the fewest equal steps of at most 0.25 dr; a negative dt steps
+    backward in time.
 
     Used as the independent reference for the jet recursion; Dirichlet at both
     grid ends, so the data must be supported away from them for the sampled
@@ -726,7 +728,7 @@ def reference_samples(
     truncation error.
     """
     dr = f.dr
-    m = max(1, int(math.ceil(dt / (0.25 * dr))))
+    m = max(1, int(math.ceil(abs(dt) / (0.25 * dr))))
     dt_int = dt / m
     r = f.r
     psi = [p.values for p in compat.compute_jet(f, g, F, K=2).psi]

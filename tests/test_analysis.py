@@ -46,7 +46,7 @@ class TestFits:
         rng = np.random.default_rng(seed)
         t = np.linspace(1.0, 100.0, 300)
         y = c * t**p * (1.0 + 0.01 * rng.uniform(-1, 1, t.shape))
-        fit = analysis.fit_power(analysis.Series(t, y))
+        fit = analysis.fit_power(analysis.Series(t, y), window=(10.0, 100.0))
         assert fit.exponent == pytest.approx(p, abs=0.05)
         assert fit.r_squared > 0.9
 
@@ -56,21 +56,20 @@ class TestFits:
         rng = np.random.default_rng(seed)
         t = np.linspace(0.0, 20.0, 200)
         y = 3.0 * np.exp(-rate * t) * (1.0 + 0.01 * rng.uniform(-1, 1, t.shape))
-        fit = analysis.fit_exponential(analysis.Series(t, y))
+        fit = analysis.fit_exponential(analysis.Series(t, y), window=(10.0, 20.0))
         assert fit.exponent == pytest.approx(rate, rel=0.05)
         assert fit.r_squared > 0.95
 
-    def test_default_window_skips_the_transient(self):
+    def test_window_skips_the_transient(self):
         # heavy early-time transient on top of a clean power law
         t = np.linspace(1.0, 100.0, 500)
         y = t**-1.0 + 10.0 * np.exp(-3.0 * t)
-        fit = analysis.fit_power(analysis.Series(t, y))
+        fit = analysis.fit_power(analysis.Series(t, y), window=(10.0, 100.0))
         assert fit.exponent == pytest.approx(-1.0, abs=0.01)
 
     def test_explicit_window_respected(self):
         t = np.linspace(1.0, 10.0, 100)
         fit = analysis.fit_power(analysis.Series(t, t**-2.0), window=(2.0, 8.0))
-        assert fit.window == (2.0, 8.0)
         assert fit.exponent == pytest.approx(-2.0, abs=1e-10)
 
     def test_sparse_window_rejected(self):
@@ -82,7 +81,7 @@ class TestFits:
         t = np.linspace(1.0, 10.0, 100)
         y = np.zeros(100)
         with pytest.raises(FitError):
-            analysis.fit_power(analysis.Series(t, y))
+            analysis.fit_power(analysis.Series(t, y), window=(1.0, 10.0))
 
 
 @pytest.fixture(scope="module")
@@ -207,84 +206,93 @@ class TestDecayCertificateEqualsTheFullSweep:
         assert_equals_reference(frames_on(small_traj, [0.2, 0.7, 5.0], [1.0]))
 
 
-def flat_field(fn, n_T=60, n_R=200, T_max=2.5, R_max=3.0, forcing=None):
+def flat_field(fn, n_T=60, n_R=200, T_max=2.5, R_max=3.0, forcing=None, d_T=None, d_R=None):
+    """The field of ``fn`` on an unmasked grid, with the forcing and the first derivatives
+    of the callables given."""
     T = np.linspace(0.0, T_max, n_T)
     R = np.linspace(1e-3, R_max, n_R)
     TT, RR = np.meshgrid(T, R, indexing="ij")
-    vals = np.vectorize(fn)(TT, RR)
-    mask = np.ones_like(vals, dtype=bool)
-    fc = None if forcing is None else np.vectorize(forcing)(TT, RR)
-    return cylinder.CylinderField(T=T, R=R, values=vals, mask=mask, forcing=fc)
+    on_grid = lambda g: None if g is None else np.vectorize(g, otypes=[float])(TT, RR)
+    return cylinder.CylinderField(T=T, R=R, values=on_grid(fn), mask=np.ones(TT.shape, bool),
+                                  forcing=on_grid(forcing), d_T=on_grid(d_T), d_R=on_grid(d_R))
+
+
+def energy_field(a, b, forcing=None):
+    """v = sin R exp(a T) + b T sin R with its closed-form d_T and d_R."""
+    return flat_field(lambda T, R: math.sin(R) * (math.exp(a * T) + b * T), forcing=forcing,
+                      d_T=lambda T, R: math.sin(R) * (a * math.exp(a * T) + b),
+                      d_R=lambda T, R: math.cos(R) * (math.exp(a * T) + b * T))
 
 
 def gapped_field():
     """A field masked by an obstacle, a band gap and the diamond edge, with
-    one interior row cut to three valid nodes."""
-    field = flat_field(lambda T, R: math.sin(R) * math.cos(T) + 0.3 * R, T_max=3.0)
+    one interior row cut to three valid nodes, and its closed-form derivatives."""
+    field = flat_field(lambda T, R: math.sin(R) * math.cos(T) + 0.3 * R, T_max=3.0,
+                       d_T=lambda T, R: -math.sin(R) * math.sin(T),
+                       d_R=lambda T, R: math.cos(R) * math.cos(T) + 0.3)
     TT, RR = np.meshgrid(field.T, field.R, indexing="ij")
     mask = (RR > 0.15) & (TT + RR < math.pi) & ~((RR > 1.0) & (RR < 1.1) & (TT < 1.5))
     mask[20] &= np.cumsum(mask[20]) <= 3
-    values = np.where(mask, field.values, np.nan)
-    return cylinder.CylinderField(T=field.T, R=field.R, values=values, mask=mask)
+    values, d_T, d_R = (np.where(mask, a, np.nan) for a in (field.values, field.d_T, field.d_R))
+    return cylinder.CylinderField(T=field.T, R=field.R, values=values, mask=mask,
+                                  d_T=d_T, d_R=d_R)
 
 
 class TestEnergyInequality:
     def test_static_field_has_zero_slack(self):
-        field = flat_field(lambda T, R: math.sin(R))
-        report = analysis.energy_inequality_check(field)
+        report = analysis.energy_inequality_check(energy_field(0.0, 0.0))
         assert report.passed
         assert report.slack <= 0.0 + 1e-12
 
     def test_scale_invariance(self):
-        field = flat_field(lambda T, R: math.sin(R) * math.exp(-0.2 * T))
+        field = energy_field(-0.2, 0.0)
         base = analysis.energy_inequality_check(field)
         scaled = cylinder.CylinderField(
-            T=field.T, R=field.R, values=100.0 * field.values, mask=field.mask
+            T=field.T, R=field.R, values=100.0 * field.values, mask=field.mask,
+            d_T=100.0 * field.d_T, d_R=100.0 * field.d_R,
         )
         report = analysis.energy_inequality_check(scaled)
         assert report.slack == pytest.approx(base.slack, abs=1e-9)
 
     def test_unforced_growth_is_flagged(self):
-        field = flat_field(lambda T, R: math.sin(R) * math.exp(0.5 * T))
-        report = analysis.energy_inequality_check(field)
+        report = analysis.energy_inequality_check(energy_field(0.5, 0.0))
         assert not report.passed
         assert report.slack > 0.1
 
     def test_forcing_raises_the_budget(self):
-        growing = lambda T, R: math.sin(R) * (1.0 + 0.05 * T)
-        bare = analysis.energy_inequality_check(flat_field(growing))
+        bare = analysis.energy_inequality_check(energy_field(0.0, 0.05))
         fed = analysis.energy_inequality_check(
-            flat_field(growing, forcing=lambda T, R: 10.0 * math.sin(R))
+            energy_field(0.0, 0.05, forcing=lambda T, R: 10.0 * math.sin(R))
         )
         assert fed.slack < bare.slack
 
     def test_headroom_reports_the_margin(self):
-        decaying = analysis.energy_inequality_check(
-            flat_field(lambda T, R: math.sin(R) * math.exp(-0.2 * T)))
-        growing = analysis.energy_inequality_check(
-            flat_field(lambda T, R: math.sin(R) * math.exp(0.5 * T)))
+        decaying = analysis.energy_inequality_check(energy_field(-0.2, 0.0))
+        growing = analysis.energy_inequality_check(energy_field(0.5, 0.0))
         assert decaying.slack == 0.0 < decaying.headroom
         assert growing.headroom < 0.0
 
     def test_lhs_matches_the_single_row_norms(self):
         field = gapped_field()
         report = analysis.energy_inequality_check(field)
-        dv_T, dv_R = cylinder.grad_fields(field)
         rows = [i for i in range(len(field.T)) if field.mask[i].any()]
         expected = [
-            math.sqrt(sum(cylinder.rows_Lp(f.values[i], field.R, f.mask[i], 2.0) ** 2
-                          for f in (field, dv_T, dv_R)))
+            math.sqrt(sum(cylinder.rows_Lp(a[i], field.R, field.mask[i], 2.0) ** 2
+                          for a in (field.values, field.d_T, field.d_R)))
             for i in rows
         ]
         np.testing.assert_allclose(report.lhs, expected, rtol=1e-13, atol=0.0)
 
+    def test_a_field_without_stored_derivatives_is_rejected(self):
+        # the check used to difference such a field on the grid; the pushforward stores both
+        field = energy_field(0.0, 0.0)
+        with pytest.raises(DomainError, match="d_T and d_R"):
+            analysis.energy_inequality_check(field.with_values(field.values, field.mask))
+
     def test_empty_field_rejected(self):
-        field = flat_field(lambda T, R: 1.0, n_T=8, n_R=8)
-        empty = cylinder.CylinderField(
-            T=field.T, R=field.R, values=field.values,
-            mask=np.zeros_like(field.mask),
-        )
-        with pytest.raises(DomainError):
+        field = energy_field(0.0, 0.0)
+        empty = dataclasses.replace(field, mask=np.zeros_like(field.mask))
+        with pytest.raises(DomainError, match="no covered rows"):
             analysis.energy_inequality_check(empty)
 
 

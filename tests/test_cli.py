@@ -129,6 +129,30 @@ class TestConfigParsing:
         assert code == cli.EXIT_PARSE
         assert f"[{section}] {key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compat", "simulate", "verify"])
+    @pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+    def test_unreadable_config_is_a_parse_error_naming_it(self, tmp_path, capsys, command,
+                                                          kind):
+        # not UTF-8 it ended in a UnicodeDecodeError traceback (exit 1), and a directory
+        # read "config file not found"
+        path = tmp_path / "run.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"[grid]\ndr = 0.01\n# \xff\n")
+        out = ["--check", "decay"] if command == "verify" else ["--out", str(tmp_path / "o")]
+        assert cli.main([command, "--config", str(path), *out]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_percent_sign_is_a_character_of_the_value(self, tmp_path, capsys):
+        # configparser's interpolation raised InterpolationSyntaxError: a traceback, exit 1
+        path = tmp_path / "run.ini"
+        path.write_text("[grid]\ndr = 0.01%\n")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: [grid] dr: ")
+
     def test_unknown_nonlinearity_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nnonlinearity = quintic\n")
@@ -316,6 +340,15 @@ class TestTransform:
         lines = done.stderr.splitlines(keepends=True)
         assert len(lines) == 1 and lines[0].startswith(f"error: {inp}: ") and "no data" in lines[0]
         assert lines[0].endswith("\n") and not (tmp_path / "o").exists()
+
+    def test_a_percent_sign_in_out_is_recorded_as_written(self, tmp_path):
+        # the manifest's interpolation raised ValueError after transformed.csv was written
+        rows, out = tmp_path / "rows.csv", tmp_path / "run%1"
+        rows.write_text("1.0,2.0\n")
+        assert cli.main(["transform", "--input", str(rows), "--out", str(out)]) == cli.EXIT_OK
+        doc = configparser.ConfigParser(interpolation=None)
+        doc.read(out / "manifest.ini")
+        assert list(doc["outputs"].values()) == [str(out / "transformed.csv")]
 
 
 class TestCheckNull:
@@ -676,6 +709,20 @@ class TestVerifyCommand:
         assert digest(tmp_path / "a") == digest(tmp_path / "b")
         assert digest(tmp_path / "a") != digest(tmp_path / "c")
 
+    @pytest.mark.parametrize("name", ["trajectory.ini", "manifest.ini"])
+    def test_a_run_ini_that_is_not_utf_8_is_a_parse_error_naming_it(self, config_path,
+                                                                     tmp_path, capsys, name):
+        # --traj read trajectory.ini, --out into the run directory its manifest.ini: each
+        # ended in a UnicodeDecodeError traceback (exit 1)
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", config_path, "--out", str(run_dir)]) == 0
+        (run_dir / name).write_bytes(b"[trajectory]\ncompleted = True\n# \xff\n")
+        capsys.readouterr()
+        code = cli.main(["verify", "--check", "decay", "--traj", str(run_dir),
+                         "--out", str(run_dir)])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {run_dir / name}: ")
+
     def test_verify_into_the_run_directory_keeps_the_run_manifest(self, config_path, tmp_path):
         run_dir = tmp_path / "run"
         assert cli.main(["simulate", "--config", config_path, "--out", str(run_dir)]) == 0
@@ -897,8 +944,31 @@ class TestVerifyCommand:
         assert "sigma must lie in (0, 1]" in capsys.readouterr().err
 
 
+class TestOutThatCannotBeCreated:
+    @pytest.mark.parametrize("command", ["transform", "check-null", "compat", "simulate",
+                                         "verify"])
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+    def test_is_an_error_line_and_exit_3(self, tmp_path, capsys, monkeypatch, config_path,
+                                         command, where):
+        # it ended in a FileExistsError traceback (exit 1), simulate after the whole run
+        rows = tmp_path / "rows.csv"
+        rows.write_text("1.0,2.0\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = str(blocker if where == "a-file" else blocker / "sub")
+        argv = {"transform": ["--input", str(rows)], "check-null": ["--builtin", "q0"],
+                "compat": ["--config", config_path], "simulate": ["--config", config_path],
+                "verify": ["--check", "identity-omega"]}[command]
+        monkeypatch.setattr(solver, "run", None)  # simulate rejects --out before the run
+        assert cli.main([command, *argv, "--out", out]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
+
+
 class TestExitCodeMapping:
     def test_error_to_exit_code_table(self):
+        assert cli._exit_code(FileExistsError("x")) == cli.EXIT_DOMAIN
         assert cli._exit_code(cli.ParseError("x")) == cli.EXIT_PARSE
         assert cli._exit_code(cli.StabilityError("x")) == cli.EXIT_STABILITY
         assert cli._exit_code(cli.NaNError("x")) == cli.EXIT_NAN

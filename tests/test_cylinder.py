@@ -1,5 +1,6 @@
 """Cylinder operators, identity batteries, quadrature, and weighted norms."""
 
+import dataclasses
 import math
 import re
 
@@ -152,15 +153,16 @@ class TestGridOperators:
         with pytest.raises(MaskError):
             cylinder._diff_axis(values[:2], mask[:2], 0.1, 0)
 
-    def test_grad_fields_prefers_stored_derivatives(self):
+    def test_stored_derivatives_are_checked_on_the_mask(self):
         v0 = make_field(lambda T, R: T * R)
-        stored = cylinder.CylinderField(
-            T=v0.T, R=v0.R, values=v0.values, mask=v0.mask,
-            d_T=np.full_like(v0.values, 7.0), d_R=np.full_like(v0.values, -3.0),
-        )
-        gT, gR = cylinder.grad_fields(stored)
-        assert np.all(gT.values == 7.0)
-        assert np.all(gR.values == -3.0)
+        mask = v0.mask.copy()
+        mask[:, 0] = False
+        d = np.where(mask, 7.0, np.nan)  # NaN off the mask is accepted
+        field = cylinder.CylinderField(T=v0.T, R=v0.R, values=v0.values, mask=mask, d_T=d, d_R=d)
+        with pytest.raises(DomainError, match="^nonfinite d_R on valid nodes"):
+            dataclasses.replace(field, d_R=np.where(mask, np.inf, 0.0))
+        with pytest.raises(DomainError, match="^d_T shape does not match the grid"):
+            dataclasses.replace(field, d_T=d[:, 1:])
 
     def test_field_validation(self):
         T = np.linspace(0, 1, 5)

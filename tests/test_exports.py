@@ -1,8 +1,9 @@
 """Every name a penwave module exports in ``__all__`` resolves on that module and is
-read by the package or its benchmark, every name it imports is used, and the
-package's commands run on numpy alone."""
+read by the package or its benchmark, as is every field and property of an exported
+class, every name it imports is used, and the package's commands run on numpy alone."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -108,6 +109,54 @@ def test_every_exported_name_is_read():
               for n in getattr(importlib.import_module(f"penwave.{name}"), "__all__", ())
               if n not in reads and f"{name}.{n}" not in UNREAD_BY_DESIGN]
     assert unread == []
+
+
+# read by the tests only, each against an independent computation
+UNREAD_MEMBERS_BY_DESIGN = {
+    # the per-row sides behind slack and headroom, checked against rows_Lp
+    "analysis.EnergySlackReport.lhs", "analysis.EnergySlackReport.rhs",
+    # the transformed q0's lower-order terms, checked against the direct pushforward
+    "nullform.BilinearCoeffs.b", "nullform.BilinearCoeffs.c",
+}
+
+
+def _members(cls) -> list[str]:
+    """The dataclass fields and the properties a class defines."""
+    fields = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+    return fields + [name for name, value in vars(cls).items() if isinstance(value, property)]
+
+
+def _attribute_reads(source: str) -> set[str]:
+    """Attribute names a module loads; an assigned attribute is not read."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_member_of_an_exported_class_is_read():
+    reads = set().union(*(_attribute_reads(path.read_text())
+                          for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]))
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(f"penwave.{name}")
+        for export in getattr(module, "__all__", ()):
+            cls = getattr(module, export)
+            if isinstance(cls, type):
+                unread += [f"{name}.{export}.{m}" for m in _members(cls) if m not in reads]
+    assert [member for member in unread if member not in UNREAD_MEMBERS_BY_DESIGN] == []
+
+
+def test_member_scan_sees_fields_and_properties_and_skips_stores():
+    @dataclasses.dataclass
+    class C:
+        a: int
+        b: int = 0
+
+        @property
+        def p(self):
+            return self.a
+
+    assert _members(C) == ["a", "b", "p"]
+    assert _attribute_reads("x.a = 1\ny = x.p\nz = x.q.r\n") == {"p", "q", "r"}
 
 
 def test_read_scan_skips_definitions_and_the_export_list():

@@ -44,7 +44,6 @@ class TestSemilinearClassifier:
             assert verdict
             assert dec.residual == 0.0
             assert dec.lam[0, 0, 0] == 0
-            assert dec.antisym[0, 0, 0, i, j] != 0
 
     def test_dt_squared_rejected(self):
         s = np.zeros((1, 1, 1, 4, 4))
@@ -180,21 +179,19 @@ def _reference_frobenius(arr) -> float:
     return float(np.sqrt(np.dot(flat, flat)))
 
 
-def reference_semilinear(q, tol=nullform.VERDICT_TOL):
+def reference_semilinear(q):
     """The slice-by-slice quadratic classifier: the reference for the array pass."""
     s = q.s
-    n = q.n_components
+    n = s.shape[0]
     exact = q.is_exact
     half = Fraction(1, 2) if exact else 0.5
     quarter = Fraction(1, 4) if exact else 0.25
     lam = np.zeros((n, n, n), dtype=object if exact else float)
-    antisym = np.zeros_like(s)
     residual = 0.0
     exact_zero = True
     for idx in np.ndindex(n, n, n):
         m = s[idx]
         sym = (m + m.T) * half
-        antisym[idx] = (m - m.T) * half
         lam_i = (sym[0, 0] - sym[1, 1] - sym[2, 2] - sym[3, 3]) * quarter
         lam[idx] = lam_i
         defect = sym - lam_i * (np.diag([1, -1, -1, -1]) if exact
@@ -203,16 +200,15 @@ def reference_semilinear(q, tol=nullform.VERDICT_TOL):
             if any(v != 0 for v in defect.flat):
                 exact_zero = False
         residual = max(residual, _reference_frobenius(defect))
-    bound = 0.0 if exact else tol * max(1.0, _reference_frobenius(s))
+    bound = 0.0 if exact else nullform.VERDICT_TOL * max(1.0, _reference_frobenius(s))
     verdict = exact_zero if exact else residual < bound
-    return verdict, nullform.NullDecomposition(lam=lam, antisym=antisym, residual=residual,
-                                               tol=bound)
+    return verdict, nullform.NullDecomposition(lam=lam, residual=residual, tol=bound)
 
 
-def reference_quasilinear(q, tol=nullform.VERDICT_TOL):
+def reference_quasilinear(q):
     """The slice-by-slice cubic classifier: the reference for the array pass."""
     k = q.k
-    n = q.n_components
+    n = k.shape[0]
     exact = q.is_exact
     monomials = list(itertools.combinations_with_replacement(range(4), 3))
     basis = np.zeros((4, len(monomials)), dtype=object if exact else float)
@@ -236,10 +232,10 @@ def reference_quasilinear(q, tol=nullform.VERDICT_TOL):
         if exact and any(v != 0 for v in defect.flat):
             exact_zero = False
         residual = max(residual, _reference_frobenius(defect))
-    bound = 0.0 if exact else tol * max(1.0, _reference_frobenius(k))
+    bound = 0.0 if exact else nullform.VERDICT_TOL * max(1.0, _reference_frobenius(k))
     verdict = exact_zero if exact else residual < bound
     return verdict, nullform.NullDecomposition(
-        lam=None, antisym=None, residual=residual, tol=bound, linear_factor=lin)
+        lam=None, residual=residual, tol=bound, linear_factor=lin)
 
 
 def _identical(a, b) -> bool:
@@ -312,7 +308,7 @@ class TestArrayPassMatchesSliceLoop:
             value, ref_value = getattr(dec, name), getattr(ref, name)
             assert type(value) is type(ref_value) is float
             assert value == ref_value or (value != value and ref_value != ref_value)
-        for name in ("lam", "antisym", "linear_factor"):
+        for name in ("lam", "linear_factor"):
             assert _identical(getattr(dec, name), getattr(ref, name)), name
         return verdict
 
@@ -419,14 +415,14 @@ class TestTransformedCoefficients:
         v_fn = lambda T, R: np.sin(T) + 0.3 * np.cos(R)
         h = 1e-5
         co = nullform.transformed_q0_coefficients(T, R)
-        assert co.a.shape == (10, 2, 2) and co.b1.shape == co.b2.shape == (10, 2)
+        assert co.a.shape == (10, 2, 2) and co.b.shape == (10, 2)
         du = np.stack([(u_fn(T + h, R) - u_fn(T - h, R)) / (2 * h),
                        (u_fn(T, R + h) - u_fn(T, R - h)) / (2 * h)], axis=-1)
         dv = np.stack([(v_fn(T + h, R) - v_fn(T - h, R)) / (2 * h),
                        (v_fn(T, R + h) - v_fn(T, R - h)) / (2 * h)], axis=-1)
         u, v = u_fn(T, R), v_fn(T, R)
-        bilinear = (np.einsum("ni,nij,nj->n", du, co.a, dv) + np.sum(co.b1 * du, -1) * v
-                    + np.sum(co.b2 * dv, -1) * u + co.c * u * v)
+        bilinear = (np.einsum("ni,nij,nj->n", du, co.a, dv) + np.sum(co.b * du, -1) * v
+                    + np.sum(co.b * dv, -1) * u + co.c * u * v)
         direct = self._direct_q0(T, R, u_fn, v_fn, h=h)
         assert np.allclose(bilinear, direct, rtol=2e-4, atol=1e-8)
 
@@ -442,13 +438,13 @@ class TestTransformedCoefficients:
         p, q = geometry.frame_terms(t, r)
         grad_t, grad_r = np.stack([p + q, p - q], -1), np.stack([p - q, p + q], -1)
         b = (g_t[:, None] * grad_t - g_r[:, None] * grad_r) / om[:, None] ** 2
-        assert np.allclose(co.b1, b, rtol=1e-6, atol=0) and np.array_equal(co.b1, co.b2)
+        assert np.allclose(co.b, b, rtol=1e-6, atol=0)
         assert np.allclose(co.c, (g_t ** 2 - g_r ** 2) / om ** 3, rtol=1e-6, atol=0)
 
     def test_gradient_block_is_lorentzian_at_time_symmetry(self):
         # at T = 0 the map is time-symmetric, so the gradient block stays diagonal
         co = nullform.transformed_q0_coefficients(0.0, 0.8)
-        assert co.a.shape == (2, 2) and co.b1.shape == (2,) and co.c.shape == ()
+        assert co.a.shape == (2, 2) and co.b.shape == (2,) and co.c.shape == ()
         assert abs(co.a[0, 1]) < 1e-14 and abs(co.a[1, 0]) < 1e-14
         assert co.a[0, 0] == pytest.approx(-co.a[1, 1], rel=1e-12)
         assert co.a[0, 0] > 0
@@ -456,9 +452,9 @@ class TestTransformedCoefficients:
     def test_coefficients_broadcast_over_the_points(self):
         T, R = np.linspace(0.1, 1.0, 12).reshape(3, 4), 0.5
         co = nullform.transformed_q0_coefficients(T, R)
-        assert co.a.shape == (3, 4, 2, 2) and co.b1.shape == (3, 4, 2) and co.c.shape == (3, 4)
+        assert co.a.shape == (3, 4, 2, 2) and co.b.shape == (3, 4, 2) and co.c.shape == (3, 4)
         one = nullform.transformed_q0_coefficients(T[1, 2], R)
-        for name in ("a", "b1", "b2", "c"):
+        for name in ("a", "b", "c"):
             assert np.allclose(getattr(co, name)[1, 2], getattr(one, name), rtol=1e-14, atol=0)
 
     def test_rejects_events_without_finite_radius(self):

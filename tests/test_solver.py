@@ -789,6 +789,20 @@ class TestOutputsRoundTrip:
 
 
 class TestReferenceSamples:
+    @pytest.mark.parametrize("F", [compat.ZERO, compat.Q0_RADIAL, compat.DT_SQUARED,
+                                   compat.NonlinearitySpec("u-ut", ((0.5, (1, 1, 0)),))],
+                             ids=lambda F: F.name)
+    def test_negative_dt_solves_the_time_reversed_problem(self, F):
+        # v(t) = u(-t) has data (f, -g) and N(v, -v_t, v_r): an odd power of u_t flips sign
+        f, g = (compat.RadialProfile.from_callable(compat.gaussian_bump(1.5, 0.25, a),
+                                                   0.2, 4.0, 2e-3) for a in (0.5, 1.0))
+        g_neg = compat.RadialProfile(r0=g.r0, dr=g.dr, values=-g.values)
+        F_rev = compat.NonlinearitySpec(F.name, tuple((c * (-1) ** put, (pu, put, pur))
+                                                      for c, (pu, put, pur) in F.terms))
+        backward = solver.reference_samples(f, g, F, dt=-5e-3, n_samples=4)
+        reversed_ = solver.reference_samples(f, g_neg, F_rev, dt=5e-3, n_samples=4)
+        assert [a.tobytes() for a in backward] == [b.tobytes() for b in reversed_]
+
     def test_levels_are_time_aligned(self):
         # linear evolution sampled at dt and 2*dt must agree at shared times
         f = compat.RadialProfile.from_callable(
