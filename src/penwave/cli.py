@@ -140,6 +140,7 @@ def _broken_rule(x, y, backward: bool) -> str:
 
 
 def cmd_transform(args) -> int:
+    _check_out(args.out)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns on a file without data
@@ -249,6 +250,8 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
 
 
 def cmd_check_null(args) -> int:
+    if args.out:
+        _check_out(args.out)
     if args.builtin is not None:
         dt2 = np.zeros((1, 1, 1, 4, 4), dtype=object)
         dt2[0, 0, 0, 0, 0] = Fraction(1)
@@ -302,6 +305,7 @@ def cmd_check_null(args) -> int:
 
 
 def cmd_compat(args) -> int:
+    _check_out(args.out)
     cfg = solver.read_config(args.config)
     scfg = solver.solver_config_from(cfg)
     order = solver.config_value(cfg, "verify", "order", 4, int)

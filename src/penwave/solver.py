@@ -16,7 +16,13 @@ implicit through (u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lag
 value resolve it.  When N(0) = 0, ``run`` steps only the light-cone window
 r <= r_b + support + t + 2 and holds exact zeros beyond (the data is zeroed beyond
 its support radius, where the bump is below 2.3e-16 of its peak); any other input
-steps the full grid.  The step evaluates N on raw
+steps the full grid.  When N = 0 the window also has a back edge: it is the shell
+r - r_b > t - (support - r_b) - 2, exact zeros behind.  There w = r u with w(r_b) = 0
+obeys sharp Huygens (d'Alembert's formula with the odd reflection at r_b), so w
+vanishes behind the data's cone reflected at r_b, where the full grid holds only
+rounding noise (at most 3.3e-12 of the frame's peak on the t = 80 run at dr = 5e-3).
+A nonzero N leaves a wake there (about 1e-2 of the peak for dt-squared), so only
+linear runs take the back edge.  The step evaluates N on raw
 stencil differences (w, w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r), with the
 scales that turn them into u, u_t and u_r folded once into each monomial's
 coefficient.  The monitors differentiate each level they read themselves: the
@@ -27,7 +33,8 @@ of the density by rounding only (1.3e-15 of its scale at most on the bench runs)
 
 The frame stacks live in one private anonymous mapping (POSIX only), whose unwritten
 pages read as zeros and take no memory: a windowed run holds only its light-cone window
-(0.57 of the stacks on the t = 80 Q0 run).  A full-grid run, or a host with transparent
+(0.57 of the stacks on the t = 80 Q0 run), a linear run only its shell (0.29 of them at
+dr = 5e-3 and t = 40).  A full-grid run, or a host with transparent
 huge pages ``always``, saves nothing but behaves the same.  ``Trajectory.ur_frames``
 yields u_r one frame row at a time and holds no stack.
 
@@ -209,11 +216,14 @@ def run(config: SolverConfig) -> Trajectory:
     stride = max(1, int(round(_FRAME_SPACING / dt)))
     n_local = int(np.count_nonzero(r <= 2.0 * r_b))  # E_local is taken out to 2 r_b
     inv_r = 1.0 / r
-    reach = None
+    reach = back = None
     if all(sum(p) >= 1 for _, p in config.nonlinearity.terms):
         # N(0) = 0: the field vanishes ahead of the light cone of the data
         reach = config.data.support_radius + 2.0
         psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
+        if not config.nonlinearity.terms:
+            # N = 0: sharp Huygens, w vanishes behind the data's cone reflected at r_b too
+            back = config.data.support_radius - r_b + 2.0
 
     frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
     frames_u, frames_ut = _zero_stack((2, n_steps // stride + 2, len(r)))
@@ -227,35 +237,36 @@ def run(config: SolverConfig) -> Trajectory:
         return 4.0 * math.pi * dr * (np.einsum("i,i->", d, d) / span ** 2
                                      + np.einsum("i,i->", g, g) - 0.5 * ends)
 
-    def record(level, w, ahead, behind):
+    def record(level, b, w, ahead, behind):
         """Monitors and frames at ``level`` from w = r u and d = ahead - behind = span r u_t,
-        span = 2 dt (r psi_1 with span 1 at level 0), on the first len(w) nodes (zero
-        beyond).  u goes into the frame row on a frame level, else into a buffer; u_t only
-        into the row."""
-        e, t = len(w), level * dt
+        span = 2 dt (r psi_1 with span 1 at level 0), on the shell of nodes b .. b + len(w) - 1
+        (zero elsewhere), with one-sided ends.  u goes into the frame row on a frame level,
+        else into a buffer; u_t only into the row."""
+        s, t = slice(b, b + len(w)), level * dt
         frame = level % stride == 0 or level == n_steps
         row = len(frames_t)
-        u = np.multiply(w, inv_r[:e], out=frames_u[row, :e] if frame else u_buf[:e])
+        u = np.multiply(w, inv_r[s], out=frames_u[row, s] if frame else u_buf[s])
         if level == 0:
             d, span = np.multiply(r, psi[1], out=d_buf), 1.0
         else:
-            d, span = np.subtract(ahead[:e], behind[:e], out=d_buf[:e]), 2.0 * dt
+            d, span = np.subtract(ahead[s], behind[s], out=d_buf[s]), 2.0 * dt
         if frame:
             frames_t.append(t)
             if level == 0:
                 frames_ut[row] = psi[1]
             else:
-                u_t = np.divide(d, span, out=frames_ut[row, :e])
-                u_t *= inv_r[:e]
+                u_t = np.divide(d, span, out=frames_ut[row, s])
+                u_t *= inv_r[s]
         if level % _MONITOR_STRIDE == 0 or level == n_steps:
-            g = g_buf[:e]  # r u_r = dw/dr - u, dw/dr centred and one-sided at the ends
+            g = g_buf[s]  # r u_r = dw/dr - u, dw/dr centred and one-sided at the ends
             np.subtract(w[2:], w[:-2], out=g[1:-1])
             g[0], g[-1] = -3.0 * w[0] + 4.0 * w[1] - w[2], 3.0 * w[-1] - 4.0 * w[-2] + w[-3]
             g /= 2.0 * dr
             g -= u
             mon_t.append(t)
             mon_E.append(energy(d, g, span))
-            mon_El.append(energy(d[:n_local], g[:n_local], span))
+            m = n_local - b  # the shell's nodes out to 2 r_b: none once the back edge passes
+            mon_El.append(energy(d[:m], g[:m], span) if m > 1 else 0.0)
             mon_sup.append(float(max(u.max(), -u.min())))
 
     def partial_trajectory(completed):
@@ -267,12 +278,12 @@ def run(config: SolverConfig) -> Trajectory:
                           completed=completed)
 
     # one level past the last, so that its u_t is centred too
-    steps = _leapfrog(r, dr, dt, psi, n_steps + 1, config.nonlinearity, reach=reach)
+    steps = _leapfrog(r, dr, dt, psi, n_steps + 1, config.nonlinearity, reach=reach, back=back)
     try:
-        for level, w_prev, w_curr, w_next, hi in steps:
+        for level, w_prev, w_curr, w_next, lo, hi in steps:
             if level % _MONITOR_STRIDE == 0 or level % stride == 0 or level == n_steps:
-                # node hi and beyond hold zeros
-                record(level, w_curr[:hi + 1], w_next, w_prev)
+                # nodes below lo and from hi on hold zeros
+                record(level, lo - 1, w_curr[lo - 1:hi + 1], w_next, w_prev)
     except NaNError as exc:
         exc.trajectory = partial_trajectory(completed=False)
         raise
@@ -288,15 +299,17 @@ def _zero_stack(shape):
     return np.frombuffer(pages, float, count=size).reshape(shape)
 
 
-def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps=None):
+def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps=None,
+              back=None):
     """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
 
-    Yields ``(level, w_prev, w_curr, w_next, hi)`` for level = 0 .. n_steps - 1
-    (``w_prev`` is None at level 0) in three reused buffers.  Nodes 1 .. hi-1 are
-    stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t;
-    the rest hold zeros.  ``order`` (2 or 4) is the spatial order of w_rr and
-    u_r.  When N depends on u_t and ``sweeps`` is a list, each step appends its
-    two fixed-point increments to it.  Raises StabilityError when the sweeps
+    Yields ``(level, w_prev, w_curr, w_next, lo, hi)`` for level = 0 .. n_steps - 1
+    (``w_prev`` is None at level 0) in three reused buffers.  Nodes lo .. hi-1 are
+    stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t and
+    with ``back`` those with r - r_b > t - back; the rest hold zeros, to which the
+    nodes that lo leaves are set in all three buffers.  ``order`` (2 or 4) is the
+    spatial order of w_rr and u_r.  When N depends on u_t and ``sweeps`` is a list,
+    each step appends its two fixed-point increments to it.  Raises StabilityError when the sweeps
     diverge and NaNError on blow-up, checked every 50 steps and on the last one.
     """
     n = len(r) - 1
@@ -326,22 +339,26 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
     prv, cur, nxt, scratch, t_buf, g_buf, term_buf, inc_buf, lag_buf, new_buf = (
         _aligned(n + 1, fill) for fill in [r * psi[0], taylor, 0.0] + [None] * 7)
     prv[[0, -1]] = cur[[0, -1]] = 0.0
-    yield 0, None, prv, cur, n
+    lo = 1
+    yield 0, None, prv, cur, lo, n
     for level in range(1, n_steps):
         t = level * dt
         hi = n if reach is None else min(n, int((reach + t) / dr) + 1)
-        a = slice(1, hi)
+        if back is not None and (edge := int((t - back) / dr) + 1) > lo:
+            prv[lo:edge] = cur[lo:edge] = nxt[lo:edge] = 0.0
+            lo = edge
+        a = slice(lo, hi)
         base, prv_a, cur_a = nxt[a], prv[a], cur[a]
         twice = np.multiply(cur_a, 2.0, out=scratch[a])
         # dt^2 w_rr first, then 2 w - w_prev added to it: this order keeps the
         # round-off floor of the decayed field near r_b at the 1e-16 level
         if order == 2:
-            np.subtract(cur[2:hi + 1], twice, out=base)
-            base += cur[:hi - 1]
+            np.subtract(cur[lo + 1:hi + 1], twice, out=base)
+            base += cur[lo - 1:hi - 1]
         else:
-            base[1:-1] = (-cur[:hi - 3] + 16.0 * cur[1:hi - 2] - 30.0 * cur[2:hi - 1]
-                          + 16.0 * cur[3:hi] - cur[4:hi + 1]) / 12.0
-            base[0] = cur[2] - 2.0 * cur[1] + cur[0]
+            base[1:-1] = (-cur[lo - 1:hi - 3] + 16.0 * cur[lo:hi - 2] - 30.0 * cur[lo + 1:hi - 1]
+                          + 16.0 * cur[lo + 2:hi] - cur[lo + 3:hi + 1]) / 12.0
+            base[0] = cur[lo + 1] - 2.0 * cur[lo] + cur[lo - 1]
             base[-1] = cur[hi] - 2.0 * cur[hi - 1] + cur[hi - 2]
         base *= k
         twice -= prv_a
@@ -349,13 +366,13 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
 
         if nonlinearity.terms:
             term = term_buf[a]
-            fields = (cur_a, t_buf[a], g_buf[a])  # W, D or S, G on nodes 1 .. hi-1
+            fields = (cur_a, t_buf[a], g_buf[a])  # W, D or S, G on nodes lo .. hi-1
             if reads_ur:
                 g = fields[2]
                 if order == 2:
-                    np.subtract(cur[2:hi + 1], cur[:hi - 1], out=g)
+                    np.subtract(cur[lo + 1:hi + 1], cur[lo - 1:hi - 1], out=g)
                 else:
-                    np.multiply(compat.deriv4(cur[:hi + 1], dr)[1:-1], 2.0 * dr, out=g)
+                    np.multiply(compat.deriv4(cur[lo - 1:hi + 1], dr)[1:-1], 2.0 * dr, out=g)
                 g -= np.multiply(cur_a, two_dr_inv_r[a], out=term)
             inc = _sum_monomials(fixed, fields, a, inc_buf[a], term)
             if swept:
@@ -380,13 +397,13 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
             peak = float(np.abs(base).max())
             if not math.isfinite(peak) or peak > 1e12:
                 raise NaNError(f"nonfinite values at t = {t:.4f}")
-        yield level, prv, cur, nxt, hi
+        yield level, prv, cur, nxt, lo, hi
         prv, cur, nxt = cur, nxt, prv
 
 
 def _aligned(n, fill=None):
     """n floats with element 1 on a 64-byte boundary, holding ``fill`` if given (else left
-    unwritten): the step's passes over nodes 1 .. hi-1 then move whole cache lines, which
+    unwritten): the step's passes from node 1 then move whole cache lines, which
     numpy's vector loops run up to twice as fast as lines split by an 8-byte offset."""
     raw = np.empty(n + 8)
     first = (-(raw.ctypes.data // 8) - 1) % 8
@@ -437,14 +454,15 @@ def sample(traj: Trajectory, t, r):
     u is the cubic in t through u and u_t at the two frames around each point, each
     taken linearly in r, and u_t is that cubic's t-derivative.  u_r is the same cubic
     through (u_r, d_r u_t), both taken at the corners by ``_gradient_at``.  At a frame time
-    and a grid node u and u_t are the stored values.
+    and a grid node u and u_t are the stored values.  A t or r outside the stored
+    window or grid, NaN included, is a RangeError.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     times, radii = traj.times, traj.r
-    if np.any(t < times[0] - 1e-12) or np.any(t > times[-1] + 1e-12):
+    if not np.all((t >= times[0] - 1e-12) & (t <= times[-1] + 1e-12)):
         raise RangeError("time outside the stored window")
-    if np.any(r < radii[0] - 1e-12) or np.any(r > radii[-1] + 1e-12):
+    if not np.all((r >= radii[0] - 1e-12) & (r <= radii[-1] + 1e-12)):
         raise RangeError("radius outside the stored grid")
     it = np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2)
     ir = np.clip(np.searchsorted(radii, r) - 1, 0, len(radii) - 2)
@@ -733,8 +751,8 @@ def reference_samples(
     r = f.r
     psi = [p.values for p in compat.compute_jet(f, g, F, K=2).psi]
     out = [f.values.copy()]
-    for level, _, _, w_next, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
-                                            order=4):
+    for level, _, _, w_next, _, _ in _leapfrog(r, dr, dt_int, psi, (n_samples - 1) * m, F,
+                                               order=4):
         if (level + 1) % m == 0:
             out.append(w_next / r)
     return out

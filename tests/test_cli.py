@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penwave import analysis, cli, cylinder, errors, geometry, nullform, solver
+from penwave import analysis, cli, compat, cylinder, errors, geometry, nullform, solver
 
 SMALL_CONFIG = """\
 [problem]
@@ -964,6 +964,27 @@ class TestOutThatCannotBeCreated:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command,work", [
+        ("transform", (geometry, "einstein_coords")),
+        ("check-null", (nullform, "check_null_semilinear")),
+        ("compat", (compat, "compute_jet")),
+    ], ids=["transform", "check-null", "compat"])
+    def test_is_checked_before_the_work(self, tmp_path, capsys, monkeypatch, config_path,
+                                        command, work):
+        # each did all its work first: check-null printed its verdict, then exited 3
+        rows = tmp_path / "rows.csv"
+        rows.write_text("1.0,2.0\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        argv = {"transform": ["--input", str(rows)], "check-null": ["--builtin", "q0"],
+                "compat": ["--config", config_path]}[command]
+        monkeypatch.setattr(*work, None)  # the check comes first
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, *argv, "--out", str(blocker)]) == cli.EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
 
 
 class TestExitCodeMapping:

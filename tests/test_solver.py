@@ -218,26 +218,49 @@ class TestNonlinearRuns:
         assert np.array_equal(solver._aligned(n, x), x)
 
     def test_light_cone_window_matches_full_grid(self):
-        # N(0) = 0 steps only the light-cone window; a zero monomial with no
-        # factors makes the same problem step the full grid
-        config = short_config(nonlinearity=compat.Q0_RADIAL, t_max=6.0, r_max=12.0)
-        windowed = solver.run(config)
-        zero_source = compat.NonlinearitySpec("q0-zero-source",
-                                              compat.Q0_RADIAL.terms + ((0.0, (0, 0, 0)),))
-        full = solver.run(replace(config, nonlinearity=zero_source))
-        wm, fm = windowed.monitors, full.monitors
-        # each series is compared on the scale of its kind: the local energy is a
-        # part of the total
-        u_scale = np.max(np.abs(full.u_frames))
-        e_scale = np.max(fm.E_total)
-        pairs = [(windowed.u_frames, full.u_frames, u_scale),
-                 (windowed.ut_frames, full.ut_frames, np.max(np.abs(full.ut_frames))),
-                 (wm.E_total, fm.E_total, e_scale), (wm.E_local, fm.E_local, e_scale),
-                 (wm.sup_u, fm.sup_u, u_scale)]
-        assert np.array_equal(windowed.times, full.times)
-        for got, ref, scale in pairs:
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+        # N(0) = 0 steps only the light-cone window
+        run_against_full_grid(short_config(nonlinearity=compat.Q0_RADIAL, t_max=6.0,
+                                           r_max=12.0))
+
+    def test_linear_shell_matches_full_grid(self):
+        # N = 0 steps only the shell between the data's outgoing and reflected light cones
+        config = short_config(dr=0.01, cfl=solver.SolverConfig().cfl, t_max=12.0, r_max=18.0)
+        shell = run_against_full_grid(config)
+        # behind the back edge r - r_b = t - (S - r_b) - 2 the shell run holds exact zeros,
+        # and E_local is 0 once the edge has passed 2 r_b, from t = S + 2
+        support, r_b, m = config.data.support_radius, config.obs.r_b, shell.monitors
+        behind = shell.r - r_b <= shell.times[:, None] - (support - r_b) - 2.0
+        assert behind[-1].sum() > 600
+        assert not shell.u_frames[behind].any() and not shell.ut_frames[behind].any()
+        assert not m.E_local[m.t >= support + 2.0].any() and m.E_local[0] > 0
+        # a nonlinear run keeps its wake behind the same edge (measured 1.0e-2 to 1.1e-2
+        # of the frame's peak at t = 10-12), so the edge is taken only when N = 0
+        wake = solver.run(replace(config, nonlinearity=compat.DT_SQUARED))
+        late = wake.times >= 10.0
+        u = np.abs(wake.u_frames[late])
+        assert np.all(np.where(behind[late], u, 0.0).max(axis=1) > 5e-3 * u.max(axis=1))
+
+
+def run_against_full_grid(config):
+    """``solver.run(config)``, checked against the same problem with a zero monomial with no
+    factors added, which makes it step the full grid; each series is compared on the
+    scale of its kind (the local energy is a part of the total)."""
+    windowed = solver.run(config)
+    zero_source = compat.NonlinearitySpec(config.nonlinearity.name + "-zero-source",
+                                          config.nonlinearity.terms + ((0.0, (0, 0, 0)),))
+    full = solver.run(replace(config, nonlinearity=zero_source))
+    wm, fm = windowed.monitors, full.monitors
+    u_scale = np.max(np.abs(full.u_frames))
+    e_scale = np.max(fm.E_total)
+    pairs = [(windowed.u_frames, full.u_frames, u_scale),
+             (windowed.ut_frames, full.ut_frames, np.max(np.abs(full.ut_frames))),
+             (wm.E_total, fm.E_total, e_scale), (wm.E_local, fm.E_local, e_scale),
+             (wm.sup_u, fm.sup_u, u_scale)]
+    assert np.array_equal(windowed.times, full.times)
+    for got, ref, scale in pairs:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+    return windowed
 
 
 def reference_step(r, dr, dt, prv, cur, hi, nonlinearity, order):
@@ -307,8 +330,9 @@ class TestStepAgainstReferenceScheme:
             support = solver.DataSpec().support_radius
             reach, psi = support + 2.0, [np.where(r > support, 0.0, p) for p in psi]
         sweeps, levels = [], []
-        for level, prv, cur, nxt, hi in solver._leapfrog(r, dr, dt, psi, n_steps, nonlinearity,
-                                                         order, reach, sweeps):
+        for level, prv, cur, nxt, lo, hi in solver._leapfrog(r, dr, dt, psi, n_steps,
+                                                             nonlinearity, order, reach, sweeps):
+            assert lo == 1  # only a linear run has a back edge
             levels.append((level, None if prv is None else prv.copy(), cur.copy(), nxt.copy(), hi))
         deltas = []
         for level, prv, cur, nxt, hi in levels[1:]:
@@ -401,9 +425,11 @@ class TestMonitorReuse:
                              ids=lambda spec: spec.name)
     def test_monitors_equal_a_recomputation_at_every_level(self, monkeypatch, nonlinearity):
         # the step hands no u_r to the monitors: record differentiates every
-        # monitor level itself, for any nonlinearity
+        # monitor level itself, for any nonlinearity; the linear run goes on until
+        # its shell's back edge has left r_b (t = 4.8) and passed 2 r_b (t = 5)
+        t_max = 4.0 if nonlinearity.terms else 7.0
         config = short_config(nonlinearity=nonlinearity, epsilon=0.5, dr=0.01,
-                              cfl=solver.SolverConfig().cfl, t_max=4.0, r_max=10.0)
+                              cfl=solver.SolverConfig().cfl, t_max=t_max, r_max=t_max + 6.0)
         stride = solver._MONITOR_STRIDE
         levels, jet = [], []
         leapfrog = solver._leapfrog
@@ -411,10 +437,10 @@ class TestMonitorReuse:
         def capture(*args, **kw):
             jet.append(args[3])
             for step in leapfrog(*args, **kw):
-                level, prv, cur, nxt, hi = step
+                level, prv, cur, nxt, lo, hi = step
                 if level % stride == 0 or level == args[4] - 1:  # the run's last level
                     levels.append((level, None if prv is None else prv.copy(), cur.copy(),
-                                   nxt.copy(), hi))
+                                   nxt.copy(), lo, hi))
                 yield step
 
         monkeypatch.setattr(solver, "_leapfrog", capture)
@@ -427,34 +453,36 @@ class TestMonitorReuse:
         t, E, E_local, sup = [], [], [], []
         trapezoid, trapezoid_local, no_ends, no_ends_local = [], [], [], []
 
-        def monitor(level, w, d, span):
-            e = len(w)
-            u = w * inv_r[:e]
-            g = np.empty(e)
+        def monitor(level, b, w, d, span):
+            s = slice(b, b + len(w))  # the shell, zeros elsewhere
+            u = w * inv_r[s]
+            g = np.empty(len(w))
             g[1:-1] = w[2:] - w[:-2]
             g[0], g[-1] = -3.0 * w[0] + 4.0 * w[1] - w[2], 3.0 * w[-1] - 4.0 * w[-2] + w[-3]
             g /= 2.0 * dr
             g -= u
             t.append(level * dt)
             E.append(monitor_energy(d, g, span, dr))
-            E_local.append(monitor_energy(d[:n_local], g[:n_local], span, dr))
+            local = max(n_local - b, 0)  # the shell's nodes out to 2 r_b
+            E_local.append(monitor_energy(d[:local], g[:local], span, dr) if local > 1 else 0.0)
             sup.append(np.max(np.abs(u)))
             # the definition, built independently: the trapezoid of r^2 (u_t^2 + u_r^2)
             # with u_r from np.gradient, and the same sum without its half end terms
-            u_r = (np.gradient(w, dr, edge_order=2) - u) * inv_r[:e]
-            density = (r[:e] * d / span * inv_r[:e]) ** 2 + (r[:e] * u_r) ** 2
+            u_r = (np.gradient(w, dr, edge_order=2) - u) * inv_r[s]
+            density = (r[s] * d / span * inv_r[s]) ** 2 + (r[s] * u_r) ** 2
             trapezoid.append(4.0 * math.pi * np.trapezoid(density, dx=dr))
-            trapezoid_local.append(4.0 * math.pi * np.trapezoid(density[:n_local], dx=dr))
+            trapezoid_local.append(4.0 * math.pi * np.trapezoid(density[:local], dx=dr))
             no_ends.append(4.0 * math.pi * dr * density.sum())
-            no_ends_local.append(4.0 * math.pi * dr * density[:n_local].sum())
+            no_ends_local.append(4.0 * math.pi * dr * density[:local].sum())
 
         assert levels[-1][0] == int(round(config.t_max / dt))
-        for level, prv, cur, nxt, hi in levels:
-            e = hi + 1
+        for level, prv, cur, nxt, lo, hi in levels:
+            s = slice(lo - 1, hi + 1)
             if level == 0:
-                monitor(level, cur[:e], r * jet[0][1], 1.0)
+                monitor(level, 0, cur[s], r * jet[0][1], 1.0)
             else:
-                monitor(level, cur[:e], nxt[:e] - prv[:e], 2.0 * dt)
+                monitor(level, lo - 1, cur[s], nxt[s] - prv[s], 2.0 * dt)
+        assert (levels[-1][4] > 1) == (not nonlinearity.terms)
 
         m = traj.monitors
         for got, want in ((m.t, t), (m.E_total, E), (m.E_local, E_local), (m.sup_u, sup)):
@@ -482,6 +510,14 @@ class TestSampling:
             solver.sample(short_run, [-1.0], [2.0])
         with pytest.raises(RangeError):
             solver.sample(short_run, [1.0], [1e6])
+
+    @pytest.mark.parametrize("t,r,what", [([np.nan, 1.0], [1.0, 1.0], "time"),
+                                          ([1.0, 1.0], [1.0, np.nan], "radius")],
+                             ids=["time", "radius"])
+    def test_a_nan_time_or_radius_is_out_of_range(self, short_run, t, r, what):
+        # it compared False with both range ends and came back as all-NaN arrays
+        with pytest.raises(RangeError, match=f"^{what} outside"):
+            solver.sample(short_run, t, r)
 
     def test_vectorized_sampling_matches_scalar(self, short_run):
         rng = np.random.default_rng(0)
@@ -618,6 +654,14 @@ class TestFrameMemory:
         traj = solver.run(self.WINDOWED)
         grown = self.resident() - before
         assert grown < 0.25 * (traj.u_frames.nbytes + traj.ut_frames.nbytes), grown
+
+    def test_a_linear_run_holds_only_its_shell(self):
+        # 29 MB of stacks: measured 0.32 of them (0.65 while the run stepped and stored
+        # the whole region behind its pulse)
+        before = self.resident()
+        traj = solver.run(solver.SolverConfig(dr=1e-2, t_max=40.0, r_max=46.0))
+        ratio = (self.resident() - before) / (traj.u_frames.nbytes + traj.ut_frames.nbytes)
+        assert ratio <= 0.45, ratio
 
 
 class TestCylinderTransform:
