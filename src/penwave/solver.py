@@ -16,27 +16,26 @@ implicit through (u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lag
 value resolve it.  When N(0) = 0, ``run`` steps only the light-cone window
 r <= r_b + support + t + 2 and holds exact zeros beyond (the data is zeroed beyond
 its support radius, where the bump is below 2.3e-16 of its peak); any other input
-steps the full grid.  When N = 0 the window also has a back edge: it is the shell
-r - r_b > t - (support - r_b) - 2, exact zeros behind.  There w = r u with w(r_b) = 0
-obeys sharp Huygens (d'Alembert's formula with the odd reflection at r_b), so w
-vanishes behind the data's cone reflected at r_b, where the full grid holds only
-rounding noise (at most 3.3e-12 of the frame's peak on the t = 80 run at dr = 5e-3).
-A nonzero N leaves a wake there (about 1e-2 of the peak for dt-squared), so only
-linear runs take the back edge.  The step evaluates N on raw
-stencil differences (w, w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r), with the
-scales that turn them into u, u_t and u_r folded once into each monomial's
-coefficient.  The monitors differentiate each level they read themselves: the
-energy, 4 pi x the trapezoid of r^2 (u_t^2 + u_r^2), is summed from the squares of
-d = span r u_t (the level difference w_next - w_prev, r psi_1 at t = 0) and
-g = r u_r = dw/dr - u, less half the two end terms.  It differs from the trapezoid
-of the density by rounding only (1.3e-15 of its scale at most on the bench runs).
+steps the full grid.  When N = 0, w = r u obeys sharp Huygens (d'Alembert with the odd
+reflection at r_b), so the full grid holds only rounding noise behind the back edge
+r - r_b = t - (support - r_b) - 2.  Every 50 steps the edge zeroes the nodes it passes
+while their |w| is at most 1e-10 of the shell's peak (7e-13 at most on the t = 80 run
+at dr = 5e-3); more, such as the slow high-k modes of data too narrow for the grid,
+stops it.  A nonzero N leaves a wake there (1e-2 of the peak for dt-squared), so only
+linear runs take the edge.  The step evaluates N on raw stencil differences (w,
+w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r), with the scales that turn them into u, u_t
+and u_r folded once into each monomial's coefficient.  The monitors differentiate each
+level they read themselves: the energy, 4 pi x the trapezoid of r^2 (u_t^2 + u_r^2), is
+summed from the squares of d = span r u_t (the level difference w_next - w_prev, r psi_1
+at t = 0) and g = r u_r = dw/dr - u, less half the two end terms.  It differs from the
+trapezoid of the density by rounding only (1.3e-15 of its scale at most on the bench runs).
 
 The frame stacks live in one private anonymous mapping (POSIX only), whose unwritten
 pages read as zeros and take no memory: a windowed run holds only its light-cone window
 (0.57 of the stacks on the t = 80 Q0 run), a linear run only its shell (0.29 of them at
-dr = 5e-3 and t = 40).  A full-grid run, or a host with transparent
-huge pages ``always``, saves nothing but behaves the same.  ``Trajectory.ur_frames``
-yields u_r one frame row at a time and holds no stack.
+dr = 5e-3 and t = 40).  A full-grid run, or a host with transparent huge pages
+``always``, saves nothing but behaves the same.  ``Trajectory.ur_frames`` yields u_r
+one frame row at a time and holds no stack.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -221,8 +220,7 @@ def run(config: SolverConfig) -> Trajectory:
         # N(0) = 0: the field vanishes ahead of the light cone of the data
         reach = config.data.support_radius + 2.0
         psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
-        if not config.nonlinearity.terms:
-            # N = 0: sharp Huygens, w vanishes behind the data's cone reflected at r_b too
+        if not config.nonlinearity.terms:  # N = 0: the shell, see the module docstring
             back = config.data.support_radius - r_b + 2.0
 
     frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
@@ -305,12 +303,12 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
 
     Yields ``(level, w_prev, w_curr, w_next, lo, hi)`` for level = 0 .. n_steps - 1
     (``w_prev`` is None at level 0) in three reused buffers.  Nodes lo .. hi-1 are
-    stepped: all inner nodes, or with ``reach`` those with r - r_b <= reach + t and
-    with ``back`` those with r - r_b > t - back; the rest hold zeros, to which the
-    nodes that lo leaves are set in all three buffers.  ``order`` (2 or 4) is the
-    spatial order of w_rr and u_r.  When N depends on u_t and ``sweeps`` is a list,
-    each step appends its two fixed-point increments to it.  Raises StabilityError when the sweeps
-    diverge and NaNError on blow-up, checked every 50 steps and on the last one.
+    stepped, the rest hold zeros: all inner nodes, or with ``reach`` those with
+    r - r_b <= reach + t and with ``back`` those with r - r_b > t - back (see the module
+    docstring).  ``order`` (2 or 4) is the spatial order of w_rr and u_r.  When N depends
+    on u_t and ``sweeps`` is a list, each step appends its two fixed-point increments to
+    it.  Raises StabilityError when the sweeps diverge and NaNError on blow-up, checked
+    every 50 steps and on the last one.
     """
     n = len(r) - 1
     k = (dt / dr) ** 2
@@ -344,9 +342,6 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
     for level in range(1, n_steps):
         t = level * dt
         hi = n if reach is None else min(n, int((reach + t) / dr) + 1)
-        if back is not None and (edge := int((t - back) / dr) + 1) > lo:
-            prv[lo:edge] = cur[lo:edge] = nxt[lo:edge] = 0.0
-            lo = edge
         a = slice(lo, hi)
         base, prv_a, cur_a = nxt[a], prv[a], cur[a]
         twice = np.multiply(cur_a, 2.0, out=scratch[a])
@@ -397,6 +392,13 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
             peak = float(np.abs(base).max())
             if not math.isfinite(peak) or peak > 1e12:
                 raise NaNError(f"nonfinite values at t = {t:.4f}")
+            if back is not None and (edge := int((t - back) / dr) + 1) > lo:
+                # sharp Huygens leaves rounding noise only there; anything more stops the edge
+                if max(np.abs(cur[lo:edge]).max(), np.abs(nxt[lo:edge]).max()) > 1e-10 * peak:
+                    back = None
+                else:
+                    prv[lo:edge] = cur[lo:edge] = nxt[lo:edge] = 0.0
+                    lo = edge
         yield level, prv, cur, nxt, lo, hi
         prv, cur, nxt = cur, nxt, prv
 

@@ -972,7 +972,6 @@ class TestOutThatCannotBeCreated:
     ], ids=["transform", "check-null", "compat"])
     def test_is_checked_before_the_work(self, tmp_path, capsys, monkeypatch, config_path,
                                         command, work):
-        # each did all its work first: check-null printed its verdict, then exited 3
         rows = tmp_path / "rows.csv"
         rows.write_text("1.0,2.0\n")
         blocker = tmp_path / "taken"
