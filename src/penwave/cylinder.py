@@ -170,8 +170,9 @@ class CylinderField:
     (len(T), len(R)) and ``mask`` marks nodes inside the domain (beyond the
     obstacle boundary and inside the diamond).  ``d_T`` / ``d_R`` hold the first
     derivatives the pushforward assembles from the run's u_t and u_r, which the
-    energy check reads (``with_values`` builds a field without them).  Arrays off
-    the grid's shape and values or derivatives not finite on the mask are DomainErrors.
+    energy check reads (``with_values`` builds a field without them), and ``forcing``
+    the source term it integrates, if any.  Arrays off the grid's shape and values,
+    derivatives or forcing not finite on the mask are DomainErrors.
     """
 
     T: np.ndarray
@@ -185,7 +186,7 @@ class CylinderField:
     def __post_init__(self):
         if self.mask.shape != (len(self.T), len(self.R)):
             raise DomainError("mask shape does not match the grid")
-        for name in ("values", "d_T", "d_R"):
+        for name in ("values", "d_T", "d_R", "forcing"):
             arr = getattr(self, name)
             if arr is not None and arr.shape != self.mask.shape:
                 raise DomainError(f"{name} shape does not match the grid")

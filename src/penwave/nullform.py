@@ -330,23 +330,22 @@ def transformed_q0_coefficients(T, R) -> BilinearCoeffs:
 
         Q(u, du; v, dv) = Omega^{-3} q0(d(Omega u~), d(Omega v~))
 
-    (tilde denoting the Minkowski pullback) is assembled by the chain rule from
-    the Jacobian of (t, r) -> (T, R) at the Minkowski preimage, whose rows push
-    d_t to (p + q) d_T + (p - q) d_R and d_r to (p - q) d_T + (p + q) d_R, and the
-    Omega gradient (d_t Omega, d_r Omega) = (-Omega sin T cos R, -Omega cos T sin R).
+    (tilde denoting the Minkowski pullback) follows from q0's conformal invariance:
+    q0 is eta^{-1} on gradients and g = Omega^2 eta, so with g^{-1} = diag(1, -1) on
+    radial (T, R) gradients
+
+        Q = Omega g^{-1}(du, dv) + u g^{-1}(dOmega, dv) + v g^{-1}(du, dOmega)
+            + u v g^{-1}(dOmega, dOmega) / Omega,
+
+    that is a = Omega diag(1, -1), b = (-sin T, sin R) and
+    c = sin(T + R) sin(T - R) / Omega, from dOmega = (-sin T, -sin R).
     Raises DomainError outside the diamond, the finite-radius region.
     """
     T, R = np.broadcast_arrays(np.asarray(T, float), np.asarray(R, float))
     if not geometry.in_diamond(T, R).all():
         raise geometry._outside_diamond_error(T, R)
-    t, r = geometry.minkowski_coords(T, R)
-    p, q = geometry.frame_terms(t, r)
-    om = geometry.omega_minkowski(t, r)
-    om_t, om_r = -om * np.sin(T) * np.cos(R), -om * np.cos(T) * np.sin(R)
-    grad_t = np.stack([p + q, p - q], axis=-1)  # (d_T, d_R) coefficients of d_t acting on u
-    grad_r = np.stack([p - q, p + q], axis=-1)
-    a = (grad_t[..., :, None] * grad_t[..., None, :]
-         - grad_r[..., :, None] * grad_r[..., None, :]) / om[..., None, None]
-    b = (om_t[..., None] * grad_t - om_r[..., None] * grad_r) / om[..., None] ** 2
-    c = (om_t ** 2 - om_r ** 2) / om ** 3
+    om = geometry.omega_minkowski(*geometry.minkowski_coords(T, R))
+    a = om[..., None, None] * np.diag([1.0, -1.0])
+    b = np.stack([-np.sin(T), np.sin(R)], axis=-1)
+    c = np.sin(T + R) * np.sin(T - R) / om
     return BilinearCoeffs(a=a, b=b, c=c)

@@ -184,11 +184,18 @@ class Trajectory:
     completed: bool = True
 
     def __post_init__(self):
-        """Raise ConfigError, naming the field, unless r and times strictly increase (a NaN
-        in either does not)."""
+        """Raise ConfigError, naming the field, unless r and times hold two values or more
+        and strictly increase (a NaN in either does not), and u_frames and ut_frames are
+        shaped (len(times), len(r)): ``sample`` reads between two frames and two nodes."""
         for name, values in (("times", self.times), ("r", self.r)):
+            if len(values) < 2:
+                raise ConfigError(f"Trajectory.{name} must hold two values or more")
             if not (np.diff(values) > 0).all():
                 raise ConfigError(f"Trajectory.{name} must be strictly increasing")
+        shape = (len(self.times), len(self.r))
+        for name in ("u_frames", "ut_frames"):
+            if (got := np.shape(getattr(self, name))) != shape:
+                raise ConfigError(f"Trajectory.{name} must be shaped {shape}, got {got}")
 
     @property
     def ur_frames(self):
@@ -201,7 +208,8 @@ def run(config: SolverConfig) -> Trajectory:
     """Evolve the exterior problem; see the module docstring for the scheme.
 
     Raises StabilityError / ConfigError on bad configuration and NaNError on
-    blow-up (the exception carries the partial trajectory as ``.trajectory``).
+    blow-up (the exception carries the partial trajectory as ``.trajectory``, None
+    when the blow-up came before the second frame).
     """
     config.validate()
     r_b = config.obs.r_b
@@ -283,7 +291,7 @@ def run(config: SolverConfig) -> Trajectory:
                 # nodes below lo and from hi on hold zeros
                 record(level, lo - 1, w_curr[lo - 1:hi + 1], w_next, w_prev)
     except NaNError as exc:
-        exc.trajectory = partial_trajectory(completed=False)
+        exc.trajectory = partial_trajectory(completed=False) if len(frames_t) > 1 else None
         raise
     return partial_trajectory(completed=True)
 
@@ -511,13 +519,13 @@ class CylinderGrid:
 def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.CylinderField:
     """Push a trajectory forward to the cylinder: v = u~ / Omega on a (T, R) grid.
 
-    First derivatives of v are assembled by the chain rule from the stored
-    (u_t, u_r) and the analytic frame Jacobian, avoiding grid differencing of
-    interpolated values.  Nodes whose preimage lies outside the stored
-    coverage are masked out; r >= r_b is the region above the obstacle
-    boundary curve.  Raises
-    CoverageError when the stored t_max cannot support a requested row even
-    at the boundary.
+    First derivatives of v are assembled from the stored (u_t, u_r), not by grid
+    differencing of interpolated values: d_T = a d_t + b d_r and d_R = b d_t + a d_r
+    with a = (1 + t^2 + r^2) / 2 and b = t r (conformal Killing fields of Minkowski
+    space), and d_T Omega = -sin T, d_R Omega = -sin R.  Nodes whose preimage lies
+    outside the stored coverage are masked out; r >= r_b is the region above the
+    obstacle boundary curve.  Raises CoverageError when the stored t_max cannot
+    support a requested row even at the boundary.
     """
     t_cap = traj.times[-1] - _COVERAGE_MARGIN
     if t_cap <= 0:
@@ -541,34 +549,21 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
     R = np.linspace(0.0, math.pi, grid.n_R)
 
     TT, RR = np.meshgrid(T, R, indexing="ij")
-    mask = TT + RR < math.pi - 1e-9
     t_pre, r_pre = geometry.minkowski_coords(TT, RR)
-    mask &= (t_pre <= traj.times[-1]) & (t_pre >= traj.times[0])
-    mask &= (r_pre >= traj.r[0]) & (r_pre <= traj.r[-1])
-
-    vals, d_T, d_R = np.zeros((3,) + TT.shape)
-    if mask.any():
-        ts = t_pre[mask]
-        rs = r_pre[mask]
-        u, u_t, u_r = sample(traj, ts, rs)
-        om = geometry.omega_minkowski(ts, rs)
-        p, q = geometry.frame_terms(ts, rs)
-        dTdt = p + q
-        dRdt = p - q
-        det = dTdt ** 2 - dRdt ** 2  # jac is [[p+q, p-q], [p-q, p+q]]
-        u_T = (dTdt * u_t - dRdt * u_r) / det
-        u_R = (dTdt * u_r - dRdt * u_t) / det
-        Tm, Rm = TT[mask], RR[mask]
-        om_T = -np.sin(Tm)
-        om_R = -np.sin(Rm)
-        vals[mask] = u / om
-        d_T[mask] = u_T / om - u * om_T / om ** 2
-        d_R[mask] = u_R / om - u * om_R / om ** 2
-
+    mask = (geometry.in_diamond(TT, RR) & (t_pre >= traj.times[0]) & (t_pre <= traj.times[-1])
+            & (r_pre >= traj.r[0]) & (r_pre <= traj.r[-1]))
     empty = ~mask.any(axis=1)  # every requested row must carry a covered node
     if empty.any():
         raise CoverageError(f"row T = {T[np.argmax(empty)]:.4f} has no covered nodes")
 
+    ts, rs = t_pre[mask], r_pre[mask]
+    u, u_t, u_r = sample(traj, ts, rs)
+    om = geometry.omega_minkowski(ts, rs)
+    a, b = 0.5 * (1.0 + ts * ts + rs * rs), ts * rs
+    vals, d_T, d_R = np.zeros((3,) + TT.shape)
+    vals[mask] = u / om
+    d_T[mask] = (a * u_t + b * u_r + u * np.sin(TT[mask]) / om) / om
+    d_R[mask] = (b * u_t + a * u_r + u * np.sin(RR[mask]) / om) / om
     vals[~mask] = np.nan
     return cylinder.CylinderField(T=T, R=R, values=vals, mask=mask, d_T=d_T, d_R=d_R)
 
@@ -695,8 +690,8 @@ def load_trajectory(outdir) -> Trajectory:
     """Rebuild the Trajectory of the frames ``write_outputs`` kept, bit for bit, with the
     config that ``trajectory.ini`` records.  A store file that is missing or unreadable, an
     array not float64 or not of its written shape (frames are len(times) x len(r), the
-    monitors 4 columns), a value not finite, and r or times not strictly increasing are
-    ParseErrors that name the file."""
+    monitors 4 columns), a value not finite, and r or times not two or more strictly
+    increasing values are ParseErrors that name the file."""
     meta_path = os.path.join(outdir, "trajectory.ini")
     meta = read_config(meta_path, {**_SCHEMA, "trajectory": ("completed",)})
     try:
@@ -722,8 +717,8 @@ def load_trajectory(outdir) -> Trajectory:
         if not np.isfinite(array).all():
             raise ParseError(f"{path}: values must be finite")
     for path, array in zip(paths, (r, times)):
-        if not (array.size and (np.diff(array) > 0).all()):
-            raise ParseError(f"{path}: values must be strictly increasing")
+        if not (array.size > 1 and (np.diff(array) > 0).all()):
+            raise ParseError(f"{path}: values must be two or more, strictly increasing")
     monitors_ = MonitorSeries(t=mon[:, 0], E_total=mon[:, 1], E_local=mon[:, 2], sup_u=mon[:, 3])
     return Trajectory(r=r, times=times, u_frames=u, ut_frames=ut, monitors=monitors_,
                       config=solver_config_from(meta), completed=completed)

@@ -176,23 +176,25 @@ class TestDecayCertificateEqualsTheFullSweep:
 
     @pytest.mark.parametrize("step,r0,dt", [(0.25, 0.25, 0.125), (0.125, 0.375, 0.125),
                                             (0.1, 0.2, 0.1), (0.01, 0.2, 0.05)])
-    def test_regular_grids_and_single_frames(self, small_traj, step, r0, dt):
+    def test_regular_grids_and_frame_pairs(self, small_traj, step, r0, dt):
         r = r0 + step * np.arange(int(30.0 / step))
         times = dt * np.arange(200)
         assert_equals_reference(frames_on(small_traj, r, times))
-        # one frame at a time, peaked at one end of the grid
-        for profile in (np.exp(-r), np.exp(r - r[-1])):
+        # two frames at a time, peaked at opposite ends of the grid
+        ends = np.stack([np.exp(-r), np.exp(r - r[-1])])
+        for u in (ends, ends[::-1]):
             for t in times[::3]:
                 assert_equals_reference(dataclasses.replace(
-                    small_traj, r=r, times=np.array([t]), u_frames=profile[None]))
+                    small_traj, r=r, times=np.array([t, t + dt]), u_frames=u, ut_frames=u))
 
     def test_sup_read_from_one_node_of_an_irregular_grid(self, small_traj):
         t = 9.224172938446443
         lo = t - 8.5
         past = np.nextafter(lo + 1.0, np.inf)
         r = np.concatenate([[lo - 0.6, lo, lo + 0.5], past + 0.6 * np.arange(40)])
-        u = np.where(r == past, 1.0, 1e-3)[None]
-        traj = dataclasses.replace(small_traj, r=r, times=np.array([t]), u_frames=u)
+        u = np.stack([np.zeros_like(r), np.where(r == past, 1.0, 1e-3)])  # a zero frame first
+        traj = dataclasses.replace(small_traj, r=r, times=np.array([t - 1.0, t]), u_frames=u,
+                                   ut_frames=u)
         assert_equals_reference(traj)
         weight = (1.0 + t) * (1.0 + np.abs(t - r)) ** 0.75
         assert analysis.decay_certificate(traj).C_sup == weight[r == past][0]  # u = 1 there
@@ -201,9 +203,9 @@ class TestDecayCertificateEqualsTheFullSweep:
         traj = frames_on(small_traj, 0.2 + 0.01 * np.arange(50), np.linspace(0.0, 2.0, 70))
         assert_equals_reference(traj)
 
-    def test_single_frame_of_three_nodes(self, small_traj):
-        assert_equals_reference(frames_on(small_traj, [0.2, 0.21, 0.22], [0.0]))
-        assert_equals_reference(frames_on(small_traj, [0.2, 0.7, 5.0], [1.0]))
+    def test_two_frames_of_three_nodes(self, small_traj):
+        assert_equals_reference(frames_on(small_traj, [0.2, 0.21, 0.22], [0.0, 0.5]))
+        assert_equals_reference(frames_on(small_traj, [0.2, 0.7, 5.0], [1.0, 2.0]))
 
 
 def flat_field(fn, n_T=60, n_R=200, T_max=2.5, R_max=3.0, forcing=None, d_T=None, d_R=None):

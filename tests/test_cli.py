@@ -651,6 +651,13 @@ def _with_band_columns(run_dir):
     np.savetxt(path, columns, delimiter=",", header=header, comments="")
 
 
+def _cut_store(run_dir, frames, nodes):
+    """Keep the first ``frames`` frames and ``nodes`` nodes of every stored array."""
+    for name, index in (("times", np.s_[:frames]), ("r", np.s_[:nodes]),
+                        ("u", np.s_[:frames, :nodes]), ("u_t", np.s_[:frames, :nodes])):
+        np.save(run_dir / f"{name}.npy", np.load(run_dir / f"{name}.npy")[index])
+
+
 def _with_value(path, index, value):
     """Write one value into a stored array: a .npy file or a CSV file under one header line."""
     if path.suffix == ".csv":
@@ -897,6 +904,8 @@ class TestVerifyCommand:
         ("u_t.npy", lambda d: _with_value(d / "u_t.npy", (2, 0), -np.inf)),
         ("r.npy", lambda d: _with_value(d / "r.npy", (-1,), np.inf)),
         ("r.npy", lambda d: np.save(d / "r.npy", np.load(d / "r.npy")[::-1])),
+        ("times.npy", lambda d: _cut_store(d, frames=1, nodes=None)),
+        ("r.npy", lambda d: _cut_store(d, frames=None, nodes=1)),
         ("monitors.csv", lambda d: (d / "monitors.csv").unlink()),
         ("monitors.csv", lambda d: _with_value(d / "monitors.csv", (3, 2), np.nan)),
         ("monitors.csv", lambda d: np.savetxt(d / "monitors.csv", np.ones((5, 3)), delimiter=",",

@@ -164,6 +164,20 @@ class TestGridOperators:
         with pytest.raises(DomainError, match="^d_T shape does not match the grid"):
             dataclasses.replace(field, d_T=d[:, 1:])
 
+    def test_forcing_is_checked_on_the_mask(self):
+        # energy_inequality_check reads the forcing on the mask, row by row
+        v0 = make_field(lambda T, R: T * R, n_T=20, n_R=30)
+        mask = v0.mask.copy()
+        mask[:, 0] = False
+        forcing = np.where(mask, 0.5, np.nan)  # NaN off the mask is accepted
+        field = cylinder.CylinderField(T=v0.T, R=v0.R, values=v0.values, mask=mask,
+                                       forcing=forcing)
+        with pytest.raises(DomainError, match="^nonfinite forcing on valid nodes"):
+            dataclasses.replace(field, forcing=np.where(mask & (v0.values > 1.0), np.nan, 0.0))
+        for shape in ((3, 3), (20, 31)):
+            with pytest.raises(DomainError, match="^forcing shape does not match the grid"):
+                dataclasses.replace(field, forcing=np.zeros(shape))
+
     def test_field_validation(self):
         T = np.linspace(0, 1, 5)
         R = np.linspace(0, 1, 7)

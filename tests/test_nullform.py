@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -456,6 +457,24 @@ class TestTransformedCoefficients:
         one = nullform.transformed_q0_coefficients(T[1, 2], R)
         for name in ("a", "b", "c"):
             assert np.allclose(getattr(co, name)[1, 2], getattr(one, name), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4])
+    def test_coefficients_hold_their_digits_near_the_tip(self, delta):
+        # at T + R = pi - 2 delta, against 40 digits at the same (T, R).  The frame Jacobian's
+        # products, whose (p + q)^2 - (p - q)^2 cancels there, read a_00 off by 6.9e-11 and
+        # 4.1e-9 of Omega; the closed forms by 1.2e-13 and 1.5e-12
+        R = np.linspace(0.05, 3.0, 60)
+        T = math.pi - 2.0 * delta - R
+        co = nullform.transformed_q0_coefficients(T, R)
+        with mpmath.workdps(40):
+            for i, (Ti, Ri) in enumerate(zip(map(mpmath.mpf, T), map(mpmath.mpf, R))):
+                om = mpmath.cos(Ti) + mpmath.cos(Ri)
+                for got, want in zip(co.a[i].ravel(), (om, 0, 0, -om)):
+                    assert abs(got - want) <= 1e-11 * om
+                for got, want in zip(co.b[i], (-mpmath.sin(Ti), mpmath.sin(Ri))):
+                    assert abs(got - want) <= 1e-14 * abs(want)
+                c = (mpmath.sin(Ti) ** 2 - mpmath.sin(Ri) ** 2) / om
+                assert abs(co.c[i] - c) <= 1e-12 * abs(c)
 
     def test_rejects_events_without_finite_radius(self):
         with pytest.raises(DomainError, match=re.escape(

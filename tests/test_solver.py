@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,6 +407,24 @@ class TestGuards:
         with pytest.raises(ConfigError, match=r"^Trajectory\.r must be strictly increasing"):
             replace(short_run, r=r)
 
+    def test_a_trajectory_needs_two_frames_and_two_nodes(self, short_run):
+        # sample reads between two frames and between two nodes
+        with pytest.raises(ConfigError, match=r"^Trajectory\.times must hold two values or more"):
+            replace(short_run, times=short_run.times[:1], u_frames=short_run.u_frames[:1],
+                    ut_frames=short_run.ut_frames[:1])
+        with pytest.raises(ConfigError, match=r"^Trajectory\.r must hold two values or more"):
+            replace(short_run, r=short_run.r[:1], u_frames=short_run.u_frames[:, :1],
+                    ut_frames=short_run.ut_frames[:, :1])
+
+    @pytest.mark.parametrize("name", ["u_frames", "ut_frames"])
+    def test_frames_must_be_shaped_times_by_r(self, short_run, name):
+        # sample and decay_certificate index the frames as [frame, node]
+        frames, shape = getattr(short_run, name), (len(short_run.times), len(short_run.r))
+        for bad in (frames[:, :10], frames[:-1], frames.T, frames[0]):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"Trajectory.{name} must be shaped {shape}, got {bad.shape}")):
+                replace(short_run, **{name: bad})
+
     def test_fixed_point_divergence_raises(self):
         # measured t = 1.6155, the same step as the scheme written out with u, u_t and u_r
         config = short_config(nonlinearity=compat.DT_SQUARED, epsilon=1.0, dr=0.01,
@@ -441,6 +460,17 @@ class TestGuards:
         assert traj.completed is False
         assert 0.0 < traj.times[-1] < config.t_max
         assert len(traj.monitors.t) > 0
+
+    def test_blow_up_before_the_second_frame_carries_no_trajectory(self):
+        # t_max = 2 dt keeps frames at levels 0 and 2, and the blow-up check at level 2
+        # fires before the second is stored
+        source = compat.NonlinearitySpec(
+            "source", ((lambda r: 1e30 * np.exp(-((r - 1.5) ** 2)), (0, 0, 0)),))
+        config = short_config(dr=0.01, t_max=2 * short_config(dr=0.01).dt, r_max=10.0,
+                              nonlinearity=source)
+        with pytest.raises(NaNError) as info:
+            solver.run(config)
+        assert info.value.trajectory is None
 
 
 def monitor_energy(d, g, span, dr):
@@ -731,6 +761,34 @@ class TestCylinderTransform:
         # the top row's first off-pole node, 1e-9 later, lies at the last covered time
         t_top, _ = geometry.minkowski_coords(field.T[-1] + 1e-9, field.R[1])
         assert t_top == pytest.approx(short_run.times[-1] - solver._COVERAGE_MARGIN, rel=1e-12)
+
+    def test_derivatives_hold_their_digits_out_to_t_1000(self, short_run):
+        # u = (1 + t) r with u_t = r, which sample's Hermite in t and chord in r reproduce up
+        # to rounding, against 40-digit derivatives of v = u / Omega at the (T, R) of the
+        # preimages the pushforward samples.  The bound lies between the 8.5e-12 of inverting
+        # the frame Jacobian, whose determinant cancels toward null infinity, and 7.3e-15
+        r, times = np.linspace(1.0, 1101.0, 1101), np.linspace(0.0, 1000.0, 201)
+        u = (1.0 + times)[:, None] * r
+        traj = replace(short_run, r=r, times=times, u_frames=u,
+                       ut_frames=np.broadcast_to(r, u.shape))
+        field = solver.transform_to_cylinder(traj, solver.CylinderGrid(n_T=20, n_R=200))
+        t, r = geometry.minkowski_coords(*(x[field.mask] for x in np.meshgrid(
+            field.T, field.R, indexing="ij")))
+        assert t.max() > 990.0
+
+        def v(T, R):
+            plus, minus = mpmath.tan((T + R) / 2), mpmath.tan((T - R) / 2)
+            return (1 + (plus + minus) / 2) * (plus - minus) / 2 / (mpmath.cos(T) + mpmath.cos(R))
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for ti, ri, d_T, d_R in zip(t, r, field.d_T[field.mask], field.d_R[field.mask]):
+                plus, minus = mpmath.atan(mpmath.mpf(ti) + ri), mpmath.atan(mpmath.mpf(ti) - ri)
+                T, R = plus + minus, plus - minus
+                for got, want in ((d_T, mpmath.diff(lambda x: v(x, R), T)),
+                                  (d_R, mpmath.diff(lambda x: v(T, x), R))):
+                    worst = max(worst, float(abs(got - want) / abs(want)))
+        assert worst < 1e-13
 
     def test_mask_respects_boundary_curve_and_diamond(self, short_run):
         grid = solver.CylinderGrid(n_T=40, n_R=120)
