@@ -9,14 +9,18 @@ Exit codes are fixed for scriptability:
 
     0  success
     2  parse error (config, form file, input CSV)
-    3  domain/config error, or an --out that cannot be created or written
+    3  domain/config error, or an --out that is empty or cannot be created or written
     4  stability failure
     5  nonfinite blow-up
     6  coverage error
     7  a requested verdict failed
 
-Every run writes a manifest (structured text) listing all output paths, and
-for ``simulate`` the run's config keys as the store records them; the
+Every command takes its ``--out`` through one ``Manifest``, built before the
+work: an empty ``--out``, or one that names a file, lies under one or is not
+writable, exits 3 with one ``error:`` line and creates nothing. A run with
+``--out`` writes a manifest (structured text) listing all output paths, and
+for ``simulate`` the run's config keys as the store records them; its
+``wall_clock_s`` covers the whole command from the ``--out`` check on. The
 manifest is written last via an atomic rename, so its presence certifies a
 complete run.
 """
@@ -35,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, analysis, compat, geometry, nullform, solver
-from .errors import CoverageError, NaNError, ParseError, PenwaveError, StabilityError
+from .errors import ConfigError, CoverageError, NaNError, ParseError, PenwaveError, StabilityError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,21 +70,37 @@ def _exit_code(exc: PenwaveError | OSError) -> int:
 
 
 class Manifest:
-    """Run record: resolved config, outputs, verdicts; atomic final write."""
+    """Run record of one command: its ``--out``, resolved config, outputs and verdicts.
 
-    def __init__(self, command: str):
-        self.command = command
+    Built before the command's work, it raises, creating nothing, on an empty ``out``
+    and on one whose nearest existing path (``out`` or a parent) is not a writable
+    directory. ``out=None`` is a run without ``--out``.
+    """
+
+    def __init__(self, command: str, out=None):
+        self.command, self.out = command, out
         self.started = time.time()
         self.outputs: list[str] = []
         self.verdicts: dict[str, str] = {}
         self.config: dict[str, str] = {}
+        if out == "":
+            raise ConfigError("--out must name a directory, got ''")
+        if out is not None:
+            head = os.path.abspath(out)
+            while not os.path.exists(head):
+                head = os.path.dirname(head)
+            if not (os.path.isdir(head) and os.access(head, os.W_OK)):
+                raise NotADirectoryError(f"--out {out}: {head} is not a writable directory")
 
-    def add_output(self, path) -> str:
-        self.outputs.append(str(path))
-        return str(path)
+    def output(self, name: str) -> str:
+        """The path ``out/name``, listed as an output; creates ``out`` first."""
+        os.makedirs(self.out, exist_ok=True)
+        self.outputs.append(os.path.join(self.out, name))
+        return self.outputs[-1]
 
-    def write(self, outdir, extend: bool = False) -> str:
-        """Write ``outdir/manifest.ini``; ``extend`` keeps one already there and adds to it."""
+    def write(self, extend: bool = False) -> str:
+        """Write ``out/manifest.ini`` after the outputs; ``extend`` keeps one already there
+        and adds to it."""
         doc = configparser.ConfigParser(interpolation=None)  # a path may hold a %
         doc["manifest"] = {
             "command": self.command,
@@ -89,7 +109,7 @@ class Manifest:
         }
         doc["config"] = self.config
         doc["outputs"], doc["verdicts"] = {}, {}
-        final = os.path.join(outdir, "manifest.ini")
+        final = os.path.join(self.out, "manifest.ini")
         if extend and os.path.exists(final):
             try:
                 with open(final, encoding="utf-8") as fh:
@@ -99,22 +119,11 @@ class Manifest:
         paths = dict.fromkeys([*doc["outputs"].values(), *self.outputs])
         doc["outputs"] = {f"path_{i}": p for i, p in enumerate(paths)}
         doc["verdicts"].update(self.verdicts)
-        os.makedirs(outdir, exist_ok=True)
         tmp = final + ".tmp"
         with open(tmp, "w") as fh:
             doc.write(fh)
         os.replace(tmp, final)
         return final
-
-
-def _check_out(path) -> None:
-    """Raise NotADirectoryError, creating nothing, unless the nearest existing path of
-    ``path`` and its parents is a writable directory."""
-    head = os.path.abspath(path)
-    while not os.path.exists(head):
-        head = os.path.dirname(head)
-    if not (os.path.isdir(head) and os.access(head, os.W_OK)):
-        raise NotADirectoryError(f"--out {path}: {head} is not a writable directory")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +149,7 @@ def _broken_rule(x, y, backward: bool) -> str:
 
 
 def cmd_transform(args) -> int:
-    _check_out(args.out)
+    manifest = Manifest("transform", args.out)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns on a file without data
@@ -162,14 +171,10 @@ def cmd_transform(args) -> int:
     failed = np.flatnonzero(~valid)
     for i in failed:
         print(f"row {i}: {_broken_rule(x[i], y[i], args.backward)}", file=sys.stderr)
-    manifest = Manifest("transform")
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "transformed.csv")
     header = ["T", "R", "t", "r"] if args.backward else ["t", "r", "T", "R", "omega"]
-    solver.write_series_csv(out_path, header, columns)
-    manifest.add_output(out_path)
+    solver.write_series_csv(manifest.output("transformed.csv"), header, columns)
     manifest.verdicts["rows_failed"] = str(len(failed))
-    manifest.write(args.out)
+    manifest.write()
     return EXIT_OK if len(failed) == 0 else EXIT_DOMAIN
 
 
@@ -250,8 +255,7 @@ def parse_form_file(path) -> nullform.QuadraticFormSpec | nullform.CubicFormSpec
 
 
 def cmd_check_null(args) -> int:
-    if args.out:
-        _check_out(args.out)
+    manifest = Manifest("check-null", args.out)
     if args.builtin is not None:
         dt2 = np.zeros((1, 1, 1, 4, 4), dtype=object)
         dt2[0, 0, 0, 0, 0] = Fraction(1)
@@ -283,18 +287,14 @@ def cmd_check_null(args) -> int:
         print(f"non-null, residual={decomp.residual:.3e}, "
               f"witness xi=({xi[0]:g},{xi[1]:g},{xi[2]:g},{xi[3]:g}) "
               f"symbol={value:.6g}")
-    if args.out:
-        manifest = Manifest("check-null")
+    if manifest.out is not None:
         report = analysis.structured_report(
             "null-classifier", "light-cone-symbol", args.builtin or args.form,
             decomp.residual, decomp.tol, verdict,
         )
-        path = os.path.join(args.out, "null_report.json")
-        os.makedirs(args.out, exist_ok=True)
-        analysis.write_report(report, path)
-        manifest.add_output(path)
+        analysis.write_report(report, manifest.output("null_report.json"))
         manifest.verdicts["null"] = str(verdict)
-        manifest.write(args.out)
+        manifest.write()
     if args.require_null and not verdict:
         return EXIT_VERDICT
     return EXIT_OK
@@ -305,7 +305,7 @@ def cmd_check_null(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    _check_out(args.out)
+    manifest = Manifest("compat", args.out)
     cfg = solver.read_config(args.config)
     scfg = solver.solver_config_from(cfg)
     order = solver.config_value(cfg, "verify", "order", 4, int)
@@ -315,27 +315,21 @@ def cmd_compat(args) -> int:
     f, g = scfg.data.profiles(r_b, scfg.r_max, scfg.dr, scfg.epsilon)
     jet = compat.compute_jet(f, g, scfg.nonlinearity, K=order)
     report = compat.check_compatibility(jet, scfg.obs, s=s_order, tol=tol)
-    manifest = Manifest("compat")
-    os.makedirs(args.out, exist_ok=True)
-    jet_path = os.path.join(args.out, "jet.csv")
     solver.write_series_csv(
-        jet_path,
+        manifest.output("jet.csv"),
         ["r"] + [f"psi_{k}" for k in range(order + 1)],
         [f.r] + [jet.psi[k].values for k in range(order + 1)],
     )
-    manifest.add_output(jet_path)
-    rep_path = os.path.join(args.out, "compat_report.json")
     analysis.write_report(
         analysis.structured_report(
             "boundary-compatibility", "jet-boundary-vanishing", args.config,
             max(abs(v) for v in report.boundary_values), report.tol,
             report.compatible,
         ),
-        rep_path,
+        manifest.output("compat_report.json"),
     )
-    manifest.add_output(rep_path)
     manifest.verdicts["compatible"] = str(report.compatible)
-    manifest.write(args.out)
+    manifest.write()
     for k, (val, ok) in enumerate(zip(report.boundary_values, report.passed)):
         print(f"order {k}: |psi_{k}(r_b)| = {abs(val):.3e}  "
               f"{'ok' if ok else 'VIOLATED'}")
@@ -349,18 +343,16 @@ def cmd_compat(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = solver.read_config(args.config)
     scfg = solver.solver_config_from(cfg)
-    manifest = Manifest("simulate")
-    manifest.config = {key: value for keys in solver.config_sections(scfg).values()
-                       for key, value in keys.items()}
     every = solver.config_value(cfg, "output", "snapshot_every", 5.0)
     solver.check_snapshot_every(every)  # before the run, not after it
-    _check_out(args.out)
+    manifest = Manifest("simulate", args.out)
+    manifest.config = {key: value for keys in solver.config_sections(scfg).values()
+                       for key, value in keys.items()}
     traj = solver.run(scfg)
-    for p in solver.write_outputs(traj, args.out, snapshot_every=every):
-        manifest.add_output(p)
+    manifest.outputs += solver.write_outputs(traj, manifest.out, snapshot_every=every)
     manifest.verdicts["completed"] = str(traj.completed)
-    manifest.write(args.out)
-    print(f"completed t_max={scfg.t_max:g}; outputs in {args.out}")
+    manifest.write()
+    print(f"completed t_max={scfg.t_max:g}; outputs in {manifest.out}")
     return EXIT_OK
 
 
@@ -379,9 +371,7 @@ def cmd_verify(args) -> int:
     if (check.reads == "nothing") == (args.traj is not None or args.config is not None):
         raise ParseError(f"check '{args.check}' " + ("reads no trajectory: drop --traj and --config"
                          if check.reads == "nothing" else "needs --traj DIR or --config PATH"))
-    if args.out:
-        _check_out(args.out)  # before a run that --config evolves
-    manifest = Manifest("verify")  # its clock covers the check
+    manifest = Manifest("verify", args.out)  # before a run that --config evolves
     source = None
     if args.traj is not None:
         source = solver.load_trajectory(args.traj)
@@ -393,13 +383,10 @@ def cmd_verify(args) -> int:
     shown = (f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in report.items()
              if k not in ("check", "anchor", "inputs_digest", "verdict"))
     print(f"{args.check}: {' '.join(shown)} -> {report['verdict']}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"verify_{args.check}.json")
-        analysis.write_report(report, path)
-        manifest.add_output(path)
+    if manifest.out is not None:
+        analysis.write_report(report, manifest.output(f"verify_{args.check}.json"))
         manifest.verdicts[args.check] = report["verdict"]
-        manifest.write(args.out, extend=True)
+        manifest.write(extend=True)
     return EXIT_OK if report["verdict"] == "pass" else EXIT_VERDICT
 
 

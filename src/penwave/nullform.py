@@ -289,19 +289,19 @@ def cone_witness(form: QuadraticFormSpec | CubicFormSpec) -> tuple[np.ndarray, f
     return _WITNESS_CANDIDATES[int(np.argmax(values))], max(values)
 
 
-def q0_spec(n_components: int = 1, exact: bool = False) -> QuadraticFormSpec:
-    """The basic form q0 = d_t u d_t v - grad u . grad v on the (1,1,1) slice."""
-    s = np.zeros((n_components,) * 3 + (4, 4), dtype=object if exact else float)
+def q0_spec(exact: bool = False) -> QuadraticFormSpec:
+    """The basic form q0 = d_t u d_t v - grad u . grad v of one component."""
+    s = np.zeros((1, 1, 1, 4, 4), dtype=object if exact else float)
     one = Fraction(1) if exact else 1.0
     s[0, 0, 0] = np.diag([one, -one, -one, -one])
     return QuadraticFormSpec(s=s)
 
 
-def qij_spec(i: int, j: int, n_components: int = 1, exact: bool = False) -> QuadraticFormSpec:
-    """The rotation form q_ij = d_i u d_j v - d_j u d_i v on the (1,1,1) slice."""
+def qij_spec(i: int, j: int, exact: bool = False) -> QuadraticFormSpec:
+    """The rotation form q_ij = d_i u d_j v - d_j u d_i v of one component."""
     if not (0 <= i <= 3 and 0 <= j <= 3 and i != j):
         raise DomainError(f"need distinct indices in 0..3, got ({i}, {j})")
-    s = np.zeros((n_components,) * 3 + (4, 4), dtype=object if exact else float)
+    s = np.zeros((1, 1, 1, 4, 4), dtype=object if exact else float)
     one = Fraction(1) if exact else 1.0
     s[0, 0, 0, i, j] = one
     s[0, 0, 0, j, i] = -one

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, file formats, manifests."""
 
+import ast
 import configparser
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -803,19 +805,6 @@ class TestVerifyCommand:
             cli.main(["verify", "--check", "identity-omega", "--seed", "1"])
         assert info.value.code == 2
 
-    def test_manifest_clock_covers_the_check(self, tmp_path, monkeypatch):
-        def slow_check(_):
-            time.sleep(0.05)
-            return 0, 0.0, True, {}
-
-        monkeypatch.setitem(analysis.CHECKS, "identity-omega", analysis.Check(
-            "identity-omega", "sleep", "nothing", 1.0, "<", slow_check))
-        out = tmp_path / "v"
-        assert cli.main(["verify", "--check", "identity-omega", "--out", str(out)]) == 0
-        doc = configparser.ConfigParser()
-        doc.read(out / "manifest.ini")
-        assert float(doc["manifest"]["wall_clock_s"]) >= 0.05
-
     def test_trajectory_checks_need_a_source(self):
         assert cli.main(["verify", "--check", "decay"]) == cli.EXIT_PARSE
 
@@ -953,46 +942,106 @@ class TestVerifyCommand:
         assert "sigma must lie in (0, 1]" in capsys.readouterr().err
 
 
+# the work each command must not start before its --out check; out_argv gives its other arguments
+OUT_WORK = {"transform": (geometry, "einstein_coords"),
+            "check-null": (nullform, "check_null_semilinear"),
+            "compat": (compat, "compute_jet"), "simulate": (solver, "run"),
+            "verify": (solver, "run")}
+
+
+def out_argv(tmp_path, config_path, command):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1.0,2.0\n")
+    return {"transform": ["--input", str(rows)], "check-null": ["--builtin", "q0"],
+            "compat": ["--config", config_path], "simulate": ["--config", config_path],
+            "verify": ["--check", "decay", "--config", config_path]}[command]
+
+
 class TestOutThatCannotBeCreated:
-    @pytest.mark.parametrize("command", ["transform", "check-null", "compat", "simulate",
-                                         "verify"])
+    @pytest.mark.parametrize("command", OUT_WORK)
     @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
     def test_is_an_error_line_and_exit_3(self, tmp_path, capsys, monkeypatch, config_path,
                                          command, where):
         # it ended in a FileExistsError traceback (exit 1), simulate after the whole run
-        rows = tmp_path / "rows.csv"
-        rows.write_text("1.0,2.0\n")
+        argv = out_argv(tmp_path, config_path, command)
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
         out = str(blocker if where == "a-file" else blocker / "sub")
-        argv = {"transform": ["--input", str(rows)], "check-null": ["--builtin", "q0"],
-                "compat": ["--config", config_path], "simulate": ["--config", config_path],
-                "verify": ["--check", "identity-omega"]}[command]
         monkeypatch.setattr(solver, "run", None)  # simulate rejects --out before the run
         assert cli.main([command, *argv, "--out", out]) == cli.EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("command,work", [
-        ("transform", (geometry, "einstein_coords")),
-        ("check-null", (nullform, "check_null_semilinear")),
-        ("compat", (compat, "compute_jet")),
-    ], ids=["transform", "check-null", "compat"])
+    @pytest.mark.parametrize("command", OUT_WORK)
     def test_is_checked_before_the_work(self, tmp_path, capsys, monkeypatch, config_path,
-                                        command, work):
-        rows = tmp_path / "rows.csv"
-        rows.write_text("1.0,2.0\n")
+                                        command):
+        argv = out_argv(tmp_path, config_path, command)
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
-        argv = {"transform": ["--input", str(rows)], "check-null": ["--builtin", "q0"],
-                "compat": ["--config", config_path]}[command]
-        monkeypatch.setattr(*work, None)  # the check comes first
+        monkeypatch.setattr(*OUT_WORK[command], None)  # the check comes first
         before = sorted(tmp_path.rglob("*"))
         assert cli.main([command, *argv, "--out", str(blocker)]) == cli.EXIT_DOMAIN
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", OUT_WORK)
+    def test_empty_is_rejected_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                               config_path, command):
+        # check-null and verify skipped an empty --out and exited 0; the other three did
+        # their work and then failed on os.makedirs('')
+        argv = out_argv(tmp_path, config_path, command)
+        monkeypatch.setattr(*OUT_WORK[command], None)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, *argv, "--out", ""]) == cli.EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --out must name a directory, got ''\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", OUT_WORK)
+    def test_clock_covers_the_work(self, tmp_path, monkeypatch, config_path, command):
+        # transform's read, check-null's classification and compat's jet ran before the
+        # clock started
+        owner, name = OUT_WORK[command]
+        work = getattr(owner, name)
+
+        def slow_work(*args, **kwargs):
+            time.sleep(0.05)
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, slow_work)
+        out = tmp_path / "out"
+        argv = out_argv(tmp_path, config_path, command)
+        assert cli.main([command, *argv, "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_VERDICT)
+        doc = configparser.ConfigParser()
+        doc.read(out / "manifest.ini")
+        assert float(doc["manifest"]["wall_clock_s"]) >= 0.05
+
+    def test_only_the_manifest_checks_creates_and_joins_out(self):
+        """Outside ``Manifest``, ``cli.py`` creates no directory, tests no access, joins no
+        path onto an ``out`` and reads ``args.out`` only to build the manifest, so no
+        command can do the ``--out`` steps itself, or its work before the check."""
+        tree = ast.parse(inspect.getsource(cli))
+        manifest = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "Manifest")
+        inside = {id(node) for node in ast.walk(manifest)}
+        built = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "Manifest"
+                 for arg in node.args}
+        outside = [node for node in ast.walk(tree) if id(node) not in inside]
+        for node in outside:
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("makedirs", "access"), ast.unparse(node)
+                if isinstance(node.value, ast.Name) and node.value.id == "args":
+                    assert node.attr != "out" or id(node) in built, node.lineno
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.path.join":
+                first = node.args[0]
+                assert not (isinstance(first, ast.Attribute) and first.attr == "out"), \
+                    ast.unparse(node)
 
 
 class TestExitCodeMapping:

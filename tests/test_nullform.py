@@ -322,10 +322,9 @@ class TestArrayPassMatchesSliceLoop:
 
     def test_basic_forms(self):
         for exact in (True, False):
-            for n in (1, 2):
-                self.assert_same(nullform.q0_spec(n, exact=exact))
-                for i, j in itertools.permutations(range(4), 2):
-                    self.assert_same(nullform.qij_spec(i, j, n, exact=exact))
+            self.assert_same(nullform.q0_spec(exact=exact))
+            for i, j in itertools.permutations(range(4), 2):
+                self.assert_same(nullform.qij_spec(i, j, exact=exact))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_extreme_and_odd_inputs(self):
