@@ -434,7 +434,10 @@ def _decay(traj: Trajectory, sigma: float = DEFAULT_SIGMA, tail_from: float | No
 def _morawetz(traj: Trajectory):
     """Exponential decay rate of the local energy over MORAWETZ_WINDOW.  Where it is already
     extinct there (at most 1e-20 of the initial energy: sharp Huygens propagation), the
-    "extinct" branch fits its collapse, which must end before the window, from half-way on."""
+    "extinct" branch fits its collapse, which must end before the window, from half-way on.
+    Morawetz's estimate is for the linear problem: a nonlinear run is a DomainError."""
+    if (spec := traj.config.nonlinearity).terms:
+        raise DomainError(f"morawetz certifies the linear problem, and '{spec.name}' has terms")
     m = traj.monitors
     series = Series(m.t, np.maximum(m.E_local, 1e-300))
     fit = fit_exponential(series, window=MORAWETZ_WINDOW)

@@ -13,29 +13,31 @@ first step is the Taylor expansion u(dt) = psi_0 + dt psi_1 + dt^2/2 psi_2 of
 the compatibility jet, and ``run`` steps one level past t_max so that the last
 level's u_t is a centred difference too.  When N depends on u_t the update is
 implicit through (u^{n+1} - u^{n-1})/(2 dt); two fixed-point sweeps from the lagged
-value resolve it.  When N(0) = 0, ``run`` steps only the light-cone window
-r <= r_b + support + t + 2 and holds exact zeros beyond (the data is zeroed beyond
-its support radius, where the bump is below 2.3e-16 of its peak); any other input
-steps the full grid.  When N = 0, w = r u obeys sharp Huygens (d'Alembert with the odd
-reflection at r_b), so the full grid holds only rounding noise behind the back edge
-r - r_b = t - (support - r_b) - 2.  Every 50 steps the edge zeroes the nodes it passes
-while their |w| is at most 1e-10 of the shell's peak (7e-13 at most on the t = 80 run
-at dr = 5e-3); more, such as the slow high-k modes of data too narrow for the grid,
-stops it.  A nonzero N leaves a wake there (1e-2 of the peak for dt-squared), so only
-linear runs take the edge.  The step evaluates N on raw stencil differences (w,
-w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r), with the scales that turn them into u, u_t
-and u_r folded once into each monomial's coefficient.  The monitors differentiate each
-level they read themselves: the energy, 4 pi x the trapezoid of r^2 (u_t^2 + u_r^2), is
-summed from the squares of d = span r u_t (the level difference w_next - w_prev, r psi_1
-at t = 0) and g = r u_r = dw/dr - u, less half the two end terms.  It differs from the
-trapezoid of the density by rounding only (1.3e-15 of its scale at most on the bench runs).
+value resolve it.  When N(0) = 0, ``run`` steps only the shell between the data's outgoing
+and reflected light cones and holds exact zeros outside it.  Ahead of the front edge
+r = r_b + support + t + 2 the field vanishes (the data is zeroed beyond its support
+radius, where the bump is below 2.3e-16 of its peak).  Behind the back edge
+r - r_b = t - (support - r_b) - 2 the full grid holds a wake only: rounding noise when
+N = 0 (w = r u obeys sharp Huygens, by d'Alembert with the odd reflection at r_b), and
+O(eps dr^2) truncation error for a null form such as Q0, which Nirenberg's map turns into
+the linear equation.  Every 50 steps the edge, rounded up to the next node 1 + 8 k, zeroes
+the nodes it passes while their |w| is at most ``quiet`` of the shell's peak: 1e-10 when
+N = 0 (7e-13 at most on the t = 80 run at dr = 5e-3), else _NULL_WAKE eps dr^2.  More,
+such as the slow high-k modes of data too narrow for the grid or a non-null N's wake
+(3.2e-4 of the peak for dt-squared), stops it.  Any other N steps the full grid.  The step
+evaluates N on raw stencil differences (w, w - w_prev, w_{j+1} - w_{j-1} - 2 dr w / r),
+with the scales that turn them into u, u_t and u_r folded once into each monomial's
+coefficient.  The monitors differentiate each level they read themselves: the energy,
+4 pi x the trapezoid of r^2 (u_t^2 + u_r^2), is summed from the squares of d = span r u_t
+(the level difference w_next - w_prev, r psi_1 at t = 0) and g = r u_r = dw/dr - u, less
+half the two end terms.  It differs from the trapezoid of the density by rounding only
+(1.3e-15 of its scale at most on the bench runs).
 
 The frame stacks live in one private anonymous mapping (POSIX only), whose unwritten
-pages read as zeros and take no memory: a windowed run holds only its light-cone window
-(0.57 of the stacks on the t = 80 Q0 run), a linear run only its shell (0.29 of them at
-dr = 5e-3 and t = 40).  A full-grid run, or a host with transparent huge pages
-``always``, saves nothing but behaves the same.  ``Trajectory.ur_frames`` yields u_r
-one frame row at a time and holds no stack.
+pages read as zeros and take no memory: a run with N(0) = 0 holds only its shell (0.15 of
+the stacks on the t = 80 Q0 run, 0.29 on the linear run at dr = 5e-3 and t = 40).  A
+full-grid run, or a host with transparent huge pages ``always``, saves nothing but behaves
+the same.  ``Trajectory.ur_frames`` yields u_r one frame row at a time and holds no stack.
 
 All dynamics run in Minkowski coordinates (fixed boundary r = r_b); fields on
 the cylinder are produced afterwards by pushing stored frames through the
@@ -83,6 +85,10 @@ _FRAME_SPACING = 0.1  # a frame every round(0.1 / dt) steps
 _MONITOR_STRIDE = 4  # monitors every 4 steps
 _STORE_ARRAYS = ("r", "times", "u", "u_t")  # the store's array files, each <name>.npy
 _COVERAGE_MARGIN = 2.0  # cylinder rows need preimages with t <= t_max - 2
+# a nonlinear run's back edge zeroes a wake up to C eps dr^2 of the peak, C = 5: it reads up
+# to 0.64 and 4.2 behind Q0 data of width 0.25 and 0.1 (dr = 2e-2 .. 5e-3), u_t^2 - 0.99 u_r^2
+# more than 5 by r - r_b = 0.7 and u_t^2 - 0.999 u_r^2 by 4.3 at dr <= 1e-2
+_NULL_WAKE = 5.0
 
 # the sections and keys a config file may hold, in the order the store writes them
 _SCHEMA = {
@@ -225,11 +231,10 @@ def run(config: SolverConfig) -> Trajectory:
     inv_r = 1.0 / r
     reach = back = None
     if all(sum(p) >= 1 for _, p in config.nonlinearity.terms):
-        # N(0) = 0: the field vanishes ahead of the light cone of the data
-        reach = config.data.support_radius + 2.0
+        # N(0) = 0: the field vanishes but for a wake outside the shell, see the module docstring
+        reach, back = config.data.support_radius + 2.0, config.data.support_radius - r_b + 2.0
         psi = [np.where(r > config.data.support_radius, 0.0, p) for p in psi]
-        if not config.nonlinearity.terms:  # N = 0: the shell, see the module docstring
-            back = config.data.support_radius - r_b + 2.0
+    quiet = _NULL_WAKE * config.epsilon * dr ** 2 if config.nonlinearity.terms else 1e-10
 
     frames_t = []  # frames are written in place at levels 0, stride, 2 stride, ... and the last
     frames_u, frames_ut = _zero_stack((2, n_steps // stride + 2, len(r)))
@@ -284,7 +289,8 @@ def run(config: SolverConfig) -> Trajectory:
                           completed=completed)
 
     # one level past the last, so that its u_t is centred too
-    steps = _leapfrog(r, dr, dt, psi, n_steps + 1, config.nonlinearity, reach=reach, back=back)
+    steps = _leapfrog(r, dr, dt, psi, n_steps + 1, config.nonlinearity, reach=reach, back=back,
+                      quiet=quiet)
     try:
         for level, w_prev, w_curr, w_next, lo, hi in steps:
             if level % _MONITOR_STRIDE == 0 or level % stride == 0 or level == n_steps:
@@ -306,17 +312,17 @@ def _zero_stack(shape):
 
 
 def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps=None,
-              back=None):
+              back=None, quiet=1e-10):
     """Leapfrog for w = r u from the jet psi_0..psi_2, whose Taylor step seeds level 1.
 
     Yields ``(level, w_prev, w_curr, w_next, lo, hi)`` for level = 0 .. n_steps - 1
-    (``w_prev`` is None at level 0) in three reused buffers.  Nodes lo .. hi-1 are
-    stepped, the rest hold zeros: all inner nodes, or with ``reach`` those with
-    r - r_b <= reach + t and with ``back`` those with r - r_b > t - back (see the module
-    docstring).  ``order`` (2 or 4) is the spatial order of w_rr and u_r.  When N depends
-    on u_t and ``sweeps`` is a list, each step appends its two fixed-point increments to
-    it.  Raises StabilityError when the sweeps diverge and NaNError on blow-up, checked
-    every 50 steps and on the last one.
+    (``w_prev`` is None at level 0) in three reused buffers.  Nodes lo .. hi-1 are stepped,
+    the rest hold zeros: all inner nodes, or with ``reach`` those with r - r_b <= reach + t
+    and with ``back`` those with r - r_b > t - back, while the nodes the edge passes hold
+    |w| at most ``quiet`` x the peak (see the module docstring).  ``order`` (2 or 4) is the
+    spatial order of w_rr and u_r.  When N depends on u_t and ``sweeps`` is a list, each
+    step appends its two fixed-point increments to it.  Raises StabilityError when the
+    sweeps diverge and NaNError on blow-up, checked every 50 steps and on the last one.
     """
     n = len(r) - 1
     k = (dt / dr) ** 2
@@ -400,9 +406,10 @@ def _leapfrog(r, dr, dt, psi, n_steps, nonlinearity, order=2, reach=None, sweeps
             peak = float(np.abs(base).max())
             if not math.isfinite(peak) or peak > 1e12:
                 raise NaNError(f"nonfinite values at t = {t:.4f}")
-            if back is not None and (edge := int((t - back) / dr) + 1) > lo:
-                # sharp Huygens leaves rounding noise only there; anything more stops the edge
-                if max(np.abs(cur[lo:edge]).max(), np.abs(nxt[lo:edge]).max()) > 1e-10 * peak:
+            # the edge, rounded up to a node 1 + 8 k that ``_aligned`` puts on a cache line, passes
+            # a wake of |w| up to quiet x peak; anything more stops it
+            if back is not None and (edge := 8 * -(-int((t - back) / dr) // 8) + 1) > lo:
+                if max(np.abs(cur[lo:edge]).max(), np.abs(nxt[lo:edge]).max()) > quiet * peak:
                     back = None
                 else:
                     prv[lo:edge] = cur[lo:edge] = nxt[lo:edge] = 0.0

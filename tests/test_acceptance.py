@@ -245,8 +245,9 @@ def test_11_vanishing_orders_at_the_tip():
 
 @pytest.mark.skipif(not HAS_STATM, reason="needs /proc/self/statm")
 def test_12_memory_bound_of_the_t80_run(null_run):
-    # the windowed run writes about half of its frame stacks' nodes, and only written
-    # pages are resident: it grew by 0.57 of the stacks' 222 MB (1.01 with np.zeros)
+    # the run writes only the shell between the data's outgoing and reflected light cones,
+    # and only written pages are resident: it grew by 0.15 of the stacks' 222 MB (0.56 with
+    # the light-cone window alone, 1.01 with np.zeros)
     ratio = FIXTURE_RESIDENT["grown"] / FIXTURE_RESIDENT["stacks"]
     assert ratio <= 0.65, ratio
     _passline(12, "t = 80 memory bound", f"resident growth {FIXTURE_RESIDENT['grown'] / 1e6:.0f} MB, {ratio:.2f} of the frame stacks' {FIXTURE_RESIDENT['stacks'] / 1e6:.0f} MB (bound 0.65)")

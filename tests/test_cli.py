@@ -850,6 +850,24 @@ class TestVerifyCommand:
         report = json.loads((out / "verify_morawetz.json").read_text())
         assert report["branch"] == "literal" and report["value"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("source", ["--config", "--traj"])
+    @pytest.mark.parametrize("nonlinearity", ["q0-radial", "dt-squared"])
+    def test_morawetz_refuses_a_nonlinear_run(self, tmp_path, capsys, source, nonlinearity):
+        # Morawetz's estimate is for the linear problem, and a Q0 run's shell zeroes the
+        # local energy near r_b by construction
+        path = tmp_path / "nonlinear.ini"
+        path.write_text(SHORT_LINEAR_CONFIG.replace("= zero", f"= {nonlinearity}"))
+        target = str(path)
+        if source == "--traj":
+            target = str(tmp_path / "run")
+            assert cli.main(["simulate", "--config", str(path), "--out", target]) == cli.EXIT_OK
+            capsys.readouterr()
+        code = cli.main(["verify", "--check", "morawetz", source, target])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DOMAIN and captured.out == ""
+        assert captured.err == (f"error: morawetz certifies the linear problem, and "
+                                f"'{nonlinearity}' has terms\n")
+
     def test_morawetz_needs_a_run_that_reaches_its_window(self, tmp_path, capsys):
         path = tmp_path / "short.ini"
         path.write_text(SHORT_LINEAR_CONFIG.replace("t_max = 8.0", "t_max = 4.0"))

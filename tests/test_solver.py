@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from penwave import analysis, compat, geometry, solver
+from penwave import analysis, compat, geometry, nullform, solver
 from penwave.errors import ConfigError, NaNError, RangeError, StabilityError
 
 
@@ -219,14 +219,26 @@ class TestNonlinearRuns:
         assert np.array_equal(solver._aligned(n, x), x)
 
     def test_light_cone_window_matches_full_grid(self):
-        # N(0) = 0 steps only the light-cone window
-        run_against_full_grid(short_config(nonlinearity=compat.Q0_RADIAL, t_max=6.0,
-                                           r_max=12.0))
+        # N(0) = 0 steps only the shell.  Ahead of the back edge r - r_b = t - (S - r_b) - 2,
+        # past the band of 0.5 that its moves of 50 levels and up to 8 nodes disturb, the run
+        # matches the full grid within 1e-10 of scale.  Behind where the edge stands the shell
+        # holds exact zeros and the full grid Q0's truncation wake, in w = r u at most
+        # C eps dr^2 of the frame's peak (measured 0.50 eps dr^2)
+        config = short_config(nonlinearity=compat.Q0_RADIAL, dr=0.01,
+                              cfl=solver.SolverConfig().cfl, t_max=12.0, r_max=18.0)
+        shell, full = run_against_full_grid(config, ahead=0.5)
+        support, r_b = config.data.support_radius, config.obs.r_b
+        behind = shell.r - r_b <= shell.times[:, None] - 50 * config.dt - (support - r_b) - 2.0
+        assert behind[-1].sum() > 600
+        assert not shell.u_frames[behind].any() and not shell.ut_frames[behind].any()
+        w = np.abs(full.r * full.u_frames)[1:]  # frame 0 is u = f = 0
+        wake = np.where(behind[1:], w, 0.0).max(axis=1)
+        assert np.all(wake <= solver._NULL_WAKE * config.epsilon * config.dr ** 2 * w.max(axis=1))
 
     def test_linear_shell_matches_full_grid(self):
         # N = 0 steps only the shell between the data's outgoing and reflected light cones
         config = short_config(dr=0.01, cfl=solver.SolverConfig().cfl, t_max=12.0, r_max=18.0)
-        shell = run_against_full_grid(config)
+        shell, _ = run_against_full_grid(config)
         # the back edge r - r_b = t - (S - r_b) - 2 moves every 50 steps; behind where it
         # stands the shell run holds exact zeros, and E_local is 0 once it has passed 2 r_b
         support, r_b, m = config.data.support_radius, config.obs.r_b, shell.monitors
@@ -240,13 +252,13 @@ class TestNonlinearRuns:
         # data two nodes wide trails the scheme's slow high-k modes (measured 5.5e-4 to
         # 8.4e-4 of the frame's peak at t = 10-12)
         (dict(data=solver.DataSpec(width=0.02)), 2e-4),
-        # N != 0 leaves a wake (measured 1.0e-2 to 1.1e-2), so no back edge is taken
+        # a non-null N leaves a wake (measured 1.0e-2 to 1.1e-2), which stops the back edge
         (dict(nonlinearity=compat.DT_SQUARED), 5e-3),
     ], ids=["narrow-data", "dt-squared"])
     def test_a_wake_behind_the_back_edge_is_kept(self, overrides, share):
         config = short_config(dr=0.01, cfl=solver.SolverConfig().cfl, t_max=12.0,
                               r_max=18.0, **overrides)
-        traj = run_against_full_grid(config)
+        traj, _ = run_against_full_grid(config)
         support, r_b = config.data.support_radius, config.obs.r_b
         late = traj.times >= 10.0
         behind = traj.r - r_b <= traj.times[late, None] - (support - r_b) - 2.0
@@ -273,10 +285,80 @@ class TestNonlinearRuns:
         assert report["branch"] == "literal" and report["verdict"] == "fail"
 
 
-def run_against_full_grid(config):
-    """``solver.run(config)``, checked against the same problem with a zero monomial with no
-    factors added, which makes it step the full grid; each series is compared on the
-    scale of its kind (the local energy is a part of the total)."""
+NEAR_NULL = compat.NonlinearitySpec("near-null", ((1.0, (0, 2, 0)), (-0.99, (0, 0, 2))))
+
+
+def radial_form(nonlinearity):
+    """The quadratic form of c_t u_t^2 + c_r u_r^2 on radial fields, for ``check-null``'s
+    classifier: c_r u_r^2 is c_r |grad u|^2, so the form is diag(c_t, c_r, c_r, c_r)."""
+    s = np.zeros((1, 1, 1, 4, 4))
+    for coeff, (_, p_t, p_r) in nonlinearity.terms:
+        for i in (0,) if p_t == 2 else (1, 2, 3) if p_r == 2 else ():
+            s[0, 0, 0, i, i] += coeff
+    return nullform.QuadraticFormSpec(s=s)
+
+
+def run_recording_the_edge(config, back=True):
+    """``solver.run(config)`` and the first stepped node lo of every level; with
+    ``back=False`` the run steps its light-cone window without the back edge."""
+    leapfrog, lo = solver._leapfrog, []
+
+    def recording(*args, **kw):
+        for step in leapfrog(*args, **(kw if back else {**kw, "back": None})):
+            lo.append(step[4])
+            yield step
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_leapfrog", recording)
+        return solver.run(config), lo
+
+
+class TestTheEdgesHuygensTest:
+    """The back edge passes a null form's wake, truncation error of O(eps dr^2), and stops
+    at a non-null form's, in agreement with ``check-null``'s verdict on the form."""
+
+    @staticmethod
+    def config(nonlinearity, width=0.25, epsilon=0.01):
+        return solver.SolverConfig(nonlinearity=nonlinearity, epsilon=epsilon,
+                                   data=solver.DataSpec(width=width), dr=2e-2, t_max=20.0,
+                                   r_max=26.0)
+
+    @pytest.mark.parametrize("width,epsilon", [(0.25, 0.01), (0.25, 0.5), (0.1, 0.01),
+                                               (0.1, 0.5)])
+    def test_q0_reaches_the_reflected_cone(self, width, epsilon):
+        assert nullform.check_null_semilinear(radial_form(compat.Q0_RADIAL))[0]
+        config = self.config(compat.Q0_RADIAL, width, epsilon)
+        traj, lo = run_recording_the_edge(config)
+        support, r_b, t = config.data.support_radius, config.obs.r_b, traj.times[-1]
+        # the edge moves every 50 levels, the last time at most 50 dt before the end, to a
+        # node 1 + 8 k that ``_aligned`` puts on a cache line
+        assert traj.r[lo[-1]] - r_b >= t - 50 * config.dt - (support - r_b) - 2.0
+        assert all(node % 8 == 1 for node in lo)
+        assert not traj.u_frames[-1, :lo[-1]].any()
+
+    def test_dt_squared_never_moves_the_edge(self):
+        assert not nullform.check_null_semilinear(radial_form(compat.DT_SQUARED))[0]
+        traj, lo = run_recording_the_edge(self.config(compat.DT_SQUARED))
+        window, _ = run_recording_the_edge(self.config(compat.DT_SQUARED), back=False)
+        assert set(lo) == {1}
+        for got, ref in ((traj.u_frames, window.u_frames), (traj.ut_frames, window.ut_frames),
+                         *zip(vars(traj.monitors).values(), vars(window.monitors).values())):
+            assert np.array_equal(got, ref)
+
+    def test_a_near_null_form_stops_the_edge(self):
+        # u_t^2 - 0.99 u_r^2 is not null, and its wake does not shrink like dr^2: the edge
+        # stops at r - r_b = 0.66, where Q0's reaches 15.2
+        assert not nullform.check_null_semilinear(radial_form(NEAR_NULL))[0]
+        traj, lo = run_recording_the_edge(self.config(NEAR_NULL))
+        assert traj.r[lo[-1]] - traj.r[0] < 1.0
+        assert traj.u_frames[-1, lo[-1]:lo[-1] + 50].all()  # the wake stays in the frames
+
+
+def run_against_full_grid(config, ahead=-np.inf):
+    """``solver.run(config)`` and the same problem with a zero monomial with no factors
+    added, which makes it step the full grid, checked to agree within 1e-10 of the scale of
+    each series' kind (the local energy is a part of the total); the frames only at nodes
+    more than ``ahead`` ahead of the back edge r - r_b = t - (S - r_b) - 2."""
     windowed = solver.run(config)
     zero_source = compat.NonlinearitySpec(config.nonlinearity.name + "-zero-source",
                                           config.nonlinearity.terms + ((0.0, (0, 0, 0)),))
@@ -284,15 +366,19 @@ def run_against_full_grid(config):
     wm, fm = windowed.monitors, full.monitors
     u_scale = np.max(np.abs(full.u_frames))
     e_scale = np.max(fm.E_total)
-    pairs = [(windowed.u_frames, full.u_frames, u_scale),
-             (windowed.ut_frames, full.ut_frames, np.max(np.abs(full.ut_frames))),
+    edge = full.times[:, None] - (config.data.support_radius - config.obs.r_b) - 2.0
+    compared = full.r - config.obs.r_b > edge + ahead
+    pairs = [(windowed.u_frames[compared], full.u_frames[compared], u_scale),
+             (windowed.ut_frames[compared], full.ut_frames[compared],
+              np.max(np.abs(full.ut_frames))),
              (wm.E_total, fm.E_total, e_scale), (wm.E_local, fm.E_local, e_scale),
              (wm.sup_u, fm.sup_u, u_scale)]
     assert np.array_equal(windowed.times, full.times)
+    assert windowed.u_frames.shape == full.u_frames.shape
     for got, ref, scale in pairs:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-10 * scale
-    return windowed
+    return windowed, full
 
 
 def reference_step(r, dr, dt, prv, cur, hi, nonlinearity, order):
