@@ -1,10 +1,9 @@
 """Decay fits and estimate certificates over solver output.
 
-Quantitative post-processing: power-law and exponential fits of monitor
-series, the weighted sup-norm decay certificate, the cylinder energy
-inequality, weighted-norm boundedness reports, and vanishing-order fits for
-the degenerating frame coefficients.  ``CHECKS`` is the one table of named
-certificates that ``penwave verify`` and the acceptance criteria both run.
+Quantitative post-processing: power-law and exponential fits of monitor series, the
+weighted sup-norm decay certificate, the cylinder energy inequality and weighted-norm
+boundedness reports.  ``CHECKS`` is the one table of named certificates that
+``penwave verify`` and the acceptance criteria both run.
 
 Boundedness claims are certified scale-free: instead of absolute constants
 (none are canonical for this problem), each certificate reports a plateau
@@ -37,7 +36,6 @@ __all__ = [
     "decay_certificate",
     "energy_inequality_check",
     "weighted_norm_report",
-    "vanishing_order_fit",
     "structured_report",
     "Check",
     "write_report",
@@ -66,8 +64,8 @@ class Series:
         object.__setattr__(self, "y", y)
         if t.shape != y.shape or t.ndim != 1:
             raise DomainError("series abscissae and ordinates must be 1-d and aligned")
-        if not (np.diff(t) > 0).all():  # a NaN does not increase
-            raise DomainError("series abscissae t must be strictly increasing")
+        if not ((np.diff(t) > 0).all() and np.isfinite(t).all()):  # a NaN does not increase
+            raise DomainError("series abscissae t must be strictly increasing and finite")
         if not np.all(np.isfinite(y)) or np.any(y < 0):
             raise DomainError("series ordinates must be finite and nonnegative")
 
@@ -281,45 +279,23 @@ def weighted_norm_report(
                               bounded=CHECKS["weighted-norms"].passes(plateau))
 
 
-def vanishing_order_fit(samples) -> FitResult:
-    """Log-log slope of |value| against distance for degenerating coefficients.
-
-    ``samples`` is a sequence of (dist, value) pairs with geometrically
-    decreasing distances.  Raises FitError on fewer than 8 samples, on a sample
-    whose distance is not positive and finite or whose value is not finite
-    (naming the first such sample), and when a value underflows.
-    """
-    samples = list(samples)
-    if len(samples) < 8:
-        raise FitError(f"need >= 8 samples, got {len(samples)}")
-    dist = np.array([s[0] for s in samples], dtype=float)
-    vals = np.abs(np.array([s[1] for s in samples], dtype=float))
-    bad = np.flatnonzero(~(np.isfinite(dist) & (dist > 0) & np.isfinite(vals)))
-    if bad.size:
-        raise FitError(f"sample {bad[0]} (dist, value) = {tuple(samples[bad[0]])}: the "
-                       f"distance must be positive and finite and the value finite")
-    if np.any(vals < 1e-280):
-        raise FitError("sample values underflow; cannot fit a log-log slope")
-    x, y = np.log(dist), np.log(vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    return FitResult(float(slope), _r_squared(x, y, slope, intercept))
-
-
 # ---------------------------------------------------------------------------
 # structured reports
 
 
 def structured_report(name: str, anchor: str, inputs, value: float,
                       threshold: float, verdict: bool) -> dict:
-    """JSON-ready certificate record with a digest of the inputs: of each part
-    of a tuple in turn, an array by dtype, shape and bytes, anything else by repr.
-    ``margin`` is threshold - value, how far the value lies below a threshold that
-    bounds it from above; ``Check.run`` gives value - threshold for a lower bound."""
+    """JSON-ready certificate record with a digest of the inputs: of each part of a tuple in
+    turn, an array by dtype, shape and bytes (an object array, whose bytes are pointers, by
+    its entries' repr), anything else by repr.  ``margin`` is threshold - value, how far the
+    value lies below a threshold that bounds it from above; ``Check.run`` gives
+    value - threshold for a lower bound."""
     digest = hashlib.sha256()
     for part in inputs if isinstance(inputs, tuple) else (inputs,):
         if isinstance(part, np.ndarray):
             digest.update(f"{part.dtype.str}{part.shape}".encode())
-            digest.update(np.ascontiguousarray(part))
+            digest.update(repr(part.tolist()).encode() if part.dtype == object
+                          else np.ascontiguousarray(part))
         else:
             digest.update(repr(part).encode())
     return {
@@ -351,7 +327,8 @@ class Check:
     """A named certificate.  ``reads`` names its source ("trajectory", "field" or "nothing")
     and ``compute(source, **params)`` gives the inputs to digest, the value, whether the
     side conditions hold and extra report fields.  ``takes_sigma``: ``verify`` passes it
-    ``--sigma``.  The report's ``margin`` is positive on the passing side of the threshold."""
+    ``--sigma``.  ``linear_only``: it certifies only runs whose nonlinearity has no terms.
+    The report's ``margin`` is positive on the passing side of the threshold."""
 
     name: str
     anchor: str
@@ -360,11 +337,19 @@ class Check:
     direction: str
     compute: object
     takes_sigma: bool = False
+    linear_only: bool = False
 
     def passes(self, value: float) -> bool:
         return _PASSES[self.direction](value, self.threshold)
 
+    def admit(self, config: solver.SolverConfig) -> None:
+        """Raise DomainError for a run this check does not certify, before it is evolved."""
+        if self.linear_only and (F := config.nonlinearity).terms:
+            raise DomainError(f"{self.name} certifies the linear problem, and '{F.name}' has terms")
+
     def run(self, source=None, **params) -> dict:
+        if self.reads == "trajectory":
+            self.admit(source.config)
         inputs, value, side_ok, extra = self.compute(source, **params)
         verdict = bool(side_ok) and self.passes(value)
         report = structured_report(self.name, self.anchor, inputs, value, self.threshold, verdict)
@@ -419,34 +404,34 @@ def _vanishing_order(_):
     T, R = math.pi - VANISHING_EPS, VANISHING_EPS / 8.0
     p, q = geometry.frame_terms(*geometry.minkowski_coords(T, R))
     a00 = nullform.transformed_q0_coefficients(T, R).a[..., 0, 0]
-    frame = vanishing_order_fit(zip(VANISHING_EPS, p + q)).exponent
-    a_block = vanishing_order_fit(zip(VANISHING_EPS, a00)).exponent
+    eps = VANISHING_EPS[::-1]  # in increasing distance, the whole sample as the window
+    frame, a_block = (fit_power(Series(eps, np.abs(y[::-1])), (eps[0], eps[-1])).exponent
+                      for y in (p + q, a00))
     return VANISHING_EPS, min(frame, a_block), True, {"frame_slope": frame,
                                                       "a_block_slope": a_block}
 
 
 def _decay(traj: Trajectory, sigma: float = DEFAULT_SIGMA, tail_from: float | None = None):
     cert = decay_certificate(traj, sigma=sigma, tail_from=tail_from)
-    inputs = (traj.times, traj.u_frames, traj.ut_frames, solver.config_sections(traj.config))
+    inputs = (traj.times, traj.r, traj.u_frames, solver.config_sections(traj.config))
     return inputs, cert.plateau_ratio, True, {"C_sup": cert.C_sup}
 
 
 def _morawetz(traj: Trajectory):
     """Exponential decay rate of the local energy over MORAWETZ_WINDOW.  Where it is already
     extinct there (at most 1e-20 of the initial energy: sharp Huygens propagation), the
-    "extinct" branch fits its collapse, which must end before the window, from half-way on.
-    Morawetz's estimate is for the linear problem: a nonlinear run is a DomainError."""
-    if (spec := traj.config.nonlinearity).terms:
-        raise DomainError(f"morawetz certifies the linear problem, and '{spec.name}' has terms")
+    "extinct" branch fits its collapse, which must end before the window, from half-way
+    between its peak and its end or from its 10th-last monitor sample, whichever is earlier."""
     m = traj.monitors
     series = Series(m.t, np.maximum(m.E_local, 1e-300))
     fit = fit_exponential(series, window=MORAWETZ_WINDOW)
     floor = 1e-20 * float(m.E_total[0])
     ok, info = True, {"branch": "literal"}
     if series.window(*MORAWETZ_WINDOW).y.max() <= floor < m.E_local.max():
-        t_peak = float(m.t[np.argmax(m.E_local)])
-        t_end = float(m.t[np.flatnonzero(m.E_local > floor)[-1]])
-        fit = fit_exponential(series, window=(t_peak + 0.5 * (t_end - t_peak), t_end))
+        end = np.flatnonzero(m.E_local > floor)[-1]
+        t_peak, t_end = float(m.t[np.argmax(m.E_local)]), float(m.t[end])
+        start = min(t_peak + 0.5 * (t_end - t_peak), float(m.t[max(end - 9, 0)]))
+        fit = fit_exponential(series, window=(start, t_end))
         ok, info = t_end < MORAWETZ_WINDOW[0], {"branch": "extinct", "t_extinct": t_end}
     inputs = (m.t, m.E_total, m.E_local, solver.config_sections(traj.config))
     return inputs, fit.exponent, ok and fit.r_squared >= 0.95, {**info, "r_squared": fit.r_squared}
@@ -459,7 +444,7 @@ def _energy(field: cylinder.CylinderField):
 
 def _weighted_norms(field: cylinder.CylinderField, sigma: float = DEFAULT_SIGMA):
     rep = weighted_norm_report(field, p=2, sigma=sigma)
-    return (tuple(vars(field).values()), rep.plateau_ratio, True,
+    return ((field.T, field.R, field.values, field.mask), rep.plateau_ratio, True,
             {"last_row_T": float(rep.T[-1])})
 
 
@@ -474,7 +459,8 @@ CHECKS = {check.name: check for check in (
     Check("vanishing-order", "tip-degeneration-rate", "nothing", 1.9, ">=", _vanishing_order),
     Check("decay", "weighted-supnorm-certificate", "trajectory", 2.0, "<=", _decay,
           takes_sigma=True),
-    Check("morawetz", "local-energy-decay", "trajectory", 0.0, ">", _morawetz),
+    Check("morawetz", "local-energy-decay", "trajectory", 0.0, ">", _morawetz,
+          linear_only=True),
     Check("energy", "conformal-energy-inequality", "field", 0.02, "<=", _energy),
     Check("weighted-norms", "mixed-norm-boundedness", "field", 4.0, "<=", _weighted_norms,
           takes_sigma=True),

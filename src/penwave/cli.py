@@ -110,12 +110,8 @@ class Manifest:
         doc["config"] = self.config
         doc["outputs"], doc["verdicts"] = {}, {}
         final = os.path.join(self.out, "manifest.ini")
-        if extend and os.path.exists(final):
-            try:
-                with open(final, encoding="utf-8") as fh:
-                    doc.read_file(fh)
-            except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-                raise ParseError(f"{final}: {exc}") from exc
+        if extend and os.path.exists(final):  # its keys are paths and check names
+            doc.read_dict(solver.read_config(final, schema=None))
         paths = dict.fromkeys([*doc["outputs"].values(), *self.outputs])
         doc["outputs"] = {f"path_{i}": p for i, p in enumerate(paths)}
         doc["verdicts"].update(self.verdicts)
@@ -272,10 +268,10 @@ def cmd_check_null(args) -> int:
         form = parse_form_file(args.form)
     if isinstance(form, nullform.QuadraticFormSpec):
         verdict, decomp = nullform.check_null_semilinear(form)
-        name, coeffs = "lambda", decomp.lam
+        name, coeffs, entries = "lambda", decomp.lam, form.s
     else:
         verdict, decomp = nullform.check_null_quasilinear(form)
-        name, coeffs = "ell", decomp.linear_factor
+        name, coeffs, entries = "ell", decomp.linear_factor, form.k
     if verdict:  # the largest coefficient of the null piece: q0's, or the linear factor's
         coeffs = np.asarray(coeffs).ravel()
         big = coeffs[np.argmax(np.abs(coeffs))]
@@ -289,7 +285,7 @@ def cmd_check_null(args) -> int:
               f"symbol={value:.6g}")
     if manifest.out is not None:
         report = analysis.structured_report(
-            "null-classifier", "light-cone-symbol", args.builtin or args.form,
+            "null-classifier", "light-cone-symbol", entries,
             decomp.residual, decomp.tol, verdict,
         )
         analysis.write_report(report, manifest.output("null_report.json"))
@@ -322,7 +318,7 @@ def cmd_compat(args) -> int:
     )
     analysis.write_report(
         analysis.structured_report(
-            "boundary-compatibility", "jet-boundary-vanishing", args.config,
+            "boundary-compatibility", "jet-boundary-vanishing", tuple(p.values for p in jet.psi),
             max(abs(v) for v in report.boundary_values), report.tol,
             report.compatible,
         ),
@@ -376,7 +372,9 @@ def cmd_verify(args) -> int:
     if args.traj is not None:
         source = solver.load_trajectory(args.traj)
     elif args.config is not None:
-        source = solver.run(solver.solver_config_from(solver.read_config(args.config)))
+        config = solver.solver_config_from(solver.read_config(args.config))
+        check.admit(config)
+        source = solver.run(config)
     if check.reads == "field":
         source = solver.transform_to_cylinder(source, solver.CylinderGrid())
     report = check.run(source, **({} if args.sigma is None else {"sigma": args.sigma}))

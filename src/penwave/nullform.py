@@ -89,15 +89,10 @@ class QuadraticFormSpec:
 
 @dataclass(frozen=True)
 class CubicFormSpec:
-    """Coefficient tensor k[I, J, i, j, k] of a quasilinear cubic form.
-
-    The trailing (j, k) pair acts on d_j d_k u^I and is canonicalized to be
-    symmetric on construction.
-    """
+    """Coefficient tensor k[I, J, i, j, k] of a quasilinear cubic form, stored as given."""
 
     k: np.ndarray
 
-    @np.errstate(over="ignore")  # an entry that overflows here makes the classifier's NaN
     def __post_init__(self):
         arr = np.asarray(self.k)
         if arr.ndim != 5 or arr.shape[2:] != (4, 4, 4):
@@ -105,10 +100,6 @@ class CubicFormSpec:
         if arr.shape[0] != arr.shape[1]:
             raise DomainError(f"component axes must agree, got {arr.shape}")
         _check_finite(arr)
-        if arr.dtype == object:
-            arr = (arr + arr.transpose(0, 1, 2, 4, 3)) / Fraction(2)
-        else:
-            arr = 0.5 * (arr + arr.transpose(0, 1, 2, 4, 3))
         object.__setattr__(self, "k", arr)
 
     @property

@@ -576,8 +576,8 @@ def transform_to_cylinder(traj: Trajectory, grid: CylinderGrid) -> cylinder.Cyli
 
 
 def read_config(path, schema=_SCHEMA) -> configparser.ConfigParser:
-    """Parse an INI config, rejecting sections or keys that ``schema`` does not list.
-    A file that cannot be opened, is not UTF-8 or is not INI is a ParseError naming it.
+    """Parse an INI config, rejecting sections or keys that ``schema`` (None: any) does not
+    list.  A file that cannot be opened, is not UTF-8 or is not INI is a ParseError naming it.
     Values are read as written: a ``%`` is a character, not an interpolation."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -585,7 +585,7 @@ def read_config(path, schema=_SCHEMA) -> configparser.ConfigParser:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    for section in parser.sections():
+    for section in parser.sections() if schema is not None else ():
         if section not in schema:
             raise ParseError(f"{path}: unknown section [{section}]")
         for key in parser[section]:

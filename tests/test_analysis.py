@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ class TestSeries:
         # a NaN compares False either way: only (np.diff(t) > 0).all() rejects it
         with pytest.raises(DomainError, match="^series abscissae t must be strictly increasing"):
             analysis.Series(t=[0.0, np.nan, 2.0], y=[1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("slot", ["t", "y"])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_rejected_before_a_fit(self, slot, at, bad, capfd):
+        # an infinite last abscissa still increases; fitted, its log makes LAPACK print
+        # DLASCL lines to stderr and raise LinAlgError
+        t, y = np.arange(1.0, 11.0), np.ones(10)
+        (t if slot == "t" else y)[at] = bad
+        with pytest.raises(DomainError, match="must be"):
+            analysis.fit_power(analysis.Series(t, y), window=(0.0, np.inf))
+        assert capfd.readouterr().err == ""
 
     def test_window(self):
         s = analysis.Series(t=np.arange(10.0), y=np.ones(10))
@@ -82,6 +95,13 @@ class TestFits:
         y = np.zeros(100)
         with pytest.raises(FitError):
             analysis.fit_power(analysis.Series(t, y), window=(1.0, 10.0))
+
+    def test_a_nan_residual_has_no_r_squared_of_one(self):
+        x = np.arange(10.0)
+        y = np.r_[x[:9], np.nan]
+        assert math.isnan(analysis._r_squared(x, y, 1.0, 0.0))
+        assert math.isnan(analysis._r_squared(x, np.full(10, np.nan), 1.0, 0.0))
+        assert analysis._r_squared(x, x, 1.0, 0.0) == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -358,43 +378,6 @@ class TestWeightedNormReport:
         np.testing.assert_allclose(report.m, expected, rtol=1e-13, atol=0.0)
 
 
-class TestVanishingOrderFit:
-    def test_recovers_quadratic_order(self):
-        eps = math.pi * 2.0 ** -np.arange(3, 13)
-        samples = [(e, 3.0 * e**2) for e in eps]
-        fit = analysis.vanishing_order_fit(samples)
-        assert fit.exponent == pytest.approx(2.0, abs=1e-10)
-
-    def test_too_few_samples(self):
-        with pytest.raises(FitError):
-            analysis.vanishing_order_fit([(0.1, 0.01)] * 5)
-
-    def test_underflow_guard(self):
-        eps = math.pi * 2.0 ** -np.arange(3, 13)
-        samples = [(e, 1e-300) for e in eps]
-        with pytest.raises(FitError):
-            analysis.vanishing_order_fit(samples)
-
-    @pytest.mark.parametrize("slot", [0, 1])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_sample_is_a_fit_error_naming_it(self, slot, bad, capfd):
-        # rejected before the fit: a NaN value fits exponent nan, and a NaN distance makes
-        # LAPACK print DLASCL lines to stderr and raise LinAlgError
-        eps = math.pi * 2.0 ** -np.arange(3, 13)
-        samples = [(e, 3.0 * e**2) for e in eps]
-        samples[4] = (bad, samples[4][1]) if slot == 0 else (samples[4][0], bad)
-        with pytest.raises(FitError, match=r"^sample 4 \(dist, value\) = "):
-            analysis.vanishing_order_fit(samples)
-        assert capfd.readouterr().err == ""
-
-    def test_a_nan_residual_has_no_r_squared_of_one(self):
-        x = np.arange(10.0)
-        y = np.r_[x[:9], np.nan]
-        assert math.isnan(analysis._r_squared(x, y, 1.0, 0.0))
-        assert math.isnan(analysis._r_squared(x, np.full(10, np.nan), 1.0, 0.0))
-        assert analysis._r_squared(x, x, 1.0, 0.0) == 1.0
-
-
 class TestReports:
     def test_structured_report_round_trip(self, tmp_path):
         rep = analysis.structured_report(
@@ -417,6 +400,45 @@ class TestReports:
         a = analysis.structured_report("x", "a", {"s": 1}, 0.0, 1.0, True)
         b = analysis.structured_report("x", "a", {"s": 2}, 0.0, 1.0, True)
         assert a["inputs_digest"] != b["inputs_digest"]
+
+    def test_decay_digests_the_data_it_reads(self, small_traj):
+        # times, r (its weight), the u frames and the config, not the u_t frames
+        def digest(**change):
+            return analysis.CHECKS["decay"].run(
+                dataclasses.replace(small_traj, **change))["inputs_digest"]
+
+        base = digest()
+        assert digest(ut_frames=small_traj.ut_frames + 1.0) == base
+        for change in ({"times": small_traj.times * 1.001}, {"r": small_traj.r + 1e-3},
+                       {"u_frames": 2.0 * small_traj.u_frames},
+                       {"config": dataclasses.replace(small_traj.config, epsilon=0.02)}):
+            assert digest(**change) != base, sorted(change)
+
+    def test_weighted_norms_digest_the_data_they_read(self):
+        # T, R, the values and the mask, not the stored derivatives or the forcing
+        field = energy_field(0.1, 0.0, forcing=lambda T, R: 1.0)
+
+        def digest(**change):
+            return analysis.CHECKS["weighted-norms"].run(
+                dataclasses.replace(field, **change))["inputs_digest"]
+
+        base = digest()
+        ones = np.ones_like(field.values)
+        assert digest(d_T=ones, d_R=ones, forcing=2.0 * ones) == digest(d_T=None) == base
+        mask = field.mask.copy()
+        mask[:, -1] = False
+        for change in ({"T": 0.99 * field.T}, {"R": 0.99 * field.R},
+                       {"values": 2.0 * field.values}, {"mask": mask}):
+            assert digest(**change) != base, sorted(change)
+
+    def test_an_object_array_is_digested_by_its_entries(self):
+        def digest(inputs):
+            return analysis.structured_report("x", "a", inputs, 0.0, 1.0, True)["inputs_digest"]
+
+        half = np.array([Fraction(1, 2), Fraction(3)], dtype=object)
+        assert digest(half) == digest(np.array([Fraction(2, 4), Fraction(3)], dtype=object))
+        assert digest(half) != digest(np.array([Fraction(1, 3), Fraction(3)], dtype=object))
+        assert digest(half) != digest(np.array([0.5, 3.0]))
 
     def test_series_csv(self, tmp_path):
         path = tmp_path / "series.csv"

@@ -544,8 +544,39 @@ class TestCheckNull:
         assert report["threshold"] == pytest.approx(nullform.VERDICT_TOL * np.linalg.norm(s))
         assert report["margin"] == report["threshold"] - report["value"] > 0.0
 
+    @pytest.mark.parametrize("form", ["cubic 1\n0 0 0 0 0 1/2\n0 0 1 2 3 1\n",
+                                      "quadratic 1\n0 0 0 0 0 0.5\n0 0 0 1 2 1.0\n"],
+                             ids=["exact", "float"])
+    def test_report_digests_the_form_entries(self, tmp_path, form):
+        # the digest named the file: a moved file read as new, an edited one as unchanged
+        def digest(text, name):
+            path = tmp_path / name
+            path.write_text(text)
+            out = tmp_path / f"{name}-out"
+            cli.main(["check-null", "--form", str(path), "--out", str(out)])
+            return json.loads((out / "null_report.json").read_text())["inputs_digest"]
+
+        base = digest(form, "a.form")
+        assert digest("# the same entries\n" + form, "b.form") == base
+        assert digest(form[:-2] + "3\n", "a.form") != base  # the last entry's value
+
 
 class TestCompatCommand:
+    def test_report_digests_the_jet(self, config_path, tmp_path):
+        # the digest named the config: a moved config read as new, an edited one as unchanged
+        def digest(path):
+            out = tmp_path / f"{os.path.basename(path)}-out"
+            assert cli.main(["compat", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+            return json.loads((out / "compat_report.json").read_text())["inputs_digest"]
+
+        moved = tmp_path / "moved.ini"
+        moved.write_text(SMALL_CONFIG.replace("t_max = 4.0", "t_max = 6.0"))  # no jet input
+        base = digest(config_path)
+        assert digest(moved) == base
+        with open(config_path, "w") as fh:
+            fh.write(SMALL_CONFIG.replace("epsilon = 0.01", "epsilon = 0.02"))
+        assert digest(config_path) != base
+
     def test_compatible_run(self, config_path, tmp_path, capsys):
         out = tmp_path / "compat"
         code = cli.main(["compat", "--config", config_path, "--out", str(out)])
@@ -867,6 +898,48 @@ class TestVerifyCommand:
         assert code == cli.EXIT_DOMAIN and captured.out == ""
         assert captured.err == (f"error: morawetz certifies the linear problem, and "
                                 f"'{nonlinearity}' has terms\n")
+
+    @pytest.mark.parametrize("nonlinearity", ["q0-radial", "dt-squared"])
+    def test_morawetz_refuses_a_nonlinear_config_before_the_run(self, tmp_path, capsys,
+                                                                 monkeypatch, nonlinearity):
+        # it evolved the whole run first (0.99 s for Q0 at t = 80)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run was evolved")
+
+        monkeypatch.setattr(solver, "run", refuse)
+        path = tmp_path / "nonlinear.ini"
+        path.write_text(SHORT_LINEAR_CONFIG.replace("= zero", f"= {nonlinearity}"))
+        code = cli.main(["verify", "--check", "morawetz", "--config", str(path)])
+        assert code == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == (f"error: morawetz certifies the linear problem, and "
+                                           f"'{nonlinearity}' has terms\n")
+
+    def test_morawetz_passes_a_coarse_linear_run(self, tmp_path, capsys):
+        # at dr = 0.02 the collapse's half-way point is a monitor time that rounding put just
+        # above its sample: the window held 9 points and the check exited 3
+        path = tmp_path / "coarse.ini"
+        path.write_text(SHORT_LINEAR_CONFIG.replace("dr = 0.01", "dr = 0.02"))
+        code = cli.main(["verify", "--check", "morawetz", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK and "branch=extinct" in out
+        assert "value=50.1787" in out and "r_squared=0.985973" in out
+
+    def test_a_store_of_every_frame_certifies_as_the_run(self, tmp_path, capsys):
+        # a default store keeps frames 5 time units apart, and its certificates interpolate
+        # across the gaps: that of the linear dr = 1e-2, t = 40 run read energy slack 294,
+        # against 0.0015 from the run
+        path = tmp_path / "every.ini"
+        path.write_text(SHORT_LINEAR_CONFIG.replace("dr = 0.01", "dr = 0.02")
+                        + "\n[output]\nsnapshot_every = 0\n")
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        for check in ("energy", "weighted-norms", "decay", "morawetz"):
+            lines = []
+            for source in (["--config", str(path)], ["--traj", str(run_dir)]):
+                assert cli.main(["verify", "--check", check, *source]) == cli.EXIT_OK
+                lines.append(capsys.readouterr().out)
+            assert lines[0] == lines[1], check
 
     def test_morawetz_needs_a_run_that_reaches_its_window(self, tmp_path, capsys):
         path = tmp_path / "short.ini"
